@@ -1,4 +1,4 @@
-"""Reference FIFO queue kernel in NumPy/Python.
+"""The simulator's FIFO queue kernel, in NumPy/Python.
 
 ``simulate_fifo`` consumes pre-drawn arrival and service arrays (calendar
 time units) and plays them through a single-server FIFO queue.  A flagged
@@ -6,6 +6,8 @@ arrival spawns one rework job at its own departure instant; the rework job
 joins the tail of the queue with its own service time.  Because spawned
 jobs enter at departure instants, the rework stream is itself sorted in
 time, so the event loop is a two-stream merge and needs no event heap.
+Without rework the queue reduces to a reflected random walk, which NumPy
+evaluates in closed form.
 """
 
 import numpy as np

@@ -47,6 +47,8 @@ def _parse_grid(text: str, name: str) -> list[float]:
         values = [float(part) for part in parts]
     except ValueError:
         raise ValidationError(f"{name}: cannot parse {text!r} as numbers", field=name) from None
+    if not all(math.isfinite(value) for value in values):
+        raise ValidationError(f"{name}: values must be finite, got {text!r}", field=name)
     if len(values) == 1:
         return values
     if len(values) != 3:
@@ -506,11 +508,25 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_report(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ValidationError(
+            f"cannot write --out {path!r}: {exc.strerror or exc}", field="--out"
+        ) from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         text = args.handler(args)
+        if args.out:
+            _write_report(args.out, text)
+        else:
+            sys.stdout.write(text)
     except WedgeqError as exc:
         payload = {"error": exc.code, "message": str(exc)}
         for extra in ("rho", "error_estimate", "field"):
@@ -521,11 +537,6 @@ def main(argv=None) -> int:
                 payload[extra] = value
         sys.stderr.write(render_json(payload))
         return exc.exit_code
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

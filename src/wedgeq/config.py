@@ -131,7 +131,11 @@ class WorkflowSpec:
 
 @contextmanager
 def _scoped(path: str):
-    """Re-raise validation errors with the config-file path prefixed."""
+    """Prefix the config-file path to validation errors raised inside.
+
+    This is the only place a path is qualified: the readers below and the
+    model constructors name just the offending key.
+    """
     try:
         yield
     except ValidationError as exc:
@@ -139,20 +143,20 @@ def _scoped(path: str):
         raise ValidationError(f"{where}: {exc.args[0]}", field=where) from None
 
 
-def _check_keys(block: dict, allowed: tuple[str, ...], path: str):
+def _check_keys(block: dict, allowed: tuple[str, ...]):
     unknown = sorted(set(block) - set(allowed))
     if unknown:
         raise ValidationError(
-            f"{path}: unknown key(s) {', '.join(repr(k) for k in unknown)}; "
+            f"unknown key(s) {', '.join(repr(k) for k in unknown)}; "
             f"allowed: {', '.join(sorted(allowed))}",
-            field=f"{path}.{unknown[0]}" if path != "<top>" else unknown[0],
+            field=unknown[0],
         )
 
 
-def _block(doc: dict, key: str, path: str, required: bool) -> dict | None:
+def _block(doc: dict, key: str, required: bool) -> dict | None:
     if key not in doc:
         if required:
-            raise ValidationError(f"{path}: missing required block {key!r}", field=key)
+            raise ValidationError(f"missing required block {key!r}", field=key)
         return None
     value = doc[key]
     if not isinstance(value, dict):
@@ -162,43 +166,33 @@ def _block(doc: dict, key: str, path: str, required: bool) -> dict | None:
     return value
 
 
-def _number(block: dict, key: str, path: str, required: bool = True, default=None):
+def _number(block: dict, key: str, required: bool = True, default=None):
     if key not in block:
         if required:
-            raise ValidationError(f"{path}: missing required key {key!r}", field=_join(path, key))
+            raise ValidationError(f"missing required key {key!r}", field=key)
         return default
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(
-            f"{_join(path, key)} must be a number, got {value!r}", field=_join(path, key)
-        )
+        raise ValidationError(f"{key} must be a number, got {value!r}", field=key)
     return float(value)
 
 
-def _integer(block: dict, key: str, path: str, default: int) -> int:
+def _integer(block: dict, key: str, default: int) -> int:
     if key not in block:
         return default
     value = block[key]
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(
-            f"{_join(path, key)} must be an integer, got {value!r}", field=_join(path, key)
-        )
+        raise ValidationError(f"{key} must be an integer, got {value!r}", field=key)
     return value
 
 
-def _string(block: dict, key: str, path: str, default: str) -> str:
+def _string(block: dict, key: str, default: str) -> str:
     if key not in block:
         return default
     value = block[key]
     if not isinstance(value, str):
-        raise ValidationError(
-            f"{_join(path, key)} must be a string, got {value!r}", field=_join(path, key)
-        )
+        raise ValidationError(f"{key} must be a string, got {value!r}", field=key)
     return value
-
-
-def _join(path: str, key: str) -> str:
-    return key if path == "<top>" else f"{path}.{key}"
 
 
 def workflow_from_dict(doc) -> WorkflowSpec:
@@ -211,93 +205,88 @@ def workflow_from_dict(doc) -> WorkflowSpec:
         doc,
         ("lambda", "capacity_C", "x", "c2_a", "manual", "error_curve", "rework",
          "review_r", "signal_env", "sim"),
-        "<top>",
     )
 
-    lam = _number(doc, "lambda", "<top>")
-    if not math.isfinite(lam) or lam <= 0.0:
-        raise ValidationError(f"lambda must be > 0 and finite, got {lam}", field="lambda")
-    capacity = _number(doc, "capacity_C", "<top>")
-    if not math.isfinite(capacity) or capacity <= 0.0:
-        raise ValidationError(
-            f"capacity_C must be > 0 and finite, got {capacity}", field="capacity_C"
-        )
-    x = _number(doc, "x", "<top>", required=False, default=1.0)
-    c2_a = _number(doc, "c2_a", "<top>", required=False, default=1.0)
+    lam = _number(doc, "lambda")
+    capacity = _number(doc, "capacity_C")
+    x = _number(doc, "x", required=False, default=1.0)
+    c2_a = _number(doc, "c2_a", required=False, default=1.0)
 
-    manual_block = _block(doc, "manual", "<top>", required=True)
-    _check_keys(manual_block, ("tau_H", "c2_H"), "manual")
+    manual_block = _block(doc, "manual", required=True)
     with _scoped("manual"):
+        _check_keys(manual_block, ("tau_H", "c2_H"))
         manual = ManualRoute(
-            tau_H=_number(manual_block, "tau_H", "manual"),
-            c2_H=_number(manual_block, "c2_H", "manual"),
+            tau_H=_number(manual_block, "tau_H"),
+            c2_H=_number(manual_block, "c2_H"),
         )
 
-    rework_block = _block(doc, "rework", "<top>", required=True)
-    _check_keys(rework_block, ("mu_R", "mu_R2", "family"), "rework")
+    rework_block = _block(doc, "rework", required=True)
     with _scoped("rework"):
+        _check_keys(rework_block, ("mu_R", "mu_R2", "family"))
         rework = ReworkModel(
-            mu_R=_number(rework_block, "mu_R", "rework"),
-            mu_R2=_number(rework_block, "mu_R2", "rework"),
-            family=_string(rework_block, "family", "rework", default="gamma"),
+            mu_R=_number(rework_block, "mu_R"),
+            mu_R2=_number(rework_block, "mu_R2"),
+            family=_string(rework_block, "family", default="gamma"),
         )
 
     curve = None
-    curve_block = _block(doc, "error_curve", "<top>", required=False)
+    curve_block = _block(doc, "error_curve", required=False)
     if curve_block is not None:
-        _check_keys(curve_block, ("p0", "p_inf", "kappa"), "error_curve")
         with _scoped("error_curve"):
+            _check_keys(curve_block, ("p0", "p_inf", "kappa"))
             curve = ErrorCurve(
-                p0=_number(curve_block, "p0", "error_curve"),
-                p_inf=_number(curve_block, "p_inf", "error_curve", required=False, default=0.0),
-                kappa=_number(curve_block, "kappa", "error_curve"),
+                p0=_number(curve_block, "p0"),
+                p_inf=_number(curve_block, "p_inf", required=False, default=0.0),
+                kappa=_number(curve_block, "kappa"),
             )
 
     review_r = None
     if "review_r" in doc:
-        review_r = _number(doc, "review_r", "<top>")
+        review_r = _number(doc, "review_r")
 
     env = None
-    env_block = _block(doc, "signal_env", "<top>", required=False)
+    env_block = _block(doc, "signal_env", required=False)
     if env_block is not None:
-        _check_keys(env_block, ("risk_map", "signal", "K", "kappa", "c_w", "p_inf"), "signal_env")
-        risk_block = _block(env_block, "risk_map", "signal_env", required=True)
-        _check_keys(risk_block, ("a", "b", "g", "s0"), "signal_env.risk_map")
-        signal_block = _block(env_block, "signal", "signal_env", required=True)
-        _check_keys(signal_block, ("alpha", "beta"), "signal_env.signal")
         with _scoped("signal_env"):
+            _check_keys(env_block, ("risk_map", "signal", "K", "kappa", "c_w", "p_inf"))
+            risk_block = _block(env_block, "risk_map", required=True)
+            signal_block = _block(env_block, "signal", required=True)
+        with _scoped("signal_env.risk_map"):
+            _check_keys(risk_block, ("a", "b", "g", "s0"))
             risk_map = RiskMap(
-                a=_number(risk_block, "a", "signal_env.risk_map"),
-                b=_number(risk_block, "b", "signal_env.risk_map"),
-                g=_number(risk_block, "g", "signal_env.risk_map"),
-                s0=_number(risk_block, "s0", "signal_env.risk_map"),
+                a=_number(risk_block, "a"),
+                b=_number(risk_block, "b"),
+                g=_number(risk_block, "g"),
+                s0=_number(risk_block, "s0"),
             )
+        with _scoped("signal_env.signal"):
+            _check_keys(signal_block, ("alpha", "beta"))
+            signal_alpha = _number(signal_block, "alpha")
+            signal_beta = _number(signal_block, "beta")
+        with _scoped("signal_env"):
             env = SignalEnvironment(
                 risk_map=risk_map,
-                signal_alpha=_number(signal_block, "alpha", "signal_env.signal"),
-                signal_beta=_number(signal_block, "beta", "signal_env.signal"),
-                K=_number(env_block, "K", "signal_env"),
-                kappa=_number(env_block, "kappa", "signal_env"),
-                c_w=_number(env_block, "c_w", "signal_env"),
-                p_inf=_number(env_block, "p_inf", "signal_env", required=False, default=0.0),
+                signal_alpha=signal_alpha,
+                signal_beta=signal_beta,
+                K=_number(env_block, "K"),
+                kappa=_number(env_block, "kappa"),
+                c_w=_number(env_block, "c_w"),
+                p_inf=_number(env_block, "p_inf", required=False, default=0.0),
             )
 
-    sim_block = _block(doc, "sim", "<top>", required=False) or {}
-    _check_keys(
-        sim_block,
-        ("seed", "n_arrivals", "warmup_fraction", "n_batches", "reps", "rework_mode"),
-        "sim",
-    )
+    sim_block = _block(doc, "sim", required=False) or {}
     with _scoped("sim"):
+        _check_keys(
+            sim_block,
+            ("seed", "n_arrivals", "warmup_fraction", "n_batches", "reps", "rework_mode"),
+        )
         sim = SimSettings(
-            seed=_integer(sim_block, "seed", "sim", default=0),
-            n_arrivals=_integer(sim_block, "n_arrivals", "sim", default=1_000_000),
-            warmup_fraction=_number(
-                sim_block, "warmup_fraction", "sim", required=False, default=0.2
-            ),
-            n_batches=_integer(sim_block, "n_batches", "sim", default=32),
-            reps=_integer(sim_block, "reps", "sim", default=1),
-            rework_mode=_string(sim_block, "rework_mode", "sim", default="folded"),
+            seed=_integer(sim_block, "seed", default=0),
+            n_arrivals=_integer(sim_block, "n_arrivals", default=1_000_000),
+            warmup_fraction=_number(sim_block, "warmup_fraction", required=False, default=0.2),
+            n_batches=_integer(sim_block, "n_batches", default=32),
+            reps=_integer(sim_block, "reps", default=1),
+            rework_mode=_string(sim_block, "rework_mode", default="folded"),
         )
 
     return WorkflowSpec(

@@ -12,7 +12,7 @@ Randomness is split into six independent substreams (interarrivals, route
 choice, manual service, escape flags, rework draws, signals) so changing
 one distribution never perturbs the others' draws.  Replication seeds are
 spawned from the base seed by a fixed rule, so every statistic is
-bit-reproducible for a given config and backend.
+bit-reproducible for a given config.
 """
 
 from __future__ import annotations

@@ -62,7 +62,8 @@ class TestGridParsing:
         assert grid[-1] == pytest.approx(1.0)
 
     def test_rejects_malformed(self):
-        for text in ("a:b:c", "0.5:1.0", "1.0:0.5:0.1", "0.5:1.0:-0.1", "0.5:1.0:0"):
+        for text in ("a:b:c", "0.5:1.0", "1.0:0.5:0.1", "0.5:1.0:-0.1", "0.5:1.0:0",
+                     "0.1:0.2:nan", "nan:1:0.1", "0.1:inf:0.1"):
             with pytest.raises(ValidationError):
                 _parse_grid(text, "--grid")
 
@@ -336,6 +337,16 @@ class TestOutputPlumbing:
         capsys.readouterr()
         assert code2 == 0
         assert target.read_text() == out
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = _run(capsys, "wedge", "--config", FIG4, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert payload["field"] == "--out"
+        assert not target.exists()
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = _run(capsys, "wait", "--config", "/nonexistent.json")

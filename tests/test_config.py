@@ -162,6 +162,9 @@ class TestStrictness:
     def test_nested_errors_carry_their_path(self):
         err = _error(_doc(manual={"tau_H": -1.0, "c2_H": 0.1}))
         assert str(err).startswith("manual")
+        err = _error(_doc(manual={"tau_H": "x", "c2_H": 0.1}))
+        assert err.field == "manual.tau_H"
+        assert str(err) == "manual.tau_H: tau_H must be a number, got 'x'"
         doc = _doc(POLICY)
         doc["signal_env"] = json.loads(json.dumps(POLICY["signal_env"]))
         doc["signal_env"]["risk_map"]["g"] = -1.0

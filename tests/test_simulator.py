@@ -135,7 +135,7 @@ class TestEstimatorInternals:
         assert len(stats.batch_means) == 32
         assert stats.wq_p50 <= stats.wq_p90 <= stats.wq_p99
         assert stats.mode == "folded"
-        assert stats.backend in {"cython", "python"}
+        assert stats.backend == "python"
 
     def test_sojourn_decomposes_in_folded_mode(self):
         config = _config(_fixed_workflow(x=0.4), n=16_000)
