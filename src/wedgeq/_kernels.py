@@ -15,28 +15,37 @@ import numpy as np
 IMPL = "python"
 
 
-def _fifo_reflect(arrivals, services):
+def _fifo_reflect(arrivals, services, out=None):
     """Vectorized no-rework path via the reflected random walk.
 
     The FIFO wait recursion w[i] = max(0, w[i-1] + s[i-1] - gap[i])
     has the closed form w[i] = path[i] - min(path[0..i]) for the
     cumulative drift path, which NumPy evaluates without a Python loop.
+    ``out`` is an optional pair of length-n buffers that receive the
+    waits and the departures; the departures buffer holds the drift path
+    until the waits are known, so the walk allocates nothing else.
     """
     n = arrivals.shape[0]
     if n == 0:
         return np.zeros(0), np.zeros(0), 0.0, 0.0
-    drift = services[:-1] - np.diff(arrivals)
-    path = np.concatenate(([0.0], np.cumsum(drift)))
-    waits = path - np.minimum.accumulate(path)
-    departures = arrivals + waits + services
+    waits, departures = (np.empty(n), np.empty(n)) if out is None else out
+    path = departures
+    path[0] = 0.0
+    np.subtract(arrivals[1:], arrivals[:-1], out=path[1:])
+    np.subtract(services[:-1], path[1:], out=path[1:])
+    np.cumsum(path[1:], out=path[1:])
+    np.minimum.accumulate(path, out=waits)
+    np.subtract(path, waits, out=waits)
+    np.add(arrivals, waits, out=departures)
+    departures += services
     return waits, departures, float(departures[-1]), float(services.sum())
 
 
-def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services):
+def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out=None):
     n = arrivals.shape[0]
     n_spawn = int(spawn_mask.sum())
-    waits = np.zeros(n)
-    chain_complete = np.zeros(n)
+    # The loop assigns every entry of both arrays.
+    waits, chain_complete = (np.empty(n), np.empty(n)) if out is None else out
     rq_entry = np.empty(n_spawn)
     rq_service = np.empty(n_spawn)
     rq_parent = np.empty(n_spawn, dtype=np.intp)
@@ -73,7 +82,7 @@ def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services):
     return waits, chain_complete, rework_waits, now, busy
 
 
-def simulate_fifo(arrivals, services, spawn_mask, rework_services):
+def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
     """Run the queue; returns (waits, chain_complete, rework_waits, end, busy).
 
     waits[i]          queue wait of external job i (service start - arrival)
@@ -82,8 +91,12 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services):
     rework_waits[k]   queue wait of the k-th spawned job, in spawn order
     end               calendar time of the last departure (0 when empty)
     busy              total server busy time
+
+    spawn_mask and rework_services may be empty arrays when no job spawns
+    rework.  ``out`` is an optional pair of length-n buffers that receive
+    waits and chain_complete.
     """
     if not spawn_mask.any():
-        waits, departures, end, busy = _fifo_reflect(arrivals, services)
+        waits, departures, end, busy = _fifo_reflect(arrivals, services, out)
         return waits, departures, np.zeros(0), end, busy
-    return _fifo_merge_loop(arrivals, services, spawn_mask, rework_services)
+    return _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out)

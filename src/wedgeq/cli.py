@@ -5,8 +5,9 @@
 
 Commands on fixed-effort configs: moments, wait, wedge, stabilize, sweep,
 design, dist.  Commands on policy configs: equilibrium, review-curve.
-simulate accepts both.  Exit codes: 0 success, 2 validation error,
-3 instability/infeasibility, 4 solver found no root.
+simulate accepts both.  Exit codes: 0 success, 1 numerical failure
+(a quadrature that did not converge, a failed self-check), 2 validation
+error, 3 instability/infeasibility, 4 solver found no root.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import diagnostics, queueing
 from ._report import render_csv, render_json, round_sig
-from .config import WorkflowSpec, load_config
+from .config import WorkflowSpec, load_config, require_count
 from .errors import StabilityError, ValidationError, WedgeqError
 from .service_model import (
     ai_route_moments,
@@ -35,6 +36,12 @@ from .verification import (
     irreducible_escape_rate,
     solve_equilibrium,
 )
+
+
+# Size limits of the dist command: samples drawn per route, and histogram
+# bins (one output row each).
+MAX_DIST_SAMPLES = 10_000_000
+MAX_DIST_BINS = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -285,12 +292,14 @@ def _handle_dist(args) -> str:
     spec = load_config(args.config)
     _require_mode(spec, "fixed", "dist")
     n = args.n_samples
-    if n < 1:
-        raise ValidationError(f"--n-samples must be >= 1, got {n}", field="--n-samples")
+    require_count(n, "--n-samples", 1, MAX_DIST_SAMPLES)
     width = args.bin_width
-    if not width > 0.0:
-        raise ValidationError(f"--bin-width must be > 0, got {width}", field="--bin-width")
+    if not (math.isfinite(width) and width > 0.0):
+        raise ValidationError(
+            f"--bin-width must be finite and > 0, got {width}", field="--bin-width"
+        )
     seed = spec.sim.seed if args.seed is None else args.seed
+    require_count(seed, "--seed", 0, 2**64 - 1)
     rng_manual, rng_ai = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
     )
@@ -298,7 +307,14 @@ def _handle_dist(args) -> str:
     ai_samples, escaped = sample_ai(spec.curve, spec.rework, spec.review_r, rng_ai, size=n)
 
     top = float(max(manual_samples.max(), ai_samples.max()))
-    n_bins = max(1, int(math.ceil(top / width + 1e-12)))
+    span = top / width  # inf when the width underflows the division
+    if not span < MAX_DIST_BINS:
+        raise ValidationError(
+            f"--bin-width {width} needs more than {MAX_DIST_BINS} bins to cover the "
+            f"largest sample ({top:.6g}); use a wider bin",
+            field="--bin-width",
+        )
+    n_bins = max(1, math.ceil(span + 1e-12))
     edges = np.arange(n_bins + 1) * width
     manual_counts, _ = np.histogram(manual_samples, bins=edges)
     ai_counts, _ = np.histogram(ai_samples, bins=edges)

@@ -33,6 +33,22 @@ from .verification import RiskMap, SignalEnvironment
 
 _REWORK_MODES = ("folded", "feedback")
 
+# Upper bounds on the simulation sizes, checked before anything is allocated.
+# A folded run keeps about 40 bytes per arrival (feedback about 60), so the
+# arrival cap is a few GB; the batch and replication caps also bound the
+# degrees of freedom of the Student-t interval (at most MAX_BATCHES - 1).
+MAX_ARRIVALS = 100_000_000
+MAX_BATCHES = 10_000
+MAX_REPS = 1_000
+
+
+def require_count(value, name: str, low: int, high: int):
+    """Raise unless value is an integer in [low, high] (booleans are not counts)."""
+    if isinstance(value, bool) or not isinstance(value, int) or not low <= value <= high:
+        raise ValidationError(
+            f"{name} must be an integer in [{low}, {high}], got {value!r}", field=name
+        )
+
 
 @dataclass(frozen=True)
 class SimSettings:
@@ -50,23 +66,15 @@ class SimSettings:
             raise ValidationError(
                 f"seed must be an integer in [0, 2^64), got {self.seed!r}", field="seed"
             )
-        if not isinstance(self.n_batches, int) or self.n_batches < 2:
-            raise ValidationError(
-                f"n_batches must be an integer >= 2, got {self.n_batches!r}", field="n_batches"
-            )
-        if not isinstance(self.n_arrivals, int) or self.n_arrivals < 100 * self.n_batches:
-            raise ValidationError(
-                f"n_arrivals must be an integer >= 100*n_batches "
-                f"(= {100 * self.n_batches}), got {self.n_arrivals!r}",
-                field="n_arrivals",
-            )
+        require_count(self.n_batches, "n_batches", 2, MAX_BATCHES)
+        # Every batch mean averages at least 100 waits.
+        require_count(self.n_arrivals, "n_arrivals", 100 * self.n_batches, MAX_ARRIVALS)
         if not 0.0 <= self.warmup_fraction <= 0.5:
             raise ValidationError(
                 f"warmup_fraction must lie in [0, 0.5], got {self.warmup_fraction}",
                 field="warmup_fraction",
             )
-        if not isinstance(self.reps, int) or self.reps < 1:
-            raise ValidationError(f"reps must be an integer >= 1, got {self.reps!r}", field="reps")
+        require_count(self.reps, "reps", 1, MAX_REPS)
         if self.rework_mode not in _REWORK_MODES:
             raise ValidationError(
                 f"rework_mode must be one of {_REWORK_MODES}, got {self.rework_mode!r}",

@@ -21,10 +21,10 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from ._kernels import IMPL, simulate_fifo
-from .config import SimSettings, WorkflowSpec
+from ._special import t_quantile
+from .config import MAX_REPS, SimSettings, WorkflowSpec, require_count
 from .errors import InfeasibleError, ValidationError
 from .queueing import EPS_RHO
 from .service_model import (
@@ -162,89 +162,131 @@ def _resolve_theta(config: SimConfig) -> float | None:
     return solution.primary.theta_star
 
 
+# The kernel's "no job spawns rework" arguments, used by folded runs.
+_NO_SPAWN = np.zeros(0, dtype=np.uint8)
+_NO_REWORK = np.zeros(0)
+
+
+def _t_half_width(ci_level: float, means) -> float:
+    """Half-width of the two-sided Student-t interval at ci_level from iid means."""
+    n = means.size
+    t_mult = t_quantile(0.5 + ci_level / 2.0, n - 1)
+    return t_mult * float(means.std(ddof=1)) / math.sqrt(n)
+
+
+def _draw_ai_first_pass(workflow: WorkflowSpec, theta, n_ai: int, rng_escape, rng_signal):
+    """Review times and escape flags of n_ai AI drafts."""
+    if workflow.mode == "fixed":
+        review_times = np.full(n_ai, float(workflow.review_r))
+        p_escape = residual_error(workflow.curve, workflow.review_r)
+    else:
+        signals = rng_signal.beta(workflow.env.signal_alpha, workflow.env.signal_beta, n_ai)
+        review_times = review_effort(workflow.env, theta, signals)
+        p_escape = residual_risk(workflow.env, theta, signals)
+    return review_times, rng_escape.random(n_ai) < p_escape
+
+
 def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
     workflow = config.workflow
     n = config.n_arrivals
     capacity = workflow.capacity
+    folded = config.rework_mode == "folded"
 
     seed_seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     (rng_arrival, rng_route, rng_manual, rng_escape, rng_rework, rng_signal) = (
         np.random.default_rng(child) for child in seed_seq.spawn(6)
     )
 
-    arrivals = np.cumsum(_draw_interarrivals(workflow, rng_arrival, n))
+    arrivals = _draw_interarrivals(workflow, rng_arrival, n)
+    np.cumsum(arrivals, out=arrivals)
 
-    if workflow.x >= 1.0:
-        is_ai = np.ones(n, dtype=bool)
-    elif workflow.x <= 0.0:
-        is_ai = np.zeros(n, dtype=bool)
+    # Routing.  is_ai is None when every task takes the same route, so the
+    # common x = 1 and x = 0 cases skip the mask scatters.
+    if workflow.x >= 1.0 or workflow.x <= 0.0:
+        is_ai = None
+        n_ai = n if workflow.x >= 1.0 else 0
     else:
         is_ai = rng_route.random(n) < workflow.x
-    n_ai = int(is_ai.sum())
+        n_ai = int(is_ai.sum())
     n_manual = n - n_ai
 
-    first_attention = np.zeros(n)
-    if n_manual:
-        first_attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=n_manual)
-
-    escaped = np.zeros(n, dtype=bool)
-    rework_draws = np.zeros(0)
-    if n_ai:
-        if workflow.mode == "fixed":
-            review_times = np.full(n_ai, float(workflow.review_r))
-            p_escape = residual_error(workflow.curve, workflow.review_r)
-        else:
-            signals = rng_signal.beta(workflow.env.signal_alpha, workflow.env.signal_beta, n_ai)
-            review_times = review_effort(workflow.env, theta, signals)
-            p_escape = residual_risk(workflow.env, theta, signals)
-        escape_draws = rng_escape.random(n_ai) < p_escape
-        escaped[is_ai] = escape_draws
-        n_escaped = int(escape_draws.sum())
-        if n_escaped:
-            rework_draws = sample_rework(workflow.rework, rng_rework, size=n_escaped)
-        first_attention[is_ai] = review_times
-
-    # Total attention of each task's chain (first pass + any rework).
-    chain_attention = first_attention.copy()
-    if rework_draws.size:
-        chain_attention[escaped] += rework_draws
-
-    spawn_mask = np.zeros(n, dtype=np.uint8)
-    rework_services = np.zeros(n)
-    if config.rework_mode == "folded":
-        services = chain_attention / capacity
+    # First-pass attention of every task, and the escape flags of AI drafts.
+    escaped = None
+    if n_ai == n:
+        attention, escaped = _draw_ai_first_pass(workflow, theta, n, rng_escape, rng_signal)
+    elif n_manual == n:
+        attention = np.asarray(sample_manual(workflow.manual, rng_manual, size=n), dtype=float)
     else:
-        services = first_attention / capacity
-        if rework_draws.size:
-            spawn_mask[escaped] = 1
-            rework_services[escaped] = rework_draws / capacity
+        attention = np.zeros(n)
+        attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=n_manual)
+        review_times, escape_draws = _draw_ai_first_pass(
+            workflow, theta, n_ai, rng_escape, rng_signal
+        )
+        attention[is_ai] = review_times
+        escaped = np.zeros(n, dtype=bool)
+        escaped[is_ai] = escape_draws
+    # Indices rather than a boolean mask: the escapes are a small minority.
+    escaped_at = np.flatnonzero(escaped) if escaped is not None else np.zeros(0, dtype=np.intp)
+    rework_draws = sample_rework(workflow.rework, rng_rework, size=escaped_at.size)
 
-    waits, chain_complete, _rework_waits, end_time, busy = simulate_fifo(
-        np.ascontiguousarray(arrivals),
-        np.ascontiguousarray(services),
-        spawn_mask,
-        np.ascontiguousarray(rework_services),
+    if not folded:
+        first_services = attention / capacity
+        spawn_mask = np.zeros(n, dtype=np.uint8)
+        spawn_mask[escaped_at] = 1
+        rework_services = np.zeros(n)
+        rework_services[escaped_at] = rework_draws / capacity
+
+    # Total attention of each task's chain (first pass + any rework), in place.
+    chain_attention = attention
+    chain_attention[escaped_at] += rework_draws
+
+    k0 = int(config.warmup_fraction * n)
+    window_start = 0.0 if k0 == 0 else float(arrivals[k0 - 1])
+    window = float(arrivals[-1]) - window_start
+    chain_post = chain_attention[k0:]
+    rho_hat = float(chain_post.sum()) / capacity / window
+    service_mean = float(chain_post.mean())
+    if escaped is None:
+        escape_rate = None
+    elif is_ai is None:
+        escape_rate = float(escaped[k0:].mean())
+    else:
+        post_ai = is_ai[k0:]
+        escape_rate = float(escaped[k0:][post_ai].mean()) if post_ai.any() else None
+
+    if folded:
+        # No rework job re-enters the queue, so there are no per-arrival spawn
+        # flags to build.  The queue's output buffers hold the squared chain
+        # attention until it runs, and the services overwrite the chain
+        # attention once its statistics are taken.
+        waits, chain_complete = np.empty(n), np.empty(n)
+        service_m2 = float(np.square(chain_post, out=waits[k0:]).mean())
+        services = np.divide(chain_attention, capacity, out=chain_attention)
+        spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
+        out = (waits, chain_complete)
+    else:
+        service_m2 = float(np.square(chain_post).mean())
+        services, out = first_services, None
+    waits, chain_complete, rework_waits, end_time, busy = simulate_fifo(
+        arrivals, services, spawn_mask, rework_services, out=out
     )
 
     # --- estimation ---------------------------------------------------------
-    k0 = int(config.warmup_fraction * n)
+    sojourn_mean = float(
+        np.subtract(chain_complete[k0:], arrivals[k0:], out=chain_complete[k0:]).mean()
+    )
     waits_post = waits[k0:]
     n_batches = config.n_batches
     per_batch = waits_post.size // n_batches
     batch_means = waits_post[: per_batch * n_batches].reshape(n_batches, per_batch).mean(axis=1)
     wq_mean = float(batch_means.mean())
-    t_mult = float(_scipy_stats.t.ppf(0.5 + config.ci_level / 2.0, n_batches - 1))
-    half_width = t_mult * float(batch_means.std(ddof=1)) / math.sqrt(n_batches)
-    p50, p90, p99 = (float(v) for v in np.quantile(waits_post, [0.5, 0.9, 0.99]))
-
-    window_start = 0.0 if k0 == 0 else float(arrivals[k0 - 1])
-    window = float(arrivals[-1]) - window_start
-    rho_hat = float(chain_attention[k0:].sum()) / capacity / window
-
-    post_ai = is_ai[k0:]
-    n_ai_post = int(post_ai.sum())
-    escape_rate = (
-        float(escaped[k0:][post_ai].mean()) if n_ai_post else None
+    half_width = _t_half_width(config.ci_level, batch_means)
+    # The quantiles are order statistics: sorting first (in place; the waits
+    # are not needed again) is several times faster than np.quantile's
+    # partition on waits that are mostly exact zeros, with the same values.
+    waits_post.sort()
+    p50, p90, p99 = (
+        float(v) for v in np.quantile(waits_post, [0.5, 0.9, 0.99], overwrite_input=True)
     )
 
     offered = _analytic_offered_load(workflow, theta)
@@ -253,7 +295,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
         mode=config.rework_mode,
         backend=IMPL,
         n_arrivals=n,
-        n_rework_jobs=int(_rework_waits.size),
+        n_rework_jobs=int(rework_waits.size),
         warmup_skipped=k0,
         wq_mean=wq_mean,
         wq_ci_half_width=half_width,
@@ -263,10 +305,10 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
         wq_p99=p99,
         rho_hat=rho_hat,
         busy_fraction=float(busy) / float(end_time),
-        service_mean=float(chain_attention[k0:].mean()),
-        service_m2=float((chain_attention[k0:] ** 2).mean()),
+        service_mean=service_mean,
+        service_m2=service_m2,
         escape_rate=escape_rate,
-        sojourn_mean=float((chain_complete[k0:] - arrivals[k0:]).mean()),
+        sojourn_mean=sojourn_mean,
         batch_means=tuple(float(b) for b in batch_means),
         unstable=offered >= 1.0 - EPS_RHO,
         theta_star=theta,
@@ -285,16 +327,14 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
     across-replication t-interval and ``batch_means`` holds the per-rep
     means.  Rates and quantiles are averaged across replications.
     """
-    if not isinstance(n_reps, int) or n_reps < 1:
-        raise ValidationError(f"n_reps must be an integer >= 1, got {n_reps!r}", field="n_reps")
+    require_count(n_reps, "n_reps", 1, MAX_REPS)
     theta = _resolve_theta(config)
     runs = [_run_single(config, rep=i, theta=theta) for i in range(n_reps)]
     if n_reps == 1:
         return runs[0]
 
     rep_means = np.array([r.wq_mean for r in runs])
-    t_mult = float(_scipy_stats.t.ppf(0.5 + config.ci_level / 2.0, n_reps - 1))
-    half_width = t_mult * float(rep_means.std(ddof=1)) / math.sqrt(n_reps)
+    half_width = _t_half_width(config.ci_level, rep_means)
 
     def _avg(attr: str) -> float:
         return float(np.mean([getattr(r, attr) for r in runs]))

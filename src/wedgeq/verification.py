@@ -17,12 +17,12 @@ theta = Phi(theta).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import betaln
 
+from ._special import log_beta
 from .errors import (
     InfeasibleError,
     NoRootError,
@@ -59,8 +59,8 @@ class RiskMap:
     s0: float
 
     def __post_init__(self):
-        for field in ("a", "b", "g", "s0"):
-            _require_finite(getattr(self, field), field)
+        for name in ("a", "b", "g", "s0"):
+            _require_finite(getattr(self, name), name)
         if self.a < 0.0:
             raise ValidationError(f"a must be >= 0, got {self.a}", field="a")
         if self.b < 0.0:
@@ -97,10 +97,12 @@ class SignalEnvironment:
     kappa: float
     c_w: float
     p_inf: float = 0.0
+    # log B(alpha, beta), the signal density's log-normaliser, set once below.
+    _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for field in ("signal_alpha", "signal_beta", "K", "kappa", "c_w", "p_inf"):
-            _require_finite(getattr(self, field), field)
+        for name in ("signal_alpha", "signal_beta", "K", "kappa", "c_w", "p_inf"):
+            _require_finite(getattr(self, name), name)
         if self.signal_alpha <= 0.0:
             raise ValidationError(
                 f"signal_alpha must be > 0, got {self.signal_alpha}", field="signal_alpha"
@@ -119,6 +121,7 @@ class SignalEnvironment:
             raise ValidationError(f"c_w must be >= 0, got {self.c_w}", field="c_w")
         if not 0.0 <= self.p_inf < 1.0:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
+        object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
         total = _integrate_unit(lambda s: self.signal_pdf(s), DEFAULT_NODES)
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(
@@ -134,7 +137,7 @@ class SignalEnvironment:
         log_pdf = (
             (self.signal_alpha - 1.0) * np.log(s)
             + (self.signal_beta - 1.0) * np.log1p(-s)
-            - betaln(self.signal_alpha, self.signal_beta)
+            - self._log_norm
         )
         return np.exp(log_pdf)
 

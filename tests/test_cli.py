@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wedgeq
 import wedgeq.verification as ver
 from wedgeq import fixture_path
 from wedgeq.cli import _parse_grid, _parse_list, main
@@ -249,6 +254,24 @@ class TestDist:
         assert code == 2
         assert json.loads(err)["error"] == "validation"
 
+    @pytest.mark.parametrize(
+        "flags, field",
+        [
+            (("--bin-width", "1e-300"), "--bin-width"),
+            (("--bin-width", "1e-7"), "--bin-width"),
+            (("--bin-width", "inf"), "--bin-width"),
+            (("--n-samples", "100000000000000"), "--n-samples"),
+            (("--seed", "-1"), "--seed"),
+        ],
+    )
+    def test_oversized_or_invalid_requests_exit_2(self, capsys, flags, field):
+        code, out, err = _run(capsys, "dist", "--config", FIG2, "--n-samples", "1000", *flags)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert payload["field"] == field
+
 
 class TestEquilibrium:
     def test_reference_solution(self, capsys):
@@ -326,6 +349,40 @@ class TestSimulate:
         other = _run_json(capsys, "simulate", "--config", small_sim_config, "--seed", "9")
         assert other["settings"]["seed"] == 9
         assert other["sim"]["wq_mean"] != base["sim"]["wq_mean"]
+
+
+    def test_oversized_run_exits_2(self, capsys, tmp_path):
+        doc = json.loads(fixture_path("fig2.json").read_text())
+        doc["sim"]["n_arrivals"] = 10**30
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == "sim.n_arrivals"
+
+
+class TestRuntimeDependencies:
+    def test_commands_run_without_scipy(self, small_sim_config):
+        # A fresh interpreter: the test process itself has scipy loaded.
+        script = (
+            "import contextlib, io, sys\n"
+            "import wedgeq\n"
+            "from wedgeq import cli\n"
+            "for argv in (['simulate', '--config', sys.argv[1]],\n"
+            "             ['equilibrium', '--config', sys.argv[2]]):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert cli.main(argv) == 0, argv\n"
+            "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(wedgeq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-c", script, small_sim_config, FIG5A],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
 
 
 class TestOutputPlumbing:

@@ -189,11 +189,16 @@ class TestSimBlock:
             {"n_batches": 1},
             {"reps": 0},
             {"rework_mode": "parallel"},
+            {"n_arrivals": 10**30},
+            {"n_arrivals": 100_000_001},
+            {"n_batches": 10_001},
+            {"reps": 1_001},
         ],
     )
     def test_bad_values_rejected(self, bad):
         err = _error(_doc(sim=bad))
         assert "sim" in str(err)
+        assert err.field == f"sim.{next(iter(bad))}"
 
 
 class TestLoadConfig:

@@ -25,7 +25,7 @@ from wedgeq import (
     solve_equilibrium,
     wq_pk,
 )
-from wedgeq.config import SimSettings
+from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
 from wedgeq.simulator import _draw_interarrivals
 
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
@@ -269,6 +269,10 @@ class TestConfigValidation:
             SimConfig(workflow=workflow, seed=-1)
         with pytest.raises(ValidationError):
             SimConfig(workflow=workflow, n_batches=1)
+        with pytest.raises(ValidationError):
+            SimConfig(workflow=workflow, n_arrivals=MAX_ARRIVALS + 1)
+        with pytest.raises(ValidationError):
+            SimConfig(workflow=workflow, n_batches=MAX_BATCHES + 1)
 
     def test_policy_theta_only_in_policy_mode(self):
         with pytest.raises(ValidationError):
@@ -280,3 +284,5 @@ class TestConfigValidation:
         config = _config(_fixed_workflow())
         with pytest.raises(ValidationError):
             replicate(config, 0)
+        with pytest.raises(ValidationError):
+            replicate(config, MAX_REPS + 1)
