@@ -44,7 +44,7 @@ from .service_model import (
     sample_manual,
     sample_rework,
 )
-from .simulator import SimConfig, SimStats, replicate, run, run_with_seed
+from .simulator import SimConfig, SimStats, replicate, run
 from .verification import (
     Equilibrium,
     EquilibriumSolution,

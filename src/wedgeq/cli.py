@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from dataclasses import asdict
 
@@ -21,11 +22,12 @@ import numpy as np
 
 from . import diagnostics, queueing
 from ._report import render_csv, render_json, round_sig
-from .config import WorkflowSpec, load_config, require_count
+from .config import MAX_SEED, WorkflowSpec, load_config, require_count
 from .errors import StabilityError, ValidationError, WedgeqError
 from .service_model import (
     ai_route_moments,
     mixed_moments,
+    require_finite,
     residual_error,
     sample_ai,
     sample_manual,
@@ -38,24 +40,36 @@ from .verification import (
 )
 
 
-# Size limits of the dist command: samples drawn per route, and histogram
-# bins (one output row each).
+# Size limits: samples drawn per route by dist, and the rows of every table
+# command (grid points times list values, or dist histogram bins).
 MAX_DIST_SAMPLES = 10_000_000
-MAX_DIST_BINS = 100_000
+MAX_TABLE_ROWS = 100_000
 
 
 # ---------------------------------------------------------------------------
 # argument helpers
 
-def _parse_grid(text: str, name: str) -> list[float]:
-    """Parse 'value' or 'start:stop:step' into an inclusive increasing grid."""
-    parts = text.split(":")
+def _parse_numbers(parts: list[str], text: str, name: str, sign: str | None) -> list[float]:
+    """The numbers of a grid or list flag: each finite, and obeying sign if given."""
     try:
         values = [float(part) for part in parts]
     except ValueError:
         raise ValidationError(f"{name}: cannot parse {text!r} as numbers", field=name) from None
-    if not all(math.isfinite(value) for value in values):
-        raise ValidationError(f"{name}: values must be finite, got {text!r}", field=name)
+    for value in values:
+        require_finite(value, name, sign)
+    return values
+
+
+def _require_rows(rows: int, name: str):
+    if rows > MAX_TABLE_ROWS:
+        raise ValidationError(
+            f"{name}: the table would have {rows} rows, more than {MAX_TABLE_ROWS}", field=name
+        )
+
+
+def _parse_grid(text: str, name: str, sign: str | None = None) -> list[float]:
+    """Parse 'value' or 'start:stop:step' into an inclusive increasing grid."""
+    values = _parse_numbers(text.split(":"), text, name, sign)
     if len(values) == 1:
         return values
     if len(values) != 3:
@@ -67,24 +81,28 @@ def _parse_grid(text: str, name: str) -> list[float]:
         raise ValidationError(f"{name}: step must be > 0, got {step}", field=name)
     if stop < start:
         raise ValidationError(f"{name}: stop must be >= start, got {text!r}", field=name)
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
+    # The 1e-9 keeps a stop that round-off puts just short of a step.
+    last = (stop - start) / step + 1e-9
+    if not last < MAX_TABLE_ROWS:  # also catches an infinite span
+        raise ValidationError(
+            f"{name}: {text!r} has more than {MAX_TABLE_ROWS} points", field=name
+        )
+    return [start + i * step for i in range(int(last) + 1)]
 
 
-def _parse_list(text: str, name: str) -> list[float]:
-    try:
-        values = [float(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise ValidationError(f"{name}: cannot parse {text!r} as numbers", field=name) from None
+def _parse_list(text: str, name: str, sign: str | None = None) -> list[float]:
+    parts = [part for part in text.split(",") if part.strip()]
+    values = _parse_numbers(parts, text, name, sign)
     if not values:
         raise ValidationError(f"{name}: empty list", field=name)
     return values
 
 
-def _require_mode(spec: WorkflowSpec, mode: str, command: str):
-    if spec.mode != mode:
-        want = "review_r (fixed-effort)" if mode == "fixed" else "signal_env (policy)"
-        raise ValidationError(f"{command} requires a {want} config", field="review_r")
+def _emit_table(args, payload: dict, header, rows, comments=()) -> str:
+    """A table command's report: payload plus rows as JSON, or CSV with comment lines."""
+    if args.format == "json":
+        return render_json({**payload, "rows": [dict(zip(header, row)) for row in rows]})
+    return render_csv(header, rows, comments=comments)
 
 
 def _inputs_block(spec: WorkflowSpec) -> dict:
@@ -110,19 +128,13 @@ def _fixed_routes(spec: WorkflowSpec):
     return ai, mixed
 
 
-def _stable(lam: float, mean: float, capacity: float) -> bool:
-    return lam * mean / capacity < 1.0 - queueing.EPS_RHO
-
-
 # ---------------------------------------------------------------------------
 # command handlers
 
-def _handle_moments(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "moments")
+def _handle_moments(spec: WorkflowSpec, args) -> str:
     ai, mixed = _fixed_routes(spec)
     queue: dict = {"rho": spec.lam * mixed.mean / spec.capacity}
-    queue["stable"] = _stable(spec.lam, mixed.mean, spec.capacity)
+    queue["stable"] = queueing.is_stable(spec.lam, mixed.mean, spec.capacity)
     if queue["stable"]:
         inputs = queueing.QueueInputs(
             lam=spec.lam, capacity=spec.capacity, service=mixed, c2_a=spec.c2_a
@@ -146,9 +158,7 @@ def _handle_moments(args) -> str:
     return render_json(payload)
 
 
-def _handle_wait(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "wait")
+def _handle_wait(spec: WorkflowSpec, args) -> str:
     ai, mixed = _fixed_routes(spec)
     waits = {}
     for name, moments in (("manual", spec.manual.moments), ("ai", ai), ("mixed", mixed)):
@@ -178,9 +188,7 @@ def _handle_wait(args) -> str:
     return render_json(payload)
 
 
-def _handle_wedge(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "wedge")
+def _handle_wedge(spec: WorkflowSpec, args) -> str:
     ai, _ = _fixed_routes(spec)
     report = diagnostics.wedge_test(spec.manual, ai, spec.lam, spec.capacity)
     payload = {
@@ -193,9 +201,7 @@ def _handle_wedge(args) -> str:
     return render_json(payload)
 
 
-def _handle_stabilize(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "stabilize")
+def _handle_stabilize(spec: WorkflowSpec, args) -> str:
     ai, _ = _fixed_routes(spec)
     result = diagnostics.stabilization(spec.manual, ai, spec.lam, spec.capacity)
     payload = {
@@ -214,59 +220,29 @@ def _handle_stabilize(args) -> str:
     return render_json(payload)
 
 
-def _handle_sweep(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "sweep")
-    grid = _parse_grid(args.grid, "--grid")
+def _handle_sweep(spec: WorkflowSpec, args) -> str:
+    grid = _parse_grid(args.grid, "--grid", "> 0")
     ai, _ = _fixed_routes(spec)
     header = ["lambda", "w_manual", "w_ai", "rho_H", "rho_A", "stable_H", "stable_A"]
+    routes = (spec.manual.moments, ai)
     rows = []
     for lam in grid:
-        if lam <= 0.0:
-            raise ValidationError(f"--grid: lambda must be > 0, got {lam}", field="--grid")
-        stable_h = _stable(lam, spec.manual.tau_H, spec.capacity)
-        stable_a = _stable(lam, ai.mean, spec.capacity)
-        w_manual = (
-            queueing.wq_pk(
-                queueing.QueueInputs(lam=lam, capacity=spec.capacity, service=spec.manual.moments)
-            ).wq
-            if stable_h
+        stable = [queueing.is_stable(lam, route.mean, spec.capacity) for route in routes]
+        waits = [
+            queueing.wq_pk(queueing.QueueInputs(lam=lam, capacity=spec.capacity, service=route)).wq
+            if ok
             else None
-        )
-        w_ai = (
-            queueing.wq_pk(
-                queueing.QueueInputs(lam=lam, capacity=spec.capacity, service=ai)
-            ).wq
-            if stable_a
-            else None
-        )
-        rows.append(
-            [
-                lam,
-                w_manual,
-                w_ai,
-                lam * spec.manual.tau_H / spec.capacity,
-                lam * ai.mean / spec.capacity,
-                stable_h,
-                stable_a,
-            ]
-        )
-    if args.format == "json":
-        return render_json(
-            {
-                "command": "sweep",
-                "inputs": _inputs_block(spec),
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-        )
-    return render_csv(header, rows)
+            for route, ok in zip(routes, stable)
+        ]
+        loads = [lam * route.mean / spec.capacity for route in routes]
+        rows.append([lam, *waits, *loads, *stable])
+    return _emit_table(args, {"command": "sweep", "inputs": _inputs_block(spec)}, header, rows)
 
 
-def _handle_design(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "design")
+def _handle_design(spec: WorkflowSpec, args) -> str:
     s_grid = _parse_grid(args.grid, "--grid")
     rho_list = _parse_list(args.rho_h, "--rho-h")
+    _require_rows(len(s_grid) * len(rho_list), "--grid")
     header = ["s", "rho_H", "c2_a_max"]
     rows = []
     for rho_h in rho_list:
@@ -277,29 +253,17 @@ def _handle_design(args) -> str:
                 budget = None  # AI route unstable at this (s, rho_H) cell
             rows.append([s, rho_h, budget])
     comments = (f"c2_H={round_sig(spec.manual.c2_H):.12g}",)
-    if args.format == "json":
-        return render_json(
-            {
-                "command": "design",
-                "c2_H": spec.manual.c2_H,
-                "rows": [dict(zip(header, row)) for row in rows],
-            }
-        )
-    return render_csv(header, rows, comments=comments)
+    payload = {"command": "design", "c2_H": spec.manual.c2_H}
+    return _emit_table(args, payload, header, rows, comments)
 
 
-def _handle_dist(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "fixed", "dist")
+def _handle_dist(spec: WorkflowSpec, args) -> str:
     n = args.n_samples
     require_count(n, "--n-samples", 1, MAX_DIST_SAMPLES)
     width = args.bin_width
-    if not (math.isfinite(width) and width > 0.0):
-        raise ValidationError(
-            f"--bin-width must be finite and > 0, got {width}", field="--bin-width"
-        )
+    require_finite(width, "--bin-width", "> 0")
     seed = spec.sim.seed if args.seed is None else args.seed
-    require_count(seed, "--seed", 0, 2**64 - 1)
+    require_count(seed, "--seed", 0, MAX_SEED)
     rng_manual, rng_ai = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
     )
@@ -308,9 +272,9 @@ def _handle_dist(args) -> str:
 
     top = float(max(manual_samples.max(), ai_samples.max()))
     span = top / width  # inf when the width underflows the division
-    if not span < MAX_DIST_BINS:
+    if not span < MAX_TABLE_ROWS:
         raise ValidationError(
-            f"--bin-width {width} needs more than {MAX_DIST_BINS} bins to cover the "
+            f"--bin-width {width} needs more than {MAX_TABLE_ROWS} bins to cover the "
             f"largest sample ({top:.6g}); use a wider bin",
             field="--bin-width",
         )
@@ -353,18 +317,12 @@ def _handle_dist(args) -> str:
                 ai_counts[i] * scale,
             ]
         )
-    if args.format == "json":
-        return render_json(
-            {"command": "dist", "moments": moments, "rows": [dict(zip(header, r)) for r in rows]}
-        )
     comments = tuple(f"{key}={format(value, '.12g') if isinstance(value, float) else value}"
                      for key, value in moments.items())
-    return render_csv(header, rows, comments=comments)
+    return _emit_table(args, {"command": "dist", "moments": moments}, header, rows, comments)
 
 
-def _handle_equilibrium(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "policy", "equilibrium")
+def _handle_equilibrium(spec: WorkflowSpec, args) -> str:
     solution = solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
     payload = {
         "command": "equilibrium",
@@ -387,18 +345,13 @@ def _handle_equilibrium(args) -> str:
     return render_json(payload)
 
 
-def _handle_review_curve(args) -> str:
-    spec = load_config(args.config)
-    _require_mode(spec, "policy", "review-curve")
+def _handle_review_curve(spec: WorkflowSpec, args) -> str:
     pi_grid = _parse_grid(args.grid, "--grid")
-    thetas = _parse_list(args.theta_list, "--theta-list")
+    thetas = _parse_list(args.theta_list, "--theta-list", "> 0")
+    _require_rows(len(pi_grid) * len(thetas), "--grid")
     header = ["pi", "theta", "r_star"]
     rows = []
     for theta in thetas:
-        if theta <= 0.0:
-            raise ValidationError(
-                f"--theta-list: theta must be > 0, got {theta}", field="--theta-list"
-            )
         for pi in pi_grid:
             rows.append([pi, theta, effort_for_risk(spec.env, theta, pi)])
     comments = (
@@ -406,15 +359,10 @@ def _handle_review_curve(args) -> str:
         f"kappa={format(spec.env.kappa, '.12g')}",
         f"p_inf={format(spec.env.p_inf, '.12g')}",
     )
-    if args.format == "json":
-        return render_json(
-            {"command": "review-curve", "rows": [dict(zip(header, row)) for row in rows]}
-        )
-    return render_csv(header, rows, comments=comments)
+    return _emit_table(args, {"command": "review-curve"}, header, rows, comments)
 
 
-def _handle_simulate(args) -> str:
-    spec = load_config(args.config)
+def _handle_simulate(spec: WorkflowSpec, args) -> str:
     config = SimConfig.from_workflow(spec, seed=args.seed)
     stats = replicate(config, spec.sim.reps)
 
@@ -427,7 +375,7 @@ def _handle_simulate(args) -> str:
         mixed = mixed_moments(spec.manual, ai, spec.x)
 
     analytic: dict = {"rho": spec.lam * mixed.mean / spec.capacity}
-    analytic["stable"] = _stable(spec.lam, mixed.mean, spec.capacity)
+    analytic["stable"] = queueing.is_stable(spec.lam, mixed.mean, spec.capacity)
     deltas = {}
     if analytic["stable"]:
         inputs = queueing.QueueInputs(
@@ -472,26 +420,31 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name: str, handler, help_text: str, formats=("json",)):
+    def add(name: str, handler, help_text: str, mode: str | None, formats=("json",)):
+        """Register a command; mode is the config mode it requires (None: either)."""
         cmd = sub.add_parser(name, help=help_text)
         cmd.add_argument("--config", required=True, help="path to a JSON workflow config")
         cmd.add_argument("--out", help="write the report to this file instead of stdout")
         cmd.add_argument(
             "--format", choices=list(formats), default=formats[0], help="output format"
         )
-        cmd.set_defaults(handler=handler)
+        cmd.set_defaults(handler=handler, mode=mode)
         return cmd
 
-    add("moments", _handle_moments, "route moments, escape probability, offered load")
-    add("wait", _handle_wait, "mean waits per route (exact and heavy-traffic approximations)")
-    add("wedge", _handle_wedge, "variance-wedge test with budget, crossing rate, direction")
-    add("stabilize", _handle_stabilize, "minimum AI share restoring stability")
+    add("moments", _handle_moments, "route moments, escape probability, offered load", "fixed")
+    add(
+        "wait", _handle_wait, "mean waits per route (exact and heavy-traffic approximations)",
+        "fixed",
+    )
+    add("wedge", _handle_wedge, "variance-wedge test with budget, crossing rate, direction", "fixed")
+    add("stabilize", _handle_stabilize, "minimum AI share restoring stability", "fixed")
 
-    sweep = add("sweep", _handle_sweep, "waits vs arrival rate", formats=("csv", "json"))
+    sweep = add("sweep", _handle_sweep, "waits vs arrival rate", "fixed", formats=("csv", "json"))
     sweep.add_argument("--grid", required=True, help="lambda grid 'a:b:step' or single value")
 
     design = add(
-        "design", _handle_design, "admissible AI variability budget table", formats=("csv", "json")
+        "design", _handle_design, "admissible AI variability budget table", "fixed",
+        formats=("csv", "json"),
     )
     design.add_argument(
         "--grid", default="0.5:1.0:0.025", help="savings-ratio grid (default 0.5:1.0:0.025)"
@@ -501,33 +454,49 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     dist = add(
-        "dist", _handle_dist, "service-time histograms and sample moments", formats=("csv", "json")
+        "dist", _handle_dist, "service-time histograms and sample moments", "fixed",
+        formats=("csv", "json"),
     )
     dist.add_argument("--n-samples", type=int, default=100_000)
     dist.add_argument("--bin-width", type=float, default=0.05)
     dist.add_argument("--seed", type=int, default=None, help="override the config's sim.seed")
 
-    add("equilibrium", _handle_equilibrium, "solve the review-price fixed point")
+    add("equilibrium", _handle_equilibrium, "solve the review-price fixed point", "policy")
 
     curve = add(
         "review-curve",
         _handle_review_curve,
         "optimal review effort vs perceived risk",
+        "policy",
         formats=("csv", "json"),
     )
     curve.add_argument("--grid", default="0.01:1.0:0.01", help="risk grid (default 0.01:1.0:0.01)")
     curve.add_argument("--theta-list", default="0.2,0.5,1,2", help="comma list of prices")
 
-    sim = add("simulate", _handle_simulate, "run the event simulation against the analytics")
+    sim = add(
+        "simulate", _handle_simulate, "run the event simulation against the analytics", None
+    )
     sim.add_argument("--seed", type=int, default=None, help="override the config's sim.seed")
 
     return parser
 
 
 def _write_report(path: str, text: str):
+    """Write the report to a temp file beside path, then rename it over path.
+
+    A failed write leaves path as it was and removes the temp file.
+    """
+    directory, name = os.path.split(path)
+    temp = os.path.join(directory, f".{name}.{os.getpid()}.tmp")
     try:
-        with open(path, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        handle = open(temp, "x", encoding="utf-8", newline="")
+        try:
+            with handle:
+                handle.write(text)
+            os.replace(temp, path)
+        except OSError:
+            os.remove(temp)
+            raise
     except OSError as exc:
         raise ValidationError(
             f"cannot write --out {path!r}: {exc.strerror or exc}", field="--out"
@@ -538,7 +507,11 @@ def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        text = args.handler(args)
+        spec = load_config(args.config)
+        if args.mode is not None and spec.mode != args.mode:
+            want = "review_r (fixed-effort)" if args.mode == "fixed" else "signal_env (policy)"
+            raise ValidationError(f"{args.command} requires a {want} config", field="review_r")
+        text = args.handler(spec, args)
         if args.out:
             _write_report(args.out, text)
         else:

@@ -22,13 +22,12 @@ rejected with the offending key named.
 from __future__ import annotations
 
 import json
-import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import ValidationError
-from .service_model import ErrorCurve, ManualRoute, ReworkModel
+from .service_model import ErrorCurve, ManualRoute, ReworkModel, require_finite
 from .verification import RiskMap, SignalEnvironment
 
 _REWORK_MODES = ("folded", "feedback")
@@ -40,6 +39,7 @@ _REWORK_MODES = ("folded", "feedback")
 MAX_ARRIVALS = 100_000_000
 MAX_BATCHES = 10_000
 MAX_REPS = 1_000
+MAX_SEED = 2**64 - 1
 
 
 def require_count(value, name: str, low: int, high: int):
@@ -62,10 +62,7 @@ class SimSettings:
     rework_mode: str = "folded"
 
     def __post_init__(self):
-        if not isinstance(self.seed, int) or not 0 <= self.seed < 2**64:
-            raise ValidationError(
-                f"seed must be an integer in [0, 2^64), got {self.seed!r}", field="seed"
-            )
+        require_count(self.seed, "seed", 0, MAX_SEED)
         require_count(self.n_batches, "n_batches", 2, MAX_BATCHES)
         # Every batch mean averages at least 100 waits.
         require_count(self.n_arrivals, "n_arrivals", 100 * self.n_batches, MAX_ARRIVALS)
@@ -98,16 +95,11 @@ class WorkflowSpec:
     sim: SimSettings = field(default_factory=SimSettings)
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValidationError(f"lambda must be > 0 and finite, got {self.lam}", field="lambda")
-        if not (math.isfinite(self.capacity) and self.capacity > 0.0):
-            raise ValidationError(
-                f"capacity_C must be > 0 and finite, got {self.capacity}", field="capacity_C"
-            )
+        require_finite(self.lam, "lambda", "> 0")
+        require_finite(self.capacity, "capacity_C", "> 0")
         if not 0.0 <= self.x <= 1.0:
             raise ValidationError(f"x must lie in [0, 1], got {self.x}", field="x")
-        if not (math.isfinite(self.c2_a) and self.c2_a >= 0.0):
-            raise ValidationError(f"c2_a must be >= 0, got {self.c2_a}", field="c2_a")
+        require_finite(self.c2_a, "c2_a", ">= 0")
         fixed = self.review_r is not None
         policy = self.env is not None
         if fixed == policy:
@@ -121,10 +113,7 @@ class WorkflowSpec:
                 raise ValidationError(
                     "fixed-effort mode requires an error_curve block", field="error_curve"
                 )
-            if not (math.isfinite(self.review_r) and self.review_r >= 0.0):
-                raise ValidationError(
-                    f"review_r must be >= 0, got {self.review_r}", field="review_r"
-                )
+            require_finite(self.review_r, "review_r", ">= 0")
         elif self.curve is not None:
             raise ValidationError(
                 "error_curve applies only to fixed-effort mode; policy mode "

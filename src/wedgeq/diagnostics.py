@@ -14,8 +14,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import StabilityError, ValidationError, WedgeqError
-from .queueing import EPS_RHO, QueueInputs, wq_pk
-from .service_model import ManualRoute, RouteMoments
+from .queueing import QueueInputs, is_stable, require_stable, wq_pk
+from .service_model import ManualRoute, RouteMoments, require_finite
 
 FULL_AI = "full-ai"
 FULL_MANUAL = "full-manual"
@@ -53,14 +53,6 @@ class WedgeReport:
     rescue_ok: bool
 
 
-def _require_route_stable(name: str, lam: float, mean: float, capacity: float):
-    rho = lam * mean / capacity
-    if rho >= 1.0 - EPS_RHO:
-        raise StabilityError(
-            f"{name} route is unstable at lambda={lam:.6g}: rho={rho:.6g}", rho=rho
-        )
-
-
 def variance_budget(c2_H: float, s: float, rho_H: float) -> float:
     """Largest AI squared CV that still beats manual on mean delay.
 
@@ -72,10 +64,8 @@ def variance_budget(c2_H: float, s: float, rho_H: float) -> float:
     At s == 1 this returns exactly c2_H (no mean savings leaves no room
     for extra variability).
     """
-    if not (math.isfinite(c2_H) and c2_H >= 0.0):
-        raise ValidationError(f"c2_H must be >= 0, got {c2_H}", field="c2_H")
-    if not (math.isfinite(s) and s > 0.0):
-        raise ValidationError(f"savings ratio s must be > 0, got {s}", field="s")
+    require_finite(c2_H, "c2_H", ">= 0")
+    require_finite(s, "s", "> 0")
     if not (math.isfinite(rho_H) and 0.0 <= rho_H < 1.0):
         raise ValidationError(f"rho_H must lie in [0, 1), got {rho_H}", field="rho_H")
     if s * rho_H >= 1.0:
@@ -85,7 +75,12 @@ def variance_budget(c2_H: float, s: float, rho_H: float) -> float:
         )
     if s == 1.0:
         return c2_H
-    return (1.0 - rho_H * s) / (1.0 - rho_H) * (1.0 + c2_H) / s**2 - 1.0
+    square = s**2
+    if square == 0.0:
+        # s below about 1e-162: s^2 underflows and the budget is unbounded,
+        # as it already is once the quotient overflows.
+        return math.inf
+    return (1.0 - rho_H * s) / (1.0 - rho_H) * (1.0 + c2_H) / square - 1.0
 
 
 def bang_bang(manual: ManualRoute, ai: RouteMoments, lam: float, capacity: float) -> str:
@@ -99,8 +94,8 @@ def bang_bang(manual: ManualRoute, ai: RouteMoments, lam: float, capacity: float
     with D < 0 favoring full AI, D > 0 full manual, and |D| <= 1e-12
     treated as indifferent.
     """
-    _require_route_stable("manual", lam, manual.tau_H, capacity)
-    _require_route_stable("ai", lam, ai.mean, capacity)
+    require_stable(lam, manual.tau_H, capacity, "manual route")
+    require_stable(lam, ai.mean, capacity, "ai route")
     numerator = capacity * (ai.m2 - manual.q_H) + lam * (
         manual.q_H * ai.mean - ai.m2 * manual.tau_H
     )
@@ -122,8 +117,7 @@ def lambda_star(manual: ManualRoute, ai: RouteMoments, capacity: float) -> float
     crossing = capacity * (manual.q_H - ai.m2) / denom
     if crossing <= 0.0:
         return None
-    slowest = max(manual.tau_H, ai.mean)
-    if crossing * slowest >= capacity * (1.0 - EPS_RHO):
+    if not is_stable(crossing, max(manual.tau_H, ai.mean), capacity):
         return None
     return crossing
 
@@ -157,17 +151,14 @@ def wedge_test(manual: ManualRoute, ai: RouteMoments, lam: float, capacity: floa
     disagreement beyond the 1e-9 knife edge means the algebra and the
     arithmetic have diverged, which is raised rather than masked.
     """
-    if lam <= 0.0 or not math.isfinite(lam):
-        raise ValidationError(f"lam must be > 0, got {lam}", field="lam")
-    if capacity <= 0.0 or not math.isfinite(capacity):
-        raise ValidationError(f"capacity must be > 0, got {capacity}", field="capacity")
-    if ai.mean <= 0.0:
-        raise ValidationError("ai route mean must be > 0", field="ai.mean")
-    _require_route_stable("manual", lam, manual.tau_H, capacity)
-    _require_route_stable("ai", lam, ai.mean, capacity)
+    # Building the inputs checks lam, capacity and the AI mean.
+    manual_inputs = QueueInputs(lam=lam, capacity=capacity, service=manual.moments)
+    ai_inputs = QueueInputs(lam=lam, capacity=capacity, service=ai)
+    require_stable(lam, manual.tau_H, capacity, "manual route")
+    require_stable(lam, ai.mean, capacity, "ai route")
 
-    w_manual = wq_pk(QueueInputs(lam=lam, capacity=capacity, service=manual.moments)).wq
-    w_ai = wq_pk(QueueInputs(lam=lam, capacity=capacity, service=ai)).wq
+    w_manual = wq_pk(manual_inputs).wq
+    w_ai = wq_pk(ai_inputs).wq
 
     # (1 + c2) == m2 / mean^2, which keeps identical routes at exactly 1.
     lhs = (ai.m2 / ai.mean**2) / (manual.q_H / manual.tau_H**2)

@@ -13,11 +13,10 @@ approximated by scaling the exact result by (c2_a + c2_s) / (1 + c2_s).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .errors import StabilityError, ValidationError
-from .service_model import RouteMoments
+from .service_model import RouteMoments, require_finite
 
 # Loads within this margin of 1 are treated as unstable: beyond it the
 # waiting-time formulas lose all significance anyway.
@@ -34,16 +33,9 @@ class QueueInputs:
     c2_a: float = 1.0
 
     def __post_init__(self):
-        for field in ("lam", "capacity", "c2_a"):
-            value = getattr(self, field)
-            if not math.isfinite(value):
-                raise ValidationError(f"{field} must be finite, got {value!r}", field=field)
-        if self.lam <= 0.0:
-            raise ValidationError(f"lam must be > 0, got {self.lam}", field="lam")
-        if self.capacity <= 0.0:
-            raise ValidationError(f"capacity must be > 0, got {self.capacity}", field="capacity")
-        if self.c2_a < 0.0:
-            raise ValidationError(f"c2_a must be >= 0, got {self.c2_a}", field="c2_a")
+        require_finite(self.lam, "lam", "> 0")
+        require_finite(self.capacity, "capacity", "> 0")
+        require_finite(self.c2_a, "c2_a", ">= 0")
         if self.service.mean <= 0.0:
             raise ValidationError(
                 "service mean must be > 0 for waiting-time analysis", field="service.mean"
@@ -66,12 +58,22 @@ def utilization(inputs: QueueInputs) -> float:
     return inputs.lam * inputs.service.mean / inputs.capacity
 
 
-def _checked_utilization(inputs: QueueInputs) -> float:
-    rho = utilization(inputs)
-    if rho >= 1.0 - EPS_RHO:
+def is_stable(lam: float, mean: float, capacity: float) -> bool:
+    """The load rule: rho = lam * mean / capacity stays below 1 - EPS_RHO.
+
+    Every stability decision in the package, analytic or simulated, is
+    this one comparison.
+    """
+    return lam * mean / capacity < 1.0 - EPS_RHO
+
+
+def require_stable(lam: float, mean: float, capacity: float, label: str = "the queue") -> float:
+    """Offered load rho, or StabilityError naming ``label`` when it breaks the load rule."""
+    rho = lam * mean / capacity
+    if not is_stable(lam, mean, capacity):
         raise StabilityError(
-            f"offered load rho={rho:.6g} is at or beyond capacity; "
-            "the queue has no stationary waiting time",
+            f"{label} is unstable at lambda={lam:.6g}: offered load rho={rho:.6g} is at "
+            "or beyond capacity, so the queue has no stationary waiting time",
             rho=rho,
         )
     return rho
@@ -79,7 +81,7 @@ def _checked_utilization(inputs: QueueInputs) -> float:
 
 def wq_pk(inputs: QueueInputs) -> WaitResult:
     """Exact mean delay for Poisson arrivals (raw-moment form)."""
-    rho = _checked_utilization(inputs)
+    rho = require_stable(inputs.lam, inputs.service.mean, inputs.capacity)
     m = inputs.service.mean
     q = inputs.service.m2
     wq = inputs.lam * q / (2.0 * inputs.capacity * (inputs.capacity - inputs.lam * m))

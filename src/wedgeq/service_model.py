@@ -13,6 +13,7 @@ simulated moments agree with the analytic ones by construction.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,9 +25,19 @@ from .errors import ValidationError
 _JENSEN_RTOL = 1e-12
 
 
-def _require_finite(value, field):
+_SIGN_TESTS = {"> 0": operator.gt, ">= 0": operator.ge}
+
+
+def require_finite(value, field: str, sign: str | None = None):
+    """Raise unless ``value`` is finite and, if ``sign`` is "> 0" or ">= 0", obeys it.
+
+    The one range check behind every model dataclass and raw-float entry
+    point, so an input gets the same message wherever it is checked.
+    """
     if not math.isfinite(value):
         raise ValidationError(f"{field} must be finite, got {value!r}", field=field)
+    if sign is not None and not _SIGN_TESTS[sign](value, 0.0):
+        raise ValidationError(f"{field} must be {sign}, got {value}", field=field)
 
 
 @dataclass(frozen=True)
@@ -37,10 +48,8 @@ class RouteMoments:
     m2: float
 
     def __post_init__(self):
-        _require_finite(self.mean, "mean")
-        _require_finite(self.m2, "m2")
-        if self.mean < 0.0:
-            raise ValidationError(f"mean must be >= 0, got {self.mean}", field="mean")
+        require_finite(self.mean, "mean", ">= 0")
+        require_finite(self.m2, "m2")
         if self.m2 < self.mean**2 * (1.0 - _JENSEN_RTOL):
             raise ValidationError(
                 f"m2 ={self.m2} is below mean^2 ={self.mean**2}; "
@@ -70,12 +79,8 @@ class ManualRoute:
     c2_H: float
 
     def __post_init__(self):
-        _require_finite(self.tau_H, "tau_H")
-        _require_finite(self.c2_H, "c2_H")
-        if self.tau_H <= 0.0:
-            raise ValidationError(f"tau_H must be > 0, got {self.tau_H}", field="tau_H")
-        if self.c2_H < 0.0:
-            raise ValidationError(f"c2_H must be >= 0, got {self.c2_H}", field="c2_H")
+        require_finite(self.tau_H, "tau_H", "> 0")
+        require_finite(self.c2_H, "c2_H", ">= 0")
 
     @property
     def q_H(self) -> float:
@@ -101,15 +106,14 @@ class ErrorCurve:
     kappa: float
 
     def __post_init__(self):
-        for field in ("p0", "p_inf", "kappa"):
-            _require_finite(getattr(self, field), field)
+        require_finite(self.p0, "p0")
+        require_finite(self.p_inf, "p_inf")
+        require_finite(self.kappa, "kappa", "> 0")
         if not 0.0 <= self.p_inf <= self.p0 <= 1.0:
             raise ValidationError(
                 f"need 0 <= p_inf <= p0 <= 1, got p0={self.p0}, p_inf={self.p_inf}",
                 field="p0",
             )
-        if self.kappa <= 0.0:
-            raise ValidationError(f"kappa must be > 0, got {self.kappa}", field="kappa")
 
 
 @dataclass(frozen=True)
@@ -125,10 +129,8 @@ class ReworkModel:
     family: str = "gamma"
 
     def __post_init__(self):
-        _require_finite(self.mu_R, "mu_R")
-        _require_finite(self.mu_R2, "mu_R2")
-        if self.mu_R <= 0.0:
-            raise ValidationError(f"mu_R must be > 0, got {self.mu_R}", field="mu_R")
+        require_finite(self.mu_R, "mu_R", "> 0")
+        require_finite(self.mu_R2, "mu_R2")
         if self.mu_R2 < self.mu_R**2 * (1.0 - _JENSEN_RTOL):
             raise ValidationError(
                 f"mu_R2 ={self.mu_R2} is below mu_R^2 ={self.mu_R**2}",

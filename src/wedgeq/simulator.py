@@ -18,7 +18,7 @@ bit-reproducible for a given config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,10 +26,11 @@ from ._kernels import IMPL, simulate_fifo
 from ._special import t_quantile
 from .config import MAX_REPS, SimSettings, WorkflowSpec, require_count
 from .errors import InfeasibleError, ValidationError
-from .queueing import EPS_RHO
+from .queueing import is_stable
 from .service_model import (
     ai_route_moments,
     mixed_moments,
+    require_finite,
     residual_error,
     sample_manual,
     sample_rework,
@@ -40,6 +41,9 @@ from .verification import (
     review_effort,
     solve_equilibrium,
 )
+
+# Two-sided confidence level of every reported wait interval.
+CI_LEVEL = 0.99
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,6 @@ class SimConfig:
     n_batches: int = 32
     seed: int = 0
     rework_mode: str = "folded"
-    ci_level: float = 0.99
     policy_theta: float | None = None
 
     def __post_init__(self):
@@ -65,19 +68,12 @@ class SimConfig:
             n_batches=self.n_batches,
             rework_mode=self.rework_mode,
         )
-        if not 0.0 < self.ci_level < 1.0:
-            raise ValidationError(
-                f"ci_level must lie in (0, 1), got {self.ci_level}", field="ci_level"
-            )
         if self.policy_theta is not None:
             if self.workflow.mode != "policy":
                 raise ValidationError(
                     "policy_theta only applies to policy-mode workflows", field="policy_theta"
                 )
-            if not self.policy_theta > 0.0:
-                raise ValidationError(
-                    f"policy_theta must be > 0, got {self.policy_theta}", field="policy_theta"
-                )
+            require_finite(self.policy_theta, "policy_theta", "> 0")
 
     @classmethod
     def from_workflow(cls, workflow: WorkflowSpec, seed: int | None = None) -> "SimConfig":
@@ -137,13 +133,13 @@ def _draw_interarrivals(workflow: WorkflowSpec, rng: np.random.Generator, n: int
     return rng.gamma(1.0 / c2, mean_gap * c2, n)
 
 
-def _analytic_offered_load(workflow: WorkflowSpec, theta: float | None) -> float:
+def _analytic_stable(workflow: WorkflowSpec, theta: float | None) -> bool:
     if workflow.mode == "fixed":
         ai = ai_route_moments(workflow.curve, workflow.rework, workflow.review_r)
     else:
         ai = policy_route_moments(workflow.env, theta, workflow.rework)
     mix = mixed_moments(workflow.manual, ai, workflow.x)
-    return workflow.lam * mix.mean / workflow.capacity
+    return is_stable(workflow.lam, mix.mean, workflow.capacity)
 
 
 def _resolve_theta(config: SimConfig) -> float | None:
@@ -167,10 +163,10 @@ _NO_SPAWN = np.zeros(0, dtype=np.uint8)
 _NO_REWORK = np.zeros(0)
 
 
-def _t_half_width(ci_level: float, means) -> float:
-    """Half-width of the two-sided Student-t interval at ci_level from iid means."""
+def _t_half_width(means) -> float:
+    """Half-width of the two-sided Student-t interval at CI_LEVEL from iid means."""
     n = means.size
-    t_mult = t_quantile(0.5 + ci_level / 2.0, n - 1)
+    t_mult = t_quantile(0.5 + CI_LEVEL / 2.0, n - 1)
     return t_mult * float(means.std(ddof=1)) / math.sqrt(n)
 
 
@@ -280,7 +276,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
     per_batch = waits_post.size // n_batches
     batch_means = waits_post[: per_batch * n_batches].reshape(n_batches, per_batch).mean(axis=1)
     wq_mean = float(batch_means.mean())
-    half_width = _t_half_width(config.ci_level, batch_means)
+    half_width = _t_half_width(batch_means)
     # The quantiles are order statistics: sorting first (in place; the waits
     # are not needed again) is several times faster than np.quantile's
     # partition on waits that are mostly exact zeros, with the same values.
@@ -288,8 +284,6 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
     p50, p90, p99 = (
         float(v) for v in np.quantile(waits_post, [0.5, 0.9, 0.99], overwrite_input=True)
     )
-
-    offered = _analytic_offered_load(workflow, theta)
 
     return SimStats(
         mode=config.rework_mode,
@@ -299,7 +293,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
         warmup_skipped=k0,
         wq_mean=wq_mean,
         wq_ci_half_width=half_width,
-        ci_level=config.ci_level,
+        ci_level=CI_LEVEL,
         wq_p50=p50,
         wq_p90=p90,
         wq_p99=p99,
@@ -310,7 +304,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
         escape_rate=escape_rate,
         sojourn_mean=sojourn_mean,
         batch_means=tuple(float(b) for b in batch_means),
-        unstable=offered >= 1.0 - EPS_RHO,
+        unstable=not _analytic_stable(workflow, theta),
         theta_star=theta,
     )
 
@@ -334,7 +328,7 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
         return runs[0]
 
     rep_means = np.array([r.wq_mean for r in runs])
-    half_width = _t_half_width(config.ci_level, rep_means)
+    half_width = _t_half_width(rep_means)
 
     def _avg(attr: str) -> float:
         return float(np.mean([getattr(r, attr) for r in runs]))
@@ -348,7 +342,7 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
         warmup_skipped=sum(r.warmup_skipped for r in runs),
         wq_mean=float(rep_means.mean()),
         wq_ci_half_width=half_width,
-        ci_level=config.ci_level,
+        ci_level=CI_LEVEL,
         wq_p50=_avg("wq_p50"),
         wq_p90=_avg("wq_p90"),
         wq_p99=_avg("wq_p99"),
@@ -362,8 +356,3 @@ def replicate(config: SimConfig, n_reps: int) -> SimStats:
         unstable=any(r.unstable for r in runs),
         theta_star=theta,
     )
-
-
-def run_with_seed(config: SimConfig, seed: int) -> SimStats:
-    """Convenience: rerun the same config under a different base seed."""
-    return run(replace(config, seed=seed))

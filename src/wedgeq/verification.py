@@ -27,12 +27,11 @@ from .errors import (
     InfeasibleError,
     NoRootError,
     QuadratureError,
-    StabilityError,
     ValidationError,
     WedgeqError,
 )
-from .queueing import EPS_RHO, QueueInputs, wq_pk
-from .service_model import ReworkModel, RouteMoments, _require_finite
+from .queueing import QueueInputs, is_stable, require_stable, wq_pk
+from .service_model import ReworkModel, RouteMoments, require_finite
 
 # Default quadrature and scan resolutions.
 DEFAULT_NODES = 256
@@ -59,14 +58,10 @@ class RiskMap:
     s0: float
 
     def __post_init__(self):
-        for name in ("a", "b", "g", "s0"):
-            _require_finite(getattr(self, name), name)
-        if self.a < 0.0:
-            raise ValidationError(f"a must be >= 0, got {self.a}", field="a")
-        if self.b < 0.0:
-            raise ValidationError(f"b must be >= 0, got {self.b}", field="b")
-        if self.g <= 0.0:
-            raise ValidationError(f"g must be > 0, got {self.g}", field="g")
+        require_finite(self.a, "a", ">= 0")
+        require_finite(self.b, "b", ">= 0")
+        require_finite(self.g, "g", "> 0")
+        require_finite(self.s0, "s0")
         if self.value(1.0) > 1.0:
             raise ValidationError(
                 f"risk map exceeds 1 on [0, 1]: pi(1) = {self.value(1.0):.6g}", field="b"
@@ -101,24 +96,13 @@ class SignalEnvironment:
     _log_norm: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("signal_alpha", "signal_beta", "K", "kappa", "c_w", "p_inf"):
-            _require_finite(getattr(self, name), name)
-        if self.signal_alpha <= 0.0:
-            raise ValidationError(
-                f"signal_alpha must be > 0, got {self.signal_alpha}", field="signal_alpha"
-            )
-        if self.signal_beta <= 0.0:
-            raise ValidationError(
-                f"signal_beta must be > 0, got {self.signal_beta}", field="signal_beta"
-            )
-        if self.K <= 0.0:
-            raise ValidationError(f"K must be > 0, got {self.K}", field="K")
-        if self.kappa <= 0.0:
-            raise ValidationError(f"kappa must be > 0, got {self.kappa}", field="kappa")
-        if self.c_w < 0.0:
-            # c_w == 0 is admitted so the no-congestion-cost boundary case
-            # can be represented; solve_equilibrium reports it degenerate.
-            raise ValidationError(f"c_w must be >= 0, got {self.c_w}", field="c_w")
+        require_finite(self.signal_alpha, "signal_alpha", "> 0")
+        require_finite(self.signal_beta, "signal_beta", "> 0")
+        require_finite(self.K, "K", "> 0")
+        require_finite(self.kappa, "kappa", "> 0")
+        # c_w == 0 is admitted so the no-congestion-cost boundary case can be
+        # represented; solve_equilibrium reports it degenerate.
+        require_finite(self.c_w, "c_w", ">= 0")
         if not 0.0 <= self.p_inf < 1.0:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
         object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
@@ -199,8 +183,7 @@ def _integrate_unit(f, n: int) -> float:
 
 def pi_star(env: SignalEnvironment, theta: float) -> float:
     """Review threshold: drafts with pi(s) <= pi_star are waved through."""
-    if not (math.isfinite(theta) and theta > 0.0):
-        raise ValidationError(f"theta must be > 0, got {theta}", field="theta")
+    require_finite(theta, "theta", "> 0")
     return theta / env.review_scale
 
 
@@ -259,8 +242,10 @@ def threshold_signal(env: SignalEnvironment, theta: float) -> float:
     when nothing is.  This is where r*(s) has its kink, so quadrature
     panels split here.
     """
-    star = pi_star(env, theta)
-    rm = env.risk_map
+    return _signal_at_risk(env.risk_map, pi_star(env, theta))
+
+
+def _signal_at_risk(rm: RiskMap, star: float) -> float:
     if rm.value(0.0) >= star:
         return 0.0
     if rm.value(1.0) <= star:
@@ -273,9 +258,13 @@ def threshold_signal(env: SignalEnvironment, theta: float) -> float:
 def _policy_moments_raw(
     env: SignalEnvironment, theta: float, rework: ReworkModel, n_nodes: int
 ) -> tuple[float, float]:
-    """Signal-averaged (tau_A, q_A) by split Gauss-Legendre quadrature."""
-    star = pi_star(env, theta)
-    split = threshold_signal(env, theta)
+    """Signal-averaged (tau_A, q_A) by split Gauss-Legendre quadrature.
+
+    theta is not checked here: the public entry points check it once,
+    and the solver's grid and bisection points are positive by construction.
+    """
+    star = theta / env.review_scale
+    split = _signal_at_risk(env.risk_map, star)
     panels = []
     if split > 0.0:
         panels.append((0.0, split))
@@ -319,6 +308,7 @@ def policy_route_moments(
     """
     if n_nodes < 8:
         raise ValidationError(f"n_nodes must be >= 8, got {n_nodes}", field="n_nodes")
+    require_finite(theta, "theta", "> 0")
     coarse = _policy_moments_raw(env, theta, rework, n_nodes)
     fine = _policy_moments_raw(env, theta, rework, 2 * n_nodes)
     err = max(
@@ -360,11 +350,7 @@ def phi(
     the sensitivity of the delay cost to tau_A with q_A held fixed.
     """
     moments = policy_route_moments(env, theta, rework, n_nodes=n_nodes)
-    rho = lam * moments.mean / capacity
-    if rho >= 1.0 - EPS_RHO:
-        raise StabilityError(
-            f"queue unstable at theta={theta:.6g}: rho={rho:.6g}", rho=rho
-        )
+    require_stable(lam, moments.mean, capacity, f"the queue at theta={theta:.6g}")
     return _phi_value(env.c_w, lam, capacity, moments.mean, moments.m2)
 
 
@@ -408,10 +394,8 @@ def solve_equilibrium(
     smallest price at which the queue is stable: below it review effort
     inflates tau_A past capacity.  The smallest root is primary.
     """
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValidationError(f"lam must be > 0, got {lam}", field="lam")
-    if not (math.isfinite(capacity) and capacity > 0.0):
-        raise ValidationError(f"capacity must be > 0, got {capacity}", field="capacity")
+    require_finite(lam, "lam", "> 0")
+    require_finite(capacity, "capacity", "> 0")
     if n_grid < 16:
         raise ValidationError(f"n_grid must be >= 16, got {n_grid}", field="n_grid")
 
@@ -425,11 +409,11 @@ def solve_equilibrium(
         return _policy_moments_raw(env, theta, rework, n_nodes)[0]
 
     def stable(theta: float) -> bool:
-        return lam * tau_at(theta) < capacity * (1.0 - EPS_RHO)
+        return is_stable(lam, tau_at(theta), capacity)
 
     def g_at(theta: float) -> float:
         tau, q = _policy_moments_raw(env, theta, rework, n_nodes)
-        if lam * tau >= capacity * (1.0 - EPS_RHO):
+        if not is_stable(lam, tau, capacity):
             return math.nan
         return theta - _phi_value(env.c_w, lam, capacity, tau, q)
 

@@ -7,12 +7,15 @@ assertion errors with details.
 """
 
 import math
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
+import wedgeq
 from wedgeq import (
     FULL_AI,
     FULL_MANUAL,
@@ -319,13 +322,17 @@ def test_criterion_10_byte_identical_reruns():
         ["simulate", "--config", fig3],
     ]
 
+    # The child processes import the same wedgeq as this one, installed or not.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(Path(wedgeq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+    ))
     mismatched = []
     for argv in commands:
         outputs = []
         for _ in range(2):
             proc = subprocess.run(
                 [sys.executable, "-m", "wedgeq.cli", *argv],
-                capture_output=True, timeout=300,
+                capture_output=True, timeout=300, env=env,
             )
             assert proc.returncode == 0, (argv, proc.stderr.decode())
             outputs.append(proc.stdout)

@@ -10,7 +10,7 @@ import pytest
 import wedgeq
 import wedgeq.verification as ver
 from wedgeq import fixture_path
-from wedgeq.cli import _parse_grid, _parse_list, main
+from wedgeq.cli import MAX_TABLE_ROWS, _parse_grid, _parse_list, main
 from wedgeq.errors import ValidationError
 
 FIG2 = str(fixture_path("fig2.json"))
@@ -68,9 +68,15 @@ class TestGridParsing:
 
     def test_rejects_malformed(self):
         for text in ("a:b:c", "0.5:1.0", "1.0:0.5:0.1", "0.5:1.0:-0.1", "0.5:1.0:0",
-                     "0.1:0.2:nan", "nan:1:0.1", "0.1:inf:0.1"):
-            with pytest.raises(ValidationError):
+                     "0.1:0.2:nan", "nan:1:0.1", "0.1:inf:0.1",
+                     # more points than a table may have, checked before any is built
+                     "0:1:1e-12", "-1e308:1e308:1", "0:100000:1"):
+            with pytest.raises(ValidationError) as err:
                 _parse_grid(text, "--grid")
+            assert err.value.field == "--grid"
+
+    def test_grid_at_the_row_limit(self):
+        assert len(_parse_grid("0:99999:1", "--grid")) == MAX_TABLE_ROWS
 
     def test_list_parsing(self):
         assert _parse_list("0.2,0.4", "--rho-h") == [0.2, 0.4]
@@ -78,6 +84,10 @@ class TestGridParsing:
             _parse_list("0.2,oops", "--rho-h")
         with pytest.raises(ValidationError):
             _parse_list(",", "--rho-h")
+        for text in ("nan", "0.2,inf", "-inf"):
+            with pytest.raises(ValidationError) as err:
+                _parse_list(text, "--theta-list")
+            assert err.value.field == "--theta-list"
 
 
 class TestMoments:
@@ -127,6 +137,20 @@ class TestWedge:
         assert wedge["lambda_star"] == pytest.approx(0.7611, abs=5e-5)
         assert wedge["bang_bang_direction"] == "full-manual"
         assert wedge["x_c"] == 0.0
+
+
+    def test_zero_mean_ai_route_named_like_wait(self, capsys, tmp_path):
+        # No review and no errors: the AI route takes no time at all.
+        doc = json.loads(fixture_path("fig2.json").read_text())
+        doc["review_r"] = 0.0
+        doc["error_curve"] = {"p0": 0.0, "p_inf": 0.0, "kappa": 2.0}
+        path = tmp_path / "instant.json"
+        path.write_text(json.dumps(doc))
+        for command in ("wedge", "wait"):
+            code, out, err = _run(capsys, command, "--config", str(path))
+            assert code == 2
+            assert out == ""
+            assert json.loads(err)["field"] == "service.mean"
 
 
 class TestStabilize:
@@ -216,6 +240,17 @@ class TestDesign:
         assert code == 0
         assert out.strip().split("\n")[-1] == "1.3,0.8,"
 
+    def test_tiny_savings_ratio_has_unbounded_budget(self, capsys):
+        # s^2 underflows to 0 here; the budget is +inf, emitted as an empty cell.
+        code, out, err = _run(
+            capsys, "design", "--config", FIG2, "--format", "csv",
+            "--grid", "1e-320", "--rho-h", "0.5",
+        )
+        assert code == 0, err
+        s_cell, rho_cell, budget_cell = out.strip().split("\n")[-1].split(",")
+        assert float(s_cell) == 1e-320
+        assert (rho_cell, budget_cell) == ("0.5", "")
+
 
 class TestDist:
     def test_sample_moments_and_histogram(self, capsys):
@@ -262,10 +297,36 @@ class TestDist:
             (("--bin-width", "inf"), "--bin-width"),
             (("--n-samples", "100000000000000"), "--n-samples"),
             (("--seed", "-1"), "--seed"),
+            (("--bin-width", "nan"), "--bin-width"),
+            (("--bin-width", "-0.05"), "--bin-width"),
+            (("--seed", str(2**64)), "--seed"),
         ],
     )
     def test_oversized_or_invalid_requests_exit_2(self, capsys, flags, field):
         code, out, err = _run(capsys, "dist", "--config", FIG2, "--n-samples", "1000", *flags)
+        assert code == 2
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert payload["field"] == field
+
+
+class TestTableLimits:
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (("sweep", "--config", FIG2, "--grid", "0.1:1:1e-12"), "--grid"),
+            (("sweep", "--config", FIG2, "--grid", "0.1:1e308:1e-300"), "--grid"),
+            (("design", "--config", FIG2, "--grid", "0.5:1:1e-5", "--rho-h", "0.2,0.4"),
+             "--grid"),
+            (("design", "--config", FIG2, "--rho-h", "0.2,nan"), "--rho-h"),
+            (("review-curve", "--config", FIG6, "--grid", "0.01:1:1e-5", "--theta-list", "1,2"),
+             "--grid"),
+            (("review-curve", "--config", FIG6, "--theta-list", "nan"), "--theta-list"),
+        ],
+    )
+    def test_oversized_or_non_finite_tables_exit_2(self, capsys, argv, field):
+        code, out, err = _run(capsys, *argv)
         assert code == 2
         assert out == ""
         payload = json.loads(err)
@@ -404,6 +465,30 @@ class TestOutputPlumbing:
         assert payload["error"] == "validation"
         assert payload["field"] == "--out"
         assert not target.exists()
+
+    def test_out_replaces_existing_file_atomically(self, capsys, tmp_path):
+        target = tmp_path / "report.json"
+        target.write_text("stale\n")
+        code, out, _ = _run(capsys, "wedge", "--config", FIG4, "--out", str(target))
+        assert code == 0
+        assert out == ""
+        assert json.loads(target.read_text())["command"] == "wedge"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
+
+    def test_failed_out_write_keeps_the_old_file(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "report.json"
+        target.write_text("stale\n")
+
+        def failing_replace(src, dst):
+            raise PermissionError(13, "Permission denied")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        code, out, err = _run(capsys, "wedge", "--config", FIG4, "--out", str(target))
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == "--out"
+        assert target.read_text() == "stale\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["report.json"]
 
     def test_missing_config_exits_2(self, capsys):
         code, _, err = _run(capsys, "wait", "--config", "/nonexistent.json")

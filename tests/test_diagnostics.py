@@ -73,6 +73,12 @@ class TestVarianceBudget:
         with pytest.raises(StabilityError):
             variance_budget(0.5, 1.3, 0.8)
 
+    def test_tiny_savings_ratio_is_unbounded(self):
+        # 1e-160 squared is subnormal and the quotient overflows; 1e-170
+        # squared underflows to 0.  Both budgets are unbounded.
+        assert variance_budget(0.5, 1e-160, 0.5) == math.inf
+        assert variance_budget(0.5, 1e-170, 0.5) == math.inf
+
     def test_validation(self):
         from wedgeq import ValidationError
 

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wedgeq import (
+    EPS_RHO,
     QueueInputs,
     RouteMoments,
     StabilityError,
@@ -10,6 +11,7 @@ from wedgeq import (
     wq_kingman,
     wq_pk,
 )
+from wedgeq.queueing import is_stable, require_stable
 
 
 def _inputs(lam, mean, c2, capacity=1.0, c2_a=1.0):
@@ -100,6 +102,16 @@ class TestStability:
         with pytest.raises(StabilityError):
             wq_pk(_inputs(1.0, 1.0, 0.5))
         wq_pk(_inputs(1.0 - 1e-6, 1.0, 0.5))  # inside the margin: fine
+
+    def test_one_load_rule(self):
+        edge = 1.0 - EPS_RHO
+        assert is_stable(0.999 * edge, 1.0, 1.0)
+        assert not is_stable(edge, 1.0, 1.0)
+        assert not is_stable(0.5 * edge, 1.0, 0.5)
+        assert require_stable(0.5, 1.0, 2.0) == 0.25
+        with pytest.raises(StabilityError, match="ai route") as err:
+            require_stable(2.0, 1.0, 1.0, "ai route")
+        assert err.value.rho == 2.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,7 +22,6 @@ from wedgeq import (
     replicate,
     residual_risk,
     run,
-    run_with_seed,
     solve_equilibrium,
     wq_pk,
 )
@@ -78,7 +78,7 @@ class TestDeterminism:
 
     def test_different_seed_differs(self):
         config = _config(_fixed_workflow(x=1.0))
-        assert run(config).wq_mean != run_with_seed(config, 12).wq_mean
+        assert run(config).wq_mean != run(dataclasses.replace(config, seed=12)).wq_mean
 
     def test_replicate_one_equals_run(self):
         config = _config(_fixed_workflow(x=0.3))
@@ -257,8 +257,6 @@ class TestConfigValidation:
 
     def test_bad_settings_rejected(self):
         workflow = _fixed_workflow()
-        with pytest.raises(ValidationError):
-            SimConfig(workflow=workflow, ci_level=1.0)
         with pytest.raises(ValidationError):
             SimConfig(workflow=workflow, n_arrivals=100, n_batches=32)
         with pytest.raises(ValidationError):
