@@ -60,6 +60,14 @@ def _parse_numbers(parts: list[str], text: str, name: str, sign: str | None) -> 
     return values
 
 
+def _require_unit_interval(values: list[float], name: str, closed: bool):
+    """Each value within [0, 1], or [0, 1) when closed is False."""
+    for value in values:
+        if not (0.0 <= value <= 1.0 and (closed or value < 1.0)):
+            interval = "[0, 1]" if closed else "[0, 1)"
+            raise ValidationError(f"{name} values must lie in {interval}, got {value}", field=name)
+
+
 def _require_rows(rows: int, name: str):
     if rows > MAX_TABLE_ROWS:
         raise ValidationError(
@@ -240,8 +248,9 @@ def _handle_sweep(spec: WorkflowSpec, args) -> str:
 
 
 def _handle_design(spec: WorkflowSpec, args) -> str:
-    s_grid = _parse_grid(args.grid, "--grid")
+    s_grid = _parse_grid(args.grid, "--grid", "> 0")
     rho_list = _parse_list(args.rho_h, "--rho-h")
+    _require_unit_interval(rho_list, "--rho-h", closed=False)
     _require_rows(len(s_grid) * len(rho_list), "--grid")
     header = ["s", "rho_H", "c2_a_max"]
     rows = []
@@ -347,13 +356,14 @@ def _handle_equilibrium(spec: WorkflowSpec, args) -> str:
 
 def _handle_review_curve(spec: WorkflowSpec, args) -> str:
     pi_grid = _parse_grid(args.grid, "--grid")
+    _require_unit_interval(pi_grid, "--grid", closed=True)
     thetas = _parse_list(args.theta_list, "--theta-list", "> 0")
     _require_rows(len(pi_grid) * len(thetas), "--grid")
     header = ["pi", "theta", "r_star"]
     rows = []
     for theta in thetas:
-        for pi in pi_grid:
-            rows.append([pi, theta, effort_for_risk(spec.env, theta, pi)])
+        efforts = effort_for_risk(spec.env, theta, pi_grid).tolist()
+        rows.extend([pi, theta, effort] for pi, effort in zip(pi_grid, efforts))
     comments = (
         f"K={format(spec.env.K, '.12g')}",
         f"kappa={format(spec.env.kappa, '.12g')}",

@@ -68,9 +68,11 @@ def variance_budget(c2_H: float, s: float, rho_H: float) -> float:
     require_finite(s, "s", "> 0")
     if not (math.isfinite(rho_H) and 0.0 <= rho_H < 1.0):
         raise ValidationError(f"rho_H must lie in [0, 1), got {rho_H}", field="rho_H")
-    if s * rho_H >= 1.0:
+    # In units where tau_H = C = 1 the arrival rate is rho_H and the AI
+    # route's load rho_H * s, so the shared load rule decides it.
+    if not is_stable(rho_H, s, 1.0):
         raise StabilityError(
-            f"AI route would be unstable: s*rho_H = {s * rho_H:.6g} >= 1",
+            f"AI route would be unstable: s*rho_H = {s * rho_H:.6g} is at or beyond capacity",
             rho=s * rho_H,
         )
     if s == 1.0:

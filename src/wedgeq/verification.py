@@ -43,6 +43,10 @@ _QUAD_RTOL = 1e-8
 # Residual tolerance guaranteed for reported fixed points.
 _ROOT_RTOL = 1e-8
 
+# Prices per block of the batched quadrature: bounds its (prices x nodes)
+# temporaries, so a full grid scan never holds its whole broadcast at once.
+_BLOCK_ROWS = 64
+
 
 @dataclass(frozen=True)
 class RiskMap:
@@ -242,53 +246,79 @@ def threshold_signal(env: SignalEnvironment, theta: float) -> float:
     when nothing is.  This is where r*(s) has its kink, so quadrature
     panels split here.
     """
-    return _signal_at_risk(env.risk_map, pi_star(env, theta))
+    return float(_signal_at_risk(env.risk_map, np.array([pi_star(env, theta)]))[0])
 
 
-def _signal_at_risk(rm: RiskMap, star: float) -> float:
-    if rm.value(0.0) >= star:
-        return 0.0
-    if rm.value(1.0) <= star:
-        return 1.0
+def _signal_at_risk(rm: RiskMap, star: np.ndarray) -> np.ndarray:
+    """threshold_signal for each risk threshold in the 1-D array star."""
+    low, high = rm.value(np.array([0.0, 1.0]))
+    s = np.where(star <= low, 0.0, 1.0)
+    inside = (low < star) & (star < high)
     # Here a < star < pi(1) <= a + b, so the logistic argument is valid.
-    s = rm.s0 - math.log(rm.b / (star - rm.a) - 1.0) / rm.g
-    return min(1.0, max(0.0, s))
+    logistic = rm.s0 - np.log(rm.b / (star[inside] - rm.a) - 1.0) / rm.g
+    s[inside] = np.minimum(1.0, np.maximum(0.0, logistic))
+    return s
 
 
-def _policy_moments_raw(
-    env: SignalEnvironment, theta: float, rework: ReworkModel, n_nodes: int
-) -> tuple[float, float]:
-    """Signal-averaged (tau_A, q_A) by split Gauss-Legendre quadrature.
+def _row_dots(a, b):
+    """Dot products over the last axis of two equally shaped arrays.
 
-    theta is not checked here: the public entry points check it once,
-    and the solver's grid and bisection points are positive by construction.
+    Each takes the same BLAS dot a 1-D np.dot would, so a price's moments
+    do not depend on the prices batched with it.
     """
-    star = theta / env.review_scale
-    split = _signal_at_risk(env.risk_map, star)
-    panels = []
-    if split > 0.0:
-        panels.append((0.0, split))
-    if split < 1.0:
-        panels.append((split, 1.0))
-    per_panel = n_nodes if len(panels) == 1 else max(8, n_nodes // 2)
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    tau = 0.0
-    q = 0.0
-    for lo, hi in panels:
-        nodes, weights = _gauss_nodes(per_panel)
-        half = 0.5 * (hi - lo)
-        s = lo + half * (nodes + 1.0)
-        pi_s = env.risk_map.value(s)
-        effort = np.log(np.maximum(pi_s / star, 1.0)) / env.kappa
-        resid = np.minimum(pi_s, star)
-        weight = (half * weights) * env.signal_pdf(s)
-        tau += float(np.dot(weight, effort + rework.mu_R * resid))
-        q += float(
-            np.dot(
-                weight,
-                effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid,
+
+def _panel_moments(env: SignalEnvironment, rework: ReworkModel, star, lo, hi, n: int):
+    """(tau, q) per price, summed over that price's panels [lo, hi] of n nodes.
+
+    star is a (prices, 1, 1) column and lo, hi are (prices, panels, 1):
+    every panel is its own affine map of the shared Gauss-Legendre nodes.
+    """
+    nodes, weights = _gauss_nodes(n)
+    half = 0.5 * (hi - lo)
+    s = lo + half * (nodes + 1.0)
+    pi_s = env.risk_map.value(s)
+    effort = np.log(np.maximum(pi_s / star, 1.0)) / env.kappa
+    resid = np.minimum(pi_s, star)
+    weight = (half * weights) * env.signal_pdf(s)
+    tau = _row_dots(weight, effort + rework.mu_R * resid)
+    q = _row_dots(
+        weight, effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid
+    )
+    return tau.sum(axis=1), q.sum(axis=1)
+
+
+def _policy_moments(env: SignalEnvironment, thetas, rework: ReworkModel, n_nodes: int):
+    """Signal-averaged (tau_A, q_A) arrays at every price in thetas.
+
+    Split Gauss-Legendre quadrature: a price whose threshold signal is
+    interior gets two panels of max(8, n_nodes // 2) nodes split there;
+    one that reviews every draft or none gets one panel of n_nodes.
+    Prices are evaluated _BLOCK_ROWS at a time.  thetas is not checked
+    here: the public entry points check it once, and the solver's grid
+    and bisection points are positive by construction.
+    """
+    stars = np.asarray(thetas, dtype=float) / env.review_scale
+    splits = _signal_at_risk(env.risk_map, stars)
+    interior = (splits > 0.0) & (splits < 1.0)
+    # Columns 0, 1, 2 are the panel edges 0, split, 1; each group lists
+    # the columns its panels start and end at.
+    edges = np.column_stack((np.zeros(stars.size), splits, np.ones(stars.size)))
+    groups = (
+        (~interior, [0], [2], n_nodes),
+        (interior, [0, 1], [1, 2], max(8, n_nodes // 2)),
+    )
+    tau, q = np.empty(stars.size), np.empty(stars.size)
+    for mask, lo, hi, n in groups:
+        rows = np.flatnonzero(mask)
+        for start in range(0, rows.size, _BLOCK_ROWS):
+            block = rows[start : start + _BLOCK_ROWS]
+            column = block[:, None]
+            tau[block], q[block] = _panel_moments(
+                env, rework, stars[column, None], edges[column, lo, None],
+                edges[column, hi, None], n,
             )
-        )
     return tau, q
 
 
@@ -309,8 +339,8 @@ def policy_route_moments(
     if n_nodes < 8:
         raise ValidationError(f"n_nodes must be >= 8, got {n_nodes}", field="n_nodes")
     require_finite(theta, "theta", "> 0")
-    coarse = _policy_moments_raw(env, theta, rework, n_nodes)
-    fine = _policy_moments_raw(env, theta, rework, 2 * n_nodes)
+    coarse = [float(value[0]) for value in _policy_moments(env, [theta], rework, n_nodes)]
+    fine = [float(value[0]) for value in _policy_moments(env, [theta], rework, 2 * n_nodes)]
     err = max(
         abs(fine[0] - coarse[0]) / max(1.0, abs(fine[0])),
         abs(fine[1] - coarse[1]) / max(1.0, abs(fine[1])),
@@ -377,6 +407,36 @@ def _degenerate_equilibrium(theta_hi: float, zero_demand: bool) -> EquilibriumSo
     return EquilibriumSolution(primary=eq, roots=(eq,), theta_lo=0.0, theta_hi=theta_hi)
 
 
+def _bisect_lockstep(g_at, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray) -> list[float]:
+    """Midpoints of the sign-change brackets [lo, hi] of g, bisected together.
+
+    One g_at call per step evaluates the midpoints of the brackets still
+    open.  Each bracket keeps the half whose ends differ in sign from g at
+    its lower end, stops once hi - lo <= 1e-13 * max(1, mid) or after 200
+    steps, and is dropped where g turns NaN (the queue is unstable there),
+    so it visits the iterates it would visit bisected on its own.
+    """
+    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
+    open_ = np.ones(lo.size, dtype=bool)
+    dropped = np.zeros(lo.size, dtype=bool)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        open_ &= hi - lo > 1e-13 * np.maximum(1.0, mid)
+        active = np.flatnonzero(open_)
+        if active.size == 0:
+            break
+        g_mid = g_at(mid[active])
+        unstable = np.isnan(g_mid)
+        open_[active[unstable]] = False
+        dropped[active[unstable]] = True
+        active, g_mid = active[~unstable], g_mid[~unstable]
+        same = (g_mid < 0.0) == (g_lo[active] < 0.0)
+        lo[active[same]] = mid[active[same]]
+        g_lo[active[same]] = g_mid[same]
+        hi[active[~same]] = mid[active[~same]]
+    return (0.5 * (lo + hi))[~dropped].tolist()
+
+
 def solve_equilibrium(
     env: SignalEnvironment,
     rework: ReworkModel,
@@ -388,11 +448,12 @@ def solve_equilibrium(
     """Find all fixed points of theta = Phi(theta) on the feasible domain.
 
     Scans g(theta) = theta - Phi(theta) on a geometric grid over
-    [theta_lo, theta_hi], refines every sign change by bisection, and adds
-    the analytic tail root above theta_hi (where no draft is reviewed and
-    Phi is constant) when g is still negative there.  theta_lo is the
-    smallest price at which the queue is stable: below it review effort
-    inflates tau_A past capacity.  The smallest root is primary.
+    [theta_lo, theta_hi] in one batched quadrature call, bisects every
+    sign change in lock-step, and adds the analytic tail root above
+    theta_hi (where no draft is reviewed and Phi is constant) when g is
+    still negative there.  theta_lo is the smallest price at which the
+    queue is stable: below it review effort inflates tau_A past capacity.
+    The smallest root is primary.
     """
     require_finite(lam, "lam", "> 0")
     require_finite(capacity, "capacity", "> 0")
@@ -405,44 +466,39 @@ def solve_equilibrium(
     if env.c_w == 0.0:
         return _degenerate_equilibrium(theta_hi=theta_hi, zero_demand=False)
 
-    def tau_at(theta: float) -> float:
-        return _policy_moments_raw(env, theta, rework, n_nodes)[0]
+    def tau_at(thetas) -> np.ndarray:
+        return _policy_moments(env, thetas, rework, n_nodes)[0]
 
-    def stable(theta: float) -> bool:
-        return is_stable(lam, tau_at(theta), capacity)
-
-    def g_at(theta: float) -> float:
-        tau, q = _policy_moments_raw(env, theta, rework, n_nodes)
-        if not is_stable(lam, tau, capacity):
-            return math.nan
-        return theta - _phi_value(env.c_w, lam, capacity, tau, q)
+    def g_at(thetas: np.ndarray) -> np.ndarray:
+        """g = theta - Phi(theta) at each price; NaN where the queue is unstable."""
+        tau, q = _policy_moments(env, thetas, rework, n_nodes)
+        stable = is_stable(lam, tau, capacity)
+        g = np.full(thetas.shape, math.nan)
+        g[stable] = thetas[stable] - _phi_value(env.c_w, lam, capacity, tau[stable], q[stable])
+        return g
 
     # --- feasible interval -------------------------------------------------
     theta_tiny = theta_hi * 1e-12
-    if stable(theta_tiny):
+    if is_stable(lam, tau_at([theta_tiny])[0], capacity):
         theta_lo = theta_tiny
     else:
-        anchor = None
-        if stable(theta_hi):
-            anchor = theta_hi
-        else:
-            for candidate in np.geomspace(theta_tiny, theta_hi, 64):
-                if stable(candidate):
-                    anchor = float(candidate)
-                    break
-        if anchor is None:
-            tau_hi = tau_at(theta_hi)
+        # theta_hi first, then the geometric candidates: the first stable
+        # price anchors the search for the stability boundary.
+        anchors = np.concatenate(([theta_hi], np.geomspace(theta_tiny, theta_hi, 64)))
+        tau_anchors = tau_at(anchors)
+        stable_rows = np.flatnonzero(is_stable(lam, tau_anchors, capacity))
+        if stable_rows.size == 0:
             raise InfeasibleError(
                 "no review price stabilizes the queue: even with no review "
                 f"(theta >= {theta_hi:.6g}) the load is "
-                f"rho = {lam * tau_hi / capacity:.6g}"
+                f"rho = {lam * tau_anchors[0] / capacity:.6g}"
             )
-        low, high = theta_tiny, anchor
+        low, high = theta_tiny, float(anchors[stable_rows[0]])
         for _ in range(200):
             mid = math.sqrt(low * high)
             if high - low <= 1e-12 * high:
                 break
-            if stable(mid):
+            if is_stable(lam, tau_at([mid])[0], capacity):
                 high = mid
             else:
                 low = mid
@@ -451,33 +507,13 @@ def solve_equilibrium(
 
     # --- scan and bisect ---------------------------------------------------
     grid = np.geomspace(theta_lo, theta_hi, n_grid)
-    g_values = np.array([g_at(t) for t in grid])
-
-    def refine(lo: float, hi: float, g_lo: float) -> float | None:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if hi - lo <= 1e-13 * max(1.0, mid):
-                break
-            g_mid = g_at(mid)
-            if math.isnan(g_mid):
-                return None
-            if (g_mid < 0.0) == (g_lo < 0.0):
-                lo, g_lo = mid, g_mid
-            else:
-                hi = mid
-        return 0.5 * (lo + hi)
-
-    candidates: list[float] = []
-    for i in range(n_grid - 1):
-        g0, g1 = g_values[i], g_values[i + 1]
-        if math.isnan(g0) or math.isnan(g1):
-            continue
-        if g0 == 0.0:
-            candidates.append(float(grid[i]))
-        elif g0 * g1 < 0.0:
-            root = refine(float(grid[i]), float(grid[i + 1]), g0)
-            if root is not None:
-                candidates.append(root)
+    g_values = g_at(grid)
+    g0, g1 = g_values[:-1], g_values[1:]
+    # A pair with an unstable (NaN) end gives no candidate: g0 * g1 < 0 is
+    # false for NaN, and a zero g0 needs a finite g1.
+    candidates = grid[:-1][(g0 == 0.0) & ~np.isnan(g1)].tolist()
+    brackets = np.flatnonzero(g0 * g1 < 0.0)
+    candidates += _bisect_lockstep(g_at, grid[brackets], grid[brackets + 1], g0[brackets])
     if not math.isnan(g_values[-1]):
         if g_values[-1] == 0.0:
             candidates.append(float(grid[-1]))

@@ -323,6 +323,10 @@ class TestTableLimits:
             (("review-curve", "--config", FIG6, "--grid", "0.01:1:1e-5", "--theta-list", "1,2"),
              "--grid"),
             (("review-curve", "--config", FIG6, "--theta-list", "nan"), "--theta-list"),
+            # out-of-range values are named by their flag, not the model field
+            (("review-curve", "--config", FIG6, "--grid", "2"), "--grid"),
+            (("design", "--config", FIG2, "--rho-h", "1.5"), "--rho-h"),
+            (("design", "--config", FIG2, "--grid", "-1"), "--grid"),
         ],
     )
     def test_oversized_or_non_finite_tables_exit_2(self, capsys, argv, field):

@@ -72,6 +72,9 @@ class TestVarianceBudget:
     def test_unstable_ai_route_rejected(self):
         with pytest.raises(StabilityError):
             variance_budget(0.5, 1.3, 0.8)
+        # rho_A = 1 - 5e-10 is inside the load rule's margin: unstable, as wq_pk says.
+        with pytest.raises(StabilityError):
+            variance_budget(0.1, (1 - 5e-10) / 0.8, 0.8)
 
     def test_tiny_savings_ratio_is_unbounded(self):
         # 1e-160 squared is subnormal and the quotient overflows; 1e-170

@@ -18,6 +18,7 @@ from wedgeq import (
     StabilityError,
     ValidationError,
     effort_for_risk,
+    fixture_path,
     irreducible_escape_rate,
     phi,
     pi_star,
@@ -28,6 +29,7 @@ from wedgeq import (
     threshold_policy,
     threshold_signal,
 )
+from wedgeq.config import load_config
 
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
 ENV = SignalEnvironment(
@@ -189,10 +191,11 @@ class TestPolicyRouteMoments:
             policy_route_moments(ENV, 0.4, REWORK, n_nodes=4)
 
     def test_divergent_quadrature_is_reported(self, monkeypatch):
-        def drifting(env, theta, rework, n_nodes):
-            return 0.5 + 1.0 / n_nodes, 1.0
+        def drifting(env, thetas, rework, n_nodes):
+            ones = np.ones(len(thetas))
+            return (0.5 + 1.0 / n_nodes) * ones, ones
 
-        monkeypatch.setattr(ver, "_policy_moments_raw", drifting)
+        monkeypatch.setattr(ver, "_policy_moments", drifting)
         with pytest.raises(QuadratureError) as err:
             policy_route_moments(ENV, 0.4, REWORK)
         assert err.value.error_estimate > 1e-8
@@ -204,6 +207,34 @@ class TestPolicyRouteMoments:
         # Less review at higher prices, but more escapes to rework: the
         # effort term dominates for this calibration.
         assert taus[0] > taus[-1]
+
+
+class TestBatchedMoments:
+    # 0.05 reviews every draft (split 0), 5.0 lies above theta_hi = 3.56 and
+    # reviews none (split 1), the rest split inside (0, 1); 70 prices span
+    # two row blocks of the kernel.
+    THETAS = np.concatenate(([0.05, 5.0], np.geomspace(0.1, 3.0, 68)))
+
+    def test_prices_cover_every_split(self):
+        splits = {threshold_signal(ENV, theta) for theta in self.THETAS}
+        assert {0.0, 1.0} < splits
+        assert any(0.0 < split < 1.0 for split in splits)
+
+    def test_rows_match_single_price_calls(self):
+        tau, q = ver._policy_moments(ENV, self.THETAS, REWORK, ver.DEFAULT_NODES)
+        assert tau.shape == q.shape == self.THETAS.shape
+        for theta, tau_row, q_row in zip(self.THETAS, tau, q):
+            one_tau, one_q = ver._policy_moments(ENV, [theta], REWORK, ver.DEFAULT_NODES)
+            assert tau_row == pytest.approx(one_tau[0], rel=1e-14)
+            assert q_row == pytest.approx(one_q[0], rel=1e-14)
+
+    def test_rows_match_adaptive_quadrature(self):
+        thetas = self.THETAS[::6]
+        tau, q = ver._policy_moments(ENV, thetas, REWORK, ver.DEFAULT_NODES)
+        for theta, tau_row, q_row in zip(thetas, tau, q):
+            oracle_tau, oracle_q = _quad_moments(ENV, theta, REWORK)
+            assert tau_row == pytest.approx(oracle_tau, rel=1e-10)
+            assert q_row == pytest.approx(oracle_q, rel=1e-10)
 
 
 class TestIrreducibleStream:
@@ -339,6 +370,22 @@ class TestSolveEquilibrium:
         assert err.value.exit_code == 4
         assert len(err.value.thetas) == len(err.value.residuals)
         assert len(err.value.thetas) >= 16
+
+    @pytest.mark.parametrize("name, unbatched", [("fig5-beta22", 596), ("fig5-beta52", 637)])
+    def test_quadrature_call_budget(self, monkeypatch, name, unbatched):
+        # One price per quadrature call took `unbatched` calls per solve; the
+        # batched scan and lock-step bisection must need at most a fifth.
+        spec = load_config(fixture_path(f"{name}.json"))
+        calls = []
+        kernel = ver._policy_moments
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(ver, "_policy_moments", counting)
+        solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
+        assert len(calls) <= unbatched // 5
 
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
