@@ -373,8 +373,10 @@ def _handle_review_curve(spec: WorkflowSpec, args) -> str:
 
 
 def _handle_simulate(spec: WorkflowSpec, args) -> str:
+    if args.seed is not None:
+        require_count(args.seed, "--seed", 0, MAX_SEED)
     config = SimConfig.from_workflow(spec, seed=args.seed)
-    stats = replicate(config, spec.sim.reps)
+    stats = replicate(config)
 
     if spec.mode == "fixed":
         ai, mixed = _fixed_routes(spec)
@@ -409,7 +411,7 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
             "n_arrivals": config.n_arrivals,
             "warmup_fraction": config.warmup_fraction,
             "n_batches": config.n_batches,
-            "reps": spec.sim.reps,
+            "reps": config.reps,
             "rework_mode": config.rework_mode,
             "arrival_family": config.arrival_family,
         },
@@ -457,7 +459,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formats=("csv", "json"),
     )
     design.add_argument(
-        "--grid", default="0.5:1.0:0.025", help="savings-ratio grid (default 0.5:1.0:0.025)"
+        "--grid", default="0.5:1.0:0.025", help="savings-ratio grid (default %(default)s)"
     )
     design.add_argument(
         "--rho-h", default="0.2,0.4,0.6,0.8", help="comma list of manual utilizations"
@@ -480,7 +482,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "policy",
         formats=("csv", "json"),
     )
-    curve.add_argument("--grid", default="0.01:1.0:0.01", help="risk grid (default 0.01:1.0:0.01)")
+    curve.add_argument("--grid", default="0.01:1.0:0.01", help="risk grid (default %(default)s)")
     curve.add_argument("--theta-list", default="0.2,0.5,1,2", help="comma list of prices")
 
     sim = add(

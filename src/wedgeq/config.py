@@ -4,8 +4,8 @@ Top-level schema (see docs/config.md for units and defaults):
 
     lambda        required  arrival rate, tasks/hour, > 0
     capacity_C    required  server capacity, attention-hours/hour, > 0
-    x             optional  AI routing fraction in [0, 1], default 1
-    c2_a          optional  interarrival squared CV, default 1 (Poisson)
+    x             optional  AI routing fraction in [0, 1]
+    c2_a          optional  interarrival squared CV (1 is Poisson)
     manual        required  {"tau_H": .., "c2_H": ..}
     rework        required  {"mu_R": .., "mu_R2": .., "family": "gamma"}
     review_r      fixed-effort mode: review effort in attention-hours
@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
+from functools import lru_cache
 from pathlib import Path
 
 from .errors import ValidationError
@@ -52,7 +53,7 @@ def require_count(value, name: str, low: int, high: int):
 
 @dataclass(frozen=True)
 class SimSettings:
-    """Simulation block defaults; validated here so bad configs fail on load."""
+    """The sim block: its keys, defaults and checks (SimConfig extends it)."""
 
     seed: int = 0
     n_arrivals: int = 1_000_000
@@ -150,11 +151,9 @@ def _check_keys(block: dict, allowed: tuple[str, ...]):
         )
 
 
-def _block(doc: dict, key: str, required: bool) -> dict | None:
+def _block(doc: dict, key: str) -> dict:
     if key not in doc:
-        if required:
-            raise ValidationError(f"missing required block {key!r}", field=key)
-        return None
+        raise ValidationError(f"missing required block {key!r}", field=key)
     value = doc[key]
     if not isinstance(value, dict):
         raise ValidationError(
@@ -163,37 +162,72 @@ def _block(doc: dict, key: str, required: bool) -> dict | None:
     return value
 
 
-def _number(block: dict, key: str, required: bool = True, default=None):
-    if key not in block:
-        if required:
-            raise ValidationError(f"missing required key {key!r}", field=key)
-        return default
+# JSON type checks by Python type: its name in errors and the types it accepts.
+_JSON_TYPES = {float: ("a number", (int, float)), int: ("an integer", int), str: ("a string", str)}
+
+
+def _typed(block: dict, key: str, kind: type = float):
+    """block[key] checked against kind.
+
+    float accepts any JSON number and returns it as a float (booleans are not
+    numbers); int and str must match exactly.
+    """
     value = block[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValidationError(f"{key} must be a number, got {value!r}", field=key)
-    return float(value)
+    noun, accepted = _JSON_TYPES[kind]
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValidationError(f"{key} must be {noun}, got {value!r}", field=key)
+    return float(value) if kind is float else value
 
 
-def _integer(block: dict, key: str, default: int) -> int:
+def _number(block: dict, key: str) -> float:
     if key not in block:
-        return default
-    value = block[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValidationError(f"{key} must be an integer, got {value!r}", field=key)
-    return value
+        raise ValidationError(f"missing required key {key!r}", field=key)
+    return _typed(block, key)
 
 
-def _string(block: dict, key: str, default: str) -> str:
-    if key not in block:
-        return default
-    value = block[key]
-    if not isinstance(value, str):
-        raise ValidationError(f"{key} must be a string, got {value!r}", field=key)
-    return value
+def _present(block: dict, keys: tuple[str, ...]) -> dict:
+    """The optional keys that block sets, typed as numbers; absent ones keep their defaults."""
+    return {key: _typed(block, key) for key in keys if key in block}
+
+
+@lru_cache(maxsize=None)
+def _schema(cls) -> dict[str, type | None]:
+    """Init field -> JSON type of its default, or None for a required number."""
+    return {
+        f.name: None if f.default is MISSING else type(f.default) for f in fields(cls) if f.init
+    }
+
+
+def _from_block(cls, block: dict):
+    """Build a model dataclass from a JSON block whose keys are its init fields.
+
+    The dataclass states the keys, which of them are optional (a field with a
+    default), the defaults and the range checks; this only checks JSON types.
+    """
+    schema = _schema(cls)
+    _check_keys(block, tuple(schema))
+    kwargs = {}
+    for key, kind in schema.items():
+        if kind is None:
+            kwargs[key] = _number(block, key)
+        elif key in block:
+            kwargs[key] = _typed(block, key, kind)
+    return cls(**kwargs)
+
+
+def _model_block(doc: dict, key: str, cls):
+    """The dataclass cls read from the block doc[key], its errors under key."""
+    block = _block(doc, key)
+    with _scoped(key):
+        return _from_block(cls, block)
 
 
 def workflow_from_dict(doc) -> WorkflowSpec:
-    """Validate a parsed JSON document into a WorkflowSpec."""
+    """Validate a parsed JSON document into a WorkflowSpec.
+
+    Optional keys and blocks are passed on only when present, so the
+    dataclasses supply every default.
+    """
     if not isinstance(doc, dict):
         raise ValidationError(
             f"config must be a single JSON object, got {type(doc).__name__}", field="<top>"
@@ -204,100 +238,40 @@ def workflow_from_dict(doc) -> WorkflowSpec:
          "review_r", "signal_env", "sim"),
     )
 
-    lam = _number(doc, "lambda")
-    capacity = _number(doc, "capacity_C")
-    x = _number(doc, "x", required=False, default=1.0)
-    c2_a = _number(doc, "c2_a", required=False, default=1.0)
+    spec = {"lam": _number(doc, "lambda"), "capacity": _number(doc, "capacity_C")}
+    spec.update(_present(doc, ("x", "c2_a")))
+    spec["manual"] = _model_block(doc, "manual", ManualRoute)
+    spec["rework"] = _model_block(doc, "rework", ReworkModel)
+    if "error_curve" in doc:
+        spec["curve"] = _model_block(doc, "error_curve", ErrorCurve)
+    spec.update(_present(doc, ("review_r",)))
 
-    manual_block = _block(doc, "manual", required=True)
-    with _scoped("manual"):
-        _check_keys(manual_block, ("tau_H", "c2_H"))
-        manual = ManualRoute(
-            tau_H=_number(manual_block, "tau_H"),
-            c2_H=_number(manual_block, "c2_H"),
-        )
-
-    rework_block = _block(doc, "rework", required=True)
-    with _scoped("rework"):
-        _check_keys(rework_block, ("mu_R", "mu_R2", "family"))
-        rework = ReworkModel(
-            mu_R=_number(rework_block, "mu_R"),
-            mu_R2=_number(rework_block, "mu_R2"),
-            family=_string(rework_block, "family", default="gamma"),
-        )
-
-    curve = None
-    curve_block = _block(doc, "error_curve", required=False)
-    if curve_block is not None:
-        with _scoped("error_curve"):
-            _check_keys(curve_block, ("p0", "p_inf", "kappa"))
-            curve = ErrorCurve(
-                p0=_number(curve_block, "p0"),
-                p_inf=_number(curve_block, "p_inf", required=False, default=0.0),
-                kappa=_number(curve_block, "kappa"),
-            )
-
-    review_r = None
-    if "review_r" in doc:
-        review_r = _number(doc, "review_r")
-
-    env = None
-    env_block = _block(doc, "signal_env", required=False)
-    if env_block is not None:
+    if "signal_env" in doc:
+        env_block = _block(doc, "signal_env")
         with _scoped("signal_env"):
             _check_keys(env_block, ("risk_map", "signal", "K", "kappa", "c_w", "p_inf"))
-            risk_block = _block(env_block, "risk_map", required=True)
-            signal_block = _block(env_block, "signal", required=True)
+            risk_block = _block(env_block, "risk_map")
+            signal_block = _block(env_block, "signal")
         with _scoped("signal_env.risk_map"):
-            _check_keys(risk_block, ("a", "b", "g", "s0"))
-            risk_map = RiskMap(
-                a=_number(risk_block, "a"),
-                b=_number(risk_block, "b"),
-                g=_number(risk_block, "g"),
-                s0=_number(risk_block, "s0"),
-            )
+            risk_map = _from_block(RiskMap, risk_block)
         with _scoped("signal_env.signal"):
             _check_keys(signal_block, ("alpha", "beta"))
             signal_alpha = _number(signal_block, "alpha")
             signal_beta = _number(signal_block, "beta")
         with _scoped("signal_env"):
-            env = SignalEnvironment(
+            spec["env"] = SignalEnvironment(
                 risk_map=risk_map,
                 signal_alpha=signal_alpha,
                 signal_beta=signal_beta,
                 K=_number(env_block, "K"),
                 kappa=_number(env_block, "kappa"),
                 c_w=_number(env_block, "c_w"),
-                p_inf=_number(env_block, "p_inf", required=False, default=0.0),
+                **_present(env_block, ("p_inf",)),
             )
 
-    sim_block = _block(doc, "sim", required=False) or {}
-    with _scoped("sim"):
-        _check_keys(
-            sim_block,
-            ("seed", "n_arrivals", "warmup_fraction", "n_batches", "reps", "rework_mode"),
-        )
-        sim = SimSettings(
-            seed=_integer(sim_block, "seed", default=0),
-            n_arrivals=_integer(sim_block, "n_arrivals", default=1_000_000),
-            warmup_fraction=_number(sim_block, "warmup_fraction", required=False, default=0.2),
-            n_batches=_integer(sim_block, "n_batches", default=32),
-            reps=_integer(sim_block, "reps", default=1),
-            rework_mode=_string(sim_block, "rework_mode", default="folded"),
-        )
-
-    return WorkflowSpec(
-        lam=lam,
-        capacity=capacity,
-        manual=manual,
-        rework=rework,
-        x=x,
-        c2_a=c2_a,
-        curve=curve,
-        review_r=review_r,
-        env=env,
-        sim=sim,
-    )
+    if "sim" in doc:
+        spec["sim"] = _model_block(doc, "sim", SimSettings)
+    return WorkflowSpec(**spec)
 
 
 def load_config(path) -> WorkflowSpec:

@@ -40,6 +40,21 @@ def require_finite(value, field: str, sign: str | None = None):
         raise ValidationError(f"{field} must be {sign}, got {value}", field=field)
 
 
+def require_no_overflow(derived, field: str, expression: str):
+    """Raise, naming ``field``, unless ``derived()`` is a finite float.
+
+    For quantities a dataclass derives from its finite inputs: float ``**``
+    raises OverflowError where ``*`` returns inf, and both mean an input is
+    too large.
+    """
+    try:
+        value = derived()
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ValidationError(f"{field} is too large: {expression} overflows", field=field)
+
+
 @dataclass(frozen=True)
 class RouteMoments:
     """First two raw moments of a service-time distribution."""
@@ -81,6 +96,7 @@ class ManualRoute:
     def __post_init__(self):
         require_finite(self.tau_H, "tau_H", "> 0")
         require_finite(self.c2_H, "c2_H", ">= 0")
+        require_no_overflow(lambda: self.q_H, "tau_H", "tau_H^2 * (1 + c2_H)")
 
     @property
     def q_H(self) -> float:
@@ -102,8 +118,8 @@ class ErrorCurve:
     """
 
     p0: float
-    p_inf: float
     kappa: float
+    p_inf: float = 0.0
 
     def __post_init__(self):
         require_finite(self.p0, "p0")
@@ -131,6 +147,7 @@ class ReworkModel:
     def __post_init__(self):
         require_finite(self.mu_R, "mu_R", "> 0")
         require_finite(self.mu_R2, "mu_R2")
+        require_no_overflow(lambda: self.mu_R**2, "mu_R", "mu_R^2")
         if self.mu_R2 < self.mu_R**2 * (1.0 - _JENSEN_RTOL):
             raise ValidationError(
                 f"mu_R2 ={self.mu_R2} is below mu_R^2 ={self.mu_R**2}",

@@ -24,7 +24,7 @@ import numpy as np
 
 from ._kernels import IMPL, simulate_fifo
 from ._special import t_quantile
-from .config import MAX_REPS, SimSettings, WorkflowSpec, require_count
+from .config import SimSettings, WorkflowSpec
 from .errors import InfeasibleError, ValidationError
 from .queueing import is_stable
 from .service_model import (
@@ -46,28 +46,15 @@ from .verification import (
 CI_LEVEL = 0.99
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    """One simulation run: a workflow plus horizon/estimation settings."""
+@dataclass(frozen=True, kw_only=True)
+class SimConfig(SimSettings):
+    """One simulation: a workflow, its SimSettings, and an optional fixed review price."""
 
     workflow: WorkflowSpec
-    n_arrivals: int = 1_000_000
-    warmup_fraction: float = 0.2
-    n_batches: int = 32
-    seed: int = 0
-    rework_mode: str = "folded"
     policy_theta: float | None = None
 
     def __post_init__(self):
-        # Reuse the settings validation so programmatic configs and JSON
-        # configs enforce identical invariants.
-        SimSettings(
-            seed=self.seed,
-            n_arrivals=self.n_arrivals,
-            warmup_fraction=self.warmup_fraction,
-            n_batches=self.n_batches,
-            rework_mode=self.rework_mode,
-        )
+        super().__post_init__()
         if self.policy_theta is not None:
             if self.workflow.mode != "policy":
                 raise ValidationError(
@@ -77,15 +64,11 @@ class SimConfig:
 
     @classmethod
     def from_workflow(cls, workflow: WorkflowSpec, seed: int | None = None) -> "SimConfig":
-        sim = workflow.sim
-        return cls(
-            workflow=workflow,
-            n_arrivals=sim.n_arrivals,
-            warmup_fraction=sim.warmup_fraction,
-            n_batches=sim.n_batches,
-            seed=sim.seed if seed is None else seed,
-            rework_mode=sim.rework_mode,
-        )
+        """The workflow's sim settings, with seed overriding sim.seed when given."""
+        settings = vars(workflow.sim)
+        if seed is not None:
+            settings = {**settings, "seed": seed}
+        return cls(workflow=workflow, **settings)
 
     @property
     def arrival_family(self) -> str:
@@ -310,21 +293,20 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
 
 
 def run(config: SimConfig) -> SimStats:
-    """Single replication (identical to ``replicate(config, 1)``)."""
+    """The first replication (what ``replicate`` returns when ``config.reps == 1``)."""
     return _run_single(config, rep=0, theta=_resolve_theta(config))
 
 
-def replicate(config: SimConfig, n_reps: int) -> SimStats:
-    """Independent replications with seeds spawned from the base seed.
+def replicate(config: SimConfig) -> SimStats:
+    """``config.reps`` independent replications, seeds spawned from the base seed.
 
     Aggregates replication means; the confidence half-width is the
     across-replication t-interval and ``batch_means`` holds the per-rep
     means.  Rates and quantiles are averaged across replications.
     """
-    require_count(n_reps, "n_reps", 1, MAX_REPS)
     theta = _resolve_theta(config)
-    runs = [_run_single(config, rep=i, theta=theta) for i in range(n_reps)]
-    if n_reps == 1:
+    runs = [_run_single(config, rep=i, theta=theta) for i in range(config.reps)]
+    if config.reps == 1:
         return runs[0]
 
     rep_means = np.array([r.wq_mean for r in runs])

@@ -31,7 +31,7 @@ from .errors import (
     WedgeqError,
 )
 from .queueing import QueueInputs, is_stable, require_stable, wq_pk
-from .service_model import ReworkModel, RouteMoments, require_finite
+from .service_model import ReworkModel, RouteMoments, require_finite, require_no_overflow
 
 # Default quadrature and scan resolutions.
 DEFAULT_NODES = 256
@@ -109,6 +109,7 @@ class SignalEnvironment:
         require_finite(self.c_w, "c_w", ">= 0")
         if not 0.0 <= self.p_inf < 1.0:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
+        require_no_overflow(lambda: self.review_scale, "K", "kappa * K * (1 - p_inf)")
         object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
         total = _integrate_unit(lambda s: self.signal_pdf(s), DEFAULT_NODES)
         if abs(total - 1.0) > 1e-10:

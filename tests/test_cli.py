@@ -327,6 +327,8 @@ class TestTableLimits:
             (("review-curve", "--config", FIG6, "--grid", "2"), "--grid"),
             (("design", "--config", FIG2, "--rho-h", "1.5"), "--rho-h"),
             (("design", "--config", FIG2, "--grid", "-1"), "--grid"),
+            (("simulate", "--config", FIG2, "--seed", "-1"), "--seed"),
+            (("simulate", "--config", FIG2, "--seed", str(2**64)), "--seed"),
         ],
     )
     def test_oversized_or_non_finite_tables_exit_2(self, capsys, argv, field):
@@ -425,6 +427,36 @@ class TestSimulate:
         assert code == 2
         assert out == ""
         assert json.loads(err)["field"] == "sim.n_arrivals"
+
+
+class TestOverflowingInputs:
+    @pytest.mark.parametrize(
+        "command, block, key, value",
+        [
+            ("wait", "manual", "tau_H", 1e200),
+            ("moments", "rework", "mu_R", 1e300),
+            ("equilibrium", "signal_env", "K", 1e308),
+        ],
+    )
+    def test_stderr_is_one_json_error(self, tmp_path, command, block, key, value):
+        # A fresh interpreter, so numpy warnings would reach stderr rather
+        # than pytest's warning capture.
+        doc = json.loads(Path(FIG2 if command != "equilibrium" else FIG5A).read_text())
+        doc[block][key] = value
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(doc))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(wedgeq.__file__).parents[1]), os.environ.get("PYTHONPATH", "")]
+        ))
+        done = subprocess.run(
+            [sys.executable, "-m", "wedgeq.cli", command, "--config", str(path)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 2
+        assert done.stdout == ""
+        payload = json.loads(done.stderr)
+        assert payload["error"] == "validation"
+        assert payload["field"] == f"{block}.{key}"
 
 
 class TestRuntimeDependencies:

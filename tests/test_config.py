@@ -1,14 +1,25 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
 from wedgeq import (
+    ErrorCurve,
+    ManualRoute,
+    ReworkModel,
+    SignalEnvironment,
+    SimSettings,
     ValidationError,
+    WorkflowSpec,
     ai_route_moments,
     fixture_path,
     load_config,
     workflow_from_dict,
 )
+
+CONFIG_DOC = Path(__file__).resolve().parents[1] / "docs" / "config.md"
 
 MINIMAL = {
     "lambda": 0.5,
@@ -171,6 +182,23 @@ class TestStrictness:
         err = _error(doc)
         assert "signal_env" in str(err)
 
+    @pytest.mark.parametrize(
+        "block, key, value, field",
+        [
+            # Each overflows a moment the model derives: tau_H^2, mu_R^2 and
+            # the review threshold scale kappa * K * (1 - p_inf).
+            ("manual", "tau_H", 1e200, "manual.tau_H"),
+            ("rework", "mu_R", 1e300, "rework.mu_R"),
+            ("signal_env", "K", 1e308, "signal_env.K"),
+        ],
+    )
+    def test_overflowing_derived_moments_rejected(self, block, key, value, field):
+        doc = _doc(POLICY if block == "signal_env" else MINIMAL)
+        doc[block] = dict(doc[block], **{key: value})
+        err = _error(doc)
+        assert err.field == field
+        assert "overflows" in str(err)
+
 
 class TestSimBlock:
     def test_overrides_apply(self):
@@ -220,3 +248,51 @@ class TestLoadConfig:
         spec = load_config(path)
         assert spec.lam == 0.5
         assert spec.manual.tau_H == 1.0
+
+
+def _documented_defaults() -> dict[str, dict[str, str]]:
+    """Each docs/config.md key table: section -> {key: default cell, or None without one}."""
+    tables, section, columns = {}, None, None
+    for line in CONFIG_DOC.read_text(encoding="utf-8").splitlines():
+        if line.startswith("## "):
+            match = re.match(r"## `?([^`]+)`?", line)
+            section, columns = match.group(1).strip(), None
+        elif line.startswith("|") and section is not None:
+            cells = [cell.strip() for cell in line.strip("|").split("|")]
+            if columns is None:
+                columns = cells
+            elif columns[0] == "key" and not set(cells[0]) <= set("- "):
+                row = dict(zip(columns, cells))
+                tables.setdefault(section, {})[row["key"].strip("`")] = row.get("default")
+    return tables
+
+
+class TestDocumentedDefaults:
+    """docs/config.md is the one copy of the defaults besides the dataclasses."""
+
+    # JSON key -> the init fields it sets, where the names differ.
+    FIELDS_OF = {"lambda": ("lam",), "capacity_C": ("capacity",), "error_curve": ("curve",),
+                 "signal_env": ("env",), "signal": ("signal_alpha", "signal_beta")}
+
+    @pytest.mark.parametrize(
+        "section, cls",
+        [("Top level", WorkflowSpec), ("manual", ManualRoute), ("rework", ReworkModel),
+         ("error_curve", ErrorCurve), ("signal_env", SignalEnvironment), ("sim", SimSettings)],
+    )
+    def test_table_matches_dataclass(self, section, cls):
+        table = _documented_defaults()[section]
+        init_fields = {f.name: f for f in dataclasses.fields(cls) if f.init}
+        documented = [name for key in table for name in self.FIELDS_OF.get(key, (key,))]
+        assert sorted(documented) == sorted(init_fields)
+        for key, cell in table.items():
+            for name in self.FIELDS_OF.get(key, (key,)):
+                field = init_fields[name]
+                if cell in (None, "—"):
+                    # No default, or None for a block whose absence selects a mode.
+                    assert field.default in (dataclasses.MISSING, None), name
+                    assert field.default_factory is dataclasses.MISSING, name
+                elif cell == "`{}`":
+                    assert field.default_factory is not dataclasses.MISSING, name
+                else:
+                    value = json.loads(cell.strip("`"))
+                    assert (type(value), value) == (type(field.default), field.default), name

@@ -18,6 +18,8 @@ from wedgeq import (
     ValidationError,
     WorkflowSpec,
     ai_route_moments,
+    fixture_path,
+    load_config,
     mixed_moments,
     replicate,
     residual_risk,
@@ -81,15 +83,16 @@ class TestDeterminism:
         assert run(config).wq_mean != run(dataclasses.replace(config, seed=12)).wq_mean
 
     def test_replicate_one_equals_run(self):
-        config = _config(_fixed_workflow(x=0.3))
-        assert replicate(config, 1) == run(config)
+        config = _config(_fixed_workflow(x=0.3), reps=1)
+        assert replicate(config) == run(config)
 
     def test_replications_are_independent_substreams(self):
-        config = _config(_fixed_workflow(x=0.3))
-        agg = replicate(config, 3)
+        config = _config(_fixed_workflow(x=0.3), reps=3)
+        agg = replicate(config)
         assert len(agg.batch_means) == 3
         assert len(set(agg.batch_means)) == 3
         assert agg.n_arrivals == 3 * config.n_arrivals
+        assert agg.batch_means[0] == run(config).wq_mean
         assert agg.wq_mean == pytest.approx(np.mean(agg.batch_means), rel=1e-12)
 
 
@@ -255,6 +258,26 @@ class TestConfigValidation:
         assert config.n_arrivals == 12_800
         assert SimConfig.from_workflow(workflow, seed=9).seed == 9
 
+    @pytest.mark.parametrize(
+        "name",
+        ["fig2.json", "fig3.json", "fig4.json", "fig5-beta22.json",
+         "fig5-beta52.json", "fig6.json"],
+    )
+    def test_from_workflow_carries_every_sim_setting(self, name):
+        fixture = load_config(fixture_path(name))
+        changed = dataclasses.replace(fixture, sim=SimSettings(
+            seed=5, n_arrivals=12_800, warmup_fraction=0.1, n_batches=16, reps=3,
+            rework_mode="feedback",
+        ))
+        for workflow in (fixture, changed):
+            for seed in (None, 9):
+                config = SimConfig.from_workflow(workflow, seed=seed)
+                expected = dataclasses.replace(workflow.sim, seed=9) if seed else workflow.sim
+                for setting in dataclasses.fields(SimSettings):
+                    assert getattr(config, setting.name) == getattr(expected, setting.name)
+                assert config.workflow is workflow
+                assert config.policy_theta is None
+
     def test_bad_settings_rejected(self):
         workflow = _fixed_workflow()
         with pytest.raises(ValidationError):
@@ -279,8 +302,7 @@ class TestConfigValidation:
             SimConfig(workflow=_policy_workflow(), policy_theta=0.0)
 
     def test_replicate_count_validated(self):
-        config = _config(_fixed_workflow())
         with pytest.raises(ValidationError):
-            replicate(config, 0)
+            _config(_fixed_workflow(), reps=0)
         with pytest.raises(ValidationError):
-            replicate(config, MAX_REPS + 1)
+            _config(_fixed_workflow(), reps=MAX_REPS + 1)
