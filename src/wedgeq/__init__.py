@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     WedgeqError,
 )
-from .queueing import EPS_RHO, QueueInputs, WaitResult, utilization, wq_kingman, wq_pk
+from .queueing import EPS_RHO, QueueInputs, WaitResult, wq_kingman, wq_pk
 from .service_model import (
     ErrorCurve,
     ManualRoute,
@@ -48,7 +48,6 @@ from .simulator import SimConfig, SimStats, replicate, run
 from .verification import (
     Equilibrium,
     EquilibriumSolution,
-    ReviewPolicy,
     RiskMap,
     SignalEnvironment,
     effort_for_risk,
@@ -59,7 +58,6 @@ from .verification import (
     residual_risk,
     review_effort,
     solve_equilibrium,
-    threshold_policy,
     threshold_signal,
 )
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from dataclasses import asdict
 
@@ -276,7 +277,7 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
     rng_manual, rng_ai = (
         np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
     )
-    manual_samples = np.asarray(sample_manual(spec.manual, rng_manual, size=n), dtype=float)
+    manual_samples = sample_manual(spec.manual, rng_manual, size=n)
     ai_samples, escaped = sample_ai(spec.curve, spec.rework, spec.review_r, rng_ai, size=n)
 
     top = float(max(manual_samples.max(), ai_samples.max()))
@@ -425,8 +426,25 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
 # ---------------------------------------------------------------------------
 # parser
 
+# The argument an argparse error message names: "argument --seed: ...",
+# "... are required: --config, ..." or "unrecognized arguments: --bogus ...".
+_NAMED_ARGUMENT = re.compile(
+    r"argument (\S+):|the following arguments are required: ([^,\s]+)"
+    r"|unrecognized arguments: (\S+)"
+)
+
+
+class _Parser(argparse.ArgumentParser):
+    """ArgumentParser whose usage errors are ValidationErrors, reported as JSON."""
+
+    def error(self, message):
+        match = _NAMED_ARGUMENT.match(message)
+        field = next(filter(None, match.groups())) if match else "<argv>"
+        raise ValidationError(message, field=field)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="wedgeq",
         description="Queueing analytics and simulation for AI-assisted workflows with rework.",
     )
@@ -516,9 +534,8 @@ def _write_report(path: str, text: str):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         spec = load_config(args.config)
         if args.mode is not None and spec.mode != args.mode:
             want = "review_r (fixed-effort)" if args.mode == "fixed" else "signal_env (policy)"

@@ -176,7 +176,12 @@ def _typed(block: dict, key: str, kind: type = float):
     noun, accepted = _JSON_TYPES[kind]
     if isinstance(value, bool) or not isinstance(value, accepted):
         raise ValidationError(f"{key} must be {noun}, got {value!r}", field=key)
-    return float(value) if kind is float else value
+    if kind is not float:
+        return value
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond float range
+        raise ValidationError(f"{key} is too large: it overflows a float", field=key) from None
 
 
 def _number(block: dict, key: str) -> float:
@@ -287,6 +292,8 @@ def load_config(path) -> WorkflowSpec:
             f"config is not valid JSON: {exc.msg} at line {exc.lineno} column {exc.colno}",
             field="<json>",
         ) from None
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ValidationError(f"cannot parse config: {exc}", field="<json>") from None
     return workflow_from_dict(doc)
 
 

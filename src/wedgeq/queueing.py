@@ -53,11 +53,6 @@ class WaitResult:
     approximate: bool
 
 
-def utilization(inputs: QueueInputs) -> float:
-    """Offered load rho = lambda * m / C (no stability requirement)."""
-    return inputs.lam * inputs.service.mean / inputs.capacity
-
-
 def is_stable(lam: float, mean: float, capacity: float) -> bool:
     """The load rule: rho = lam * mean / capacity stays below 1 - EPS_RHO.
 

@@ -225,43 +225,32 @@ def mixed_moments(manual: ManualRoute, ai: RouteMoments, x: float) -> RouteMomen
     return RouteMoments(mean=mean, m2=m2)
 
 
-def sample_manual(route: ManualRoute, rng: np.random.Generator, size=None):
-    """Draw manual completion times (gamma matched to tau_H, c2_H)."""
+def sample_manual(route: ManualRoute, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` manual completion times (gamma matched to tau_H, c2_H)."""
     if route.c2_H == 0.0:
-        if size is None:
-            return route.tau_H
         return np.full(size, route.tau_H)
     shape = 1.0 / route.c2_H
     scale = route.tau_H * route.c2_H
-    if size is None:
-        return float(rng.gamma(shape, scale))
     return rng.gamma(shape, scale, size)
 
 
-def sample_rework(rework: ReworkModel, rng: np.random.Generator, size=None):
-    """Draw rework costs from the moment-matched gamma (or point mass)."""
+def sample_rework(rework: ReworkModel, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` rework costs from the moment-matched gamma (or point mass)."""
     shape = rework.gamma_shape
     if shape is None:
-        if size is None:
-            return rework.mu_R
         return np.full(size, rework.mu_R)
-    if size is None:
-        return float(rng.gamma(shape, rework.gamma_scale))
     return rng.gamma(shape, rework.gamma_scale, size)
 
 
-def sample_ai(curve: ErrorCurve, rework: ReworkModel, r: float, rng: np.random.Generator, size=None):
-    """Draw AI-route total times at review effort ``r``.
+def sample_ai(
+    curve: ErrorCurve, rework: ReworkModel, r: float, rng: np.random.Generator, size: int
+):
+    """Draw ``size`` AI-route total times at review effort ``r``.
 
-    Returns ``(time, escaped)``.  With ``size=None`` both are scalars;
-    otherwise both are arrays of length ``size``.  Escaped tasks pay the
-    review time plus an independent rework draw, caught ones only ``r``.
+    Returns the arrays ``(time, escaped)``.  Escaped tasks pay the review
+    time plus an independent rework draw, caught ones only ``r``.
     """
     p = residual_error(curve, float(r))
-    if size is None:
-        escaped = bool(rng.random() < p)
-        extra = sample_rework(rework, rng) if escaped else 0.0
-        return r + extra, escaped
     escaped = rng.random(size) < p
     times = np.full(size, float(r))
     n_escaped = int(escaped.sum())

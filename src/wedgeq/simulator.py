@@ -25,12 +25,11 @@ import numpy as np
 from ._kernels import IMPL, simulate_fifo
 from ._special import t_quantile
 from .config import SimSettings, WorkflowSpec
-from .errors import InfeasibleError, ValidationError
+from .errors import InfeasibleError
 from .queueing import is_stable
 from .service_model import (
     ai_route_moments,
     mixed_moments,
-    require_finite,
     residual_error,
     sample_manual,
     sample_rework,
@@ -48,19 +47,9 @@ CI_LEVEL = 0.99
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig(SimSettings):
-    """One simulation: a workflow, its SimSettings, and an optional fixed review price."""
+    """One simulation: a workflow and its SimSettings."""
 
     workflow: WorkflowSpec
-    policy_theta: float | None = None
-
-    def __post_init__(self):
-        super().__post_init__()
-        if self.policy_theta is not None:
-            if self.workflow.mode != "policy":
-                raise ValidationError(
-                    "policy_theta only applies to policy-mode workflows", field="policy_theta"
-                )
-            require_finite(self.policy_theta, "policy_theta", "> 0")
 
     @classmethod
     def from_workflow(cls, workflow: WorkflowSpec, seed: int | None = None) -> "SimConfig":
@@ -130,8 +119,6 @@ def _resolve_theta(config: SimConfig) -> float | None:
     workflow = config.workflow
     if workflow.mode != "policy":
         return None
-    if config.policy_theta is not None:
-        return config.policy_theta
     solution = solve_equilibrium(workflow.env, workflow.rework, workflow.lam, workflow.capacity)
     if solution.primary.degenerate:
         raise InfeasibleError(
@@ -194,7 +181,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
     if n_ai == n:
         attention, escaped = _draw_ai_first_pass(workflow, theta, n, rng_escape, rng_signal)
     elif n_manual == n:
-        attention = np.asarray(sample_manual(workflow.manual, rng_manual, size=n), dtype=float)
+        attention = sample_manual(workflow.manual, rng_manual, size=n)
     else:
         attention = np.zeros(n)
         attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=n_manual)

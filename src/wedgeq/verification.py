@@ -33,9 +33,9 @@ from .errors import (
 from .queueing import QueueInputs, is_stable, require_stable, wq_pk
 from .service_model import ReworkModel, RouteMoments, require_finite, require_no_overflow
 
-# Default quadrature and scan resolutions.
-DEFAULT_NODES = 256
-DEFAULT_GRID = 512
+# Gauss-Legendre nodes per quadrature panel, and prices in the equilibrium scan.
+QUAD_NODES = 256
+SCAN_POINTS = 512
 
 # Relative agreement required between n-node and 2n-node quadrature.
 _QUAD_RTOL = 1e-8
@@ -71,6 +71,8 @@ class RiskMap:
                 f"risk map exceeds 1 on [0, 1]: pi(1) = {self.value(1.0):.6g}", field="b"
             )
 
+    # exp overflows for signals far below s0; pi(s) then saturates to a.
+    @np.errstate(over="ignore")
     def value(self, s):
         """pi(s); accepts scalars or arrays."""
         out = self.a + self.b / (1.0 + np.exp(-self.g * (np.asarray(s, dtype=float) - self.s0)))
@@ -111,7 +113,10 @@ class SignalEnvironment:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
         require_no_overflow(lambda: self.review_scale, "K", "kappa * K * (1 - p_inf)")
         object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
-        total = _integrate_unit(lambda s: self.signal_pdf(s), DEFAULT_NODES)
+        # Extreme shapes overflow the log-density to -inf: a density of 0,
+        # which the check below rejects.
+        with np.errstate(over="ignore"):
+            total = _integrate_unit(lambda s: self.signal_pdf(s), QUAD_NODES)
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(
                 "signal density does not integrate to 1 within 1e-10 "
@@ -134,14 +139,6 @@ class SignalEnvironment:
     def review_scale(self) -> float:
         """kappa * K * (1 - p_inf): converts theta into a risk threshold."""
         return self.kappa * self.K * (1.0 - self.p_inf)
-
-
-@dataclass(frozen=True)
-class ReviewPolicy:
-    """A shadow price on reviewer time and its induced review threshold."""
-
-    theta: float
-    pi_star: float
 
 
 @dataclass(frozen=True)
@@ -190,10 +187,6 @@ def pi_star(env: SignalEnvironment, theta: float) -> float:
     """Review threshold: drafts with pi(s) <= pi_star are waved through."""
     require_finite(theta, "theta", "> 0")
     return theta / env.review_scale
-
-
-def threshold_policy(env: SignalEnvironment, theta: float) -> ReviewPolicy:
-    return ReviewPolicy(theta=theta, pi_star=pi_star(env, theta))
 
 
 def effort_for_risk(env: SignalEnvironment, theta: float, pi):
@@ -323,11 +316,11 @@ def _policy_moments(env: SignalEnvironment, thetas, rework: ReworkModel, n_nodes
     return tau, q
 
 
+# Extreme but finite environments overflow the effort terms to inf or NaN, a
+# handled case: RouteMoments rejects a non-finite moment.
+@np.errstate(all="ignore")
 def policy_route_moments(
-    env: SignalEnvironment,
-    theta: float,
-    rework: ReworkModel,
-    n_nodes: int = DEFAULT_NODES,
+    env: SignalEnvironment, theta: float, rework: ReworkModel
 ) -> RouteMoments:
     """AI-route moments under the optimal review policy at price theta.
 
@@ -337,18 +330,16 @@ def policy_route_moments(
     Doubling the node count must agree to 1e-8 relative or the result is
     rejected with the achieved error estimate.
     """
-    if n_nodes < 8:
-        raise ValidationError(f"n_nodes must be >= 8, got {n_nodes}", field="n_nodes")
     require_finite(theta, "theta", "> 0")
-    coarse = [float(value[0]) for value in _policy_moments(env, [theta], rework, n_nodes)]
-    fine = [float(value[0]) for value in _policy_moments(env, [theta], rework, 2 * n_nodes)]
+    coarse = [float(value[0]) for value in _policy_moments(env, [theta], rework, QUAD_NODES)]
+    fine = [float(value[0]) for value in _policy_moments(env, [theta], rework, 2 * QUAD_NODES)]
     err = max(
         abs(fine[0] - coarse[0]) / max(1.0, abs(fine[0])),
         abs(fine[1] - coarse[1]) / max(1.0, abs(fine[1])),
     )
     if err > _QUAD_RTOL:
         raise QuadratureError(
-            f"policy-moment quadrature did not converge at {n_nodes} nodes: "
+            f"policy-moment quadrature did not converge at {QUAD_NODES} nodes: "
             f"doubling changed the result by {err:.3e} (tolerance {_QUAD_RTOL:.0e})",
             error_estimate=err,
         )
@@ -362,25 +353,20 @@ def irreducible_escape_rate(env: SignalEnvironment) -> float:
     separately; it does not enter the policy route moments.
     """
     mean_risk = _integrate_unit(
-        lambda s: env.risk_map.value(s) * env.signal_pdf(s), DEFAULT_NODES
+        lambda s: env.risk_map.value(s) * env.signal_pdf(s), QUAD_NODES
     )
     return env.p_inf * mean_risk
 
 
 def phi(
-    env: SignalEnvironment,
-    theta: float,
-    rework: ReworkModel,
-    lam: float,
-    capacity: float,
-    n_nodes: int = DEFAULT_NODES,
+    env: SignalEnvironment, theta: float, rework: ReworkModel, lam: float, capacity: float
 ) -> float:
     """Marginal waiting cost of one more unit of mean review demand.
 
     Phi(theta) = c_w * lam^3 * q_A(theta) / (2 C (C - lam tau_A(theta))^2),
     the sensitivity of the delay cost to tau_A with q_A held fixed.
     """
-    moments = policy_route_moments(env, theta, rework, n_nodes=n_nodes)
+    moments = policy_route_moments(env, theta, rework)
     require_stable(lam, moments.mean, capacity, f"the queue at theta={theta:.6g}")
     return _phi_value(env.c_w, lam, capacity, moments.mean, moments.m2)
 
@@ -438,13 +424,10 @@ def _bisect_lockstep(g_at, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray) -> 
     return (0.5 * (lo + hi))[~dropped].tolist()
 
 
+# Overflow in the scan is benign too: an overflowed Phi or g0 * g1 keeps its sign.
+@np.errstate(all="ignore")
 def solve_equilibrium(
-    env: SignalEnvironment,
-    rework: ReworkModel,
-    lam: float,
-    capacity: float,
-    n_grid: int = DEFAULT_GRID,
-    n_nodes: int = DEFAULT_NODES,
+    env: SignalEnvironment, rework: ReworkModel, lam: float, capacity: float
 ) -> EquilibriumSolution:
     """Find all fixed points of theta = Phi(theta) on the feasible domain.
 
@@ -458,8 +441,6 @@ def solve_equilibrium(
     """
     require_finite(lam, "lam", "> 0")
     require_finite(capacity, "capacity", "> 0")
-    if n_grid < 16:
-        raise ValidationError(f"n_grid must be >= 16, got {n_grid}", field="n_grid")
 
     theta_hi = env.review_scale * env.risk_map.value(1.0)
     if theta_hi <= 0.0:
@@ -468,11 +449,11 @@ def solve_equilibrium(
         return _degenerate_equilibrium(theta_hi=theta_hi, zero_demand=False)
 
     def tau_at(thetas) -> np.ndarray:
-        return _policy_moments(env, thetas, rework, n_nodes)[0]
+        return _policy_moments(env, thetas, rework, QUAD_NODES)[0]
 
     def g_at(thetas: np.ndarray) -> np.ndarray:
         """g = theta - Phi(theta) at each price; NaN where the queue is unstable."""
-        tau, q = _policy_moments(env, thetas, rework, n_nodes)
+        tau, q = _policy_moments(env, thetas, rework, QUAD_NODES)
         stable = is_stable(lam, tau, capacity)
         g = np.full(thetas.shape, math.nan)
         g[stable] = thetas[stable] - _phi_value(env.c_w, lam, capacity, tau[stable], q[stable])
@@ -507,7 +488,7 @@ def solve_equilibrium(
     theta_lo = min(theta_lo, theta_hi * (1.0 - 1e-9))
 
     # --- scan and bisect ---------------------------------------------------
-    grid = np.geomspace(theta_lo, theta_hi, n_grid)
+    grid = np.geomspace(theta_lo, theta_hi, SCAN_POINTS)
     g_values = g_at(grid)
     g0, g1 = g_values[:-1], g_values[1:]
     # A pair with an unstable (NaN) end gives no candidate: g0 * g1 < 0 is
@@ -539,7 +520,7 @@ def solve_equilibrium(
     # --- package -----------------------------------------------------------
     equilibria = []
     for index, theta in enumerate(roots):
-        moments = policy_route_moments(env, theta, rework, n_nodes=n_nodes)
+        moments = policy_route_moments(env, theta, rework)
         rho = lam * moments.mean / capacity
         wq = wq_pk(QueueInputs(lam=lam, capacity=capacity, service=moments)).wq
         residual = abs(

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -201,9 +202,10 @@ class TestSweep:
         assert doc["rows"][0]["w_manual"] == pytest.approx(0.55, rel=1e-12)
 
     def test_grid_is_required(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["sweep", "--config", FIG2])
-        assert exc.value.code == 2
+        code, out, err = _run(capsys, "sweep", "--config", FIG2)
+        assert code == 2
+        assert out == ""
+        assert json.loads(err)["field"] == "--grid"
 
     def test_nonpositive_lambda_rejected(self, capsys):
         code, _, err = _run(capsys, "sweep", "--config", FIG2, "--grid", "0")
@@ -459,6 +461,65 @@ class TestOverflowingInputs:
         assert payload["field"] == f"{block}.{key}"
 
 
+def _edited(tmp_path, fixture: str, dotted: str, literal: str) -> str:
+    """A fixture with the key at dotted path set to a raw JSON literal, and a short sim."""
+    doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+    *blocks, key = dotted.split(".")
+    target = doc
+    for block in blocks:
+        target = target[block]
+    target[key] = "@VALUE@"
+    doc["sim"]["n_arrivals"] = 3_200
+    path = tmp_path / "edited.json"
+    path.write_text(json.dumps(doc).replace('"@VALUE@"', literal))
+    return str(path)
+
+
+class TestErrorContract:
+    """Each input exits with its documented code, and stderr is empty on success
+    or exactly one JSON object: never a usage text, a traceback or a warning."""
+
+    @pytest.mark.parametrize(
+        "argv, edit, code",
+        [
+            pytest.param(["dist", "--config", FIG2, "--n-samples", "abc"], None, 2, id="bad-int"),
+            pytest.param(["moments"], None, 2, id="no-config"),
+            pytest.param(["wait", "--config", FIG2, "--bogus"], None, 2, id="unknown-flag"),
+            pytest.param(["wait"], ("fig2", "lambda", "9" * 401), 2, id="int-overflows-float"),
+            pytest.param(["wait"], ("fig2", "lambda", "9" * 5000), 2, id="int-too-long"),
+            pytest.param(["equilibrium"], ("fig5-beta22", "signal_env.K", "1e300"), 4, id="K"),
+            *[
+                pytest.param([command], ("fig5-beta22", dotted, literal), 0,
+                             id=f"{command}-{dotted.rsplit('.', 1)[-1]}")
+                for dotted, literal, commands in (
+                    ("signal_env.kappa", "1e-300", ("equilibrium", "simulate")),
+                    ("signal_env.c_w", "1e308", ("equilibrium", "simulate")),
+                    ("signal_env.risk_map.s0", "1e300",
+                     ("equilibrium", "review-curve", "simulate")),
+                    ("signal_env.risk_map.g", "1e308", ("equilibrium", "simulate")),
+                )
+                for command in commands
+            ],
+            pytest.param(
+                ["equilibrium"], ("fig5-beta22", "signal_env.signal.alpha", "1e308"), 2,
+                id="alpha",
+            ),
+        ],
+    )
+    def test_exit_code_and_stderr(self, capsys, tmp_path, argv, edit, code):
+        if edit is not None:
+            argv = [*argv, "--config", _edited(tmp_path, *edit)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got, out, err = _run(capsys, *argv)
+        assert got == code
+        if code == 0:
+            assert err == ""
+        else:
+            assert out == ""
+            assert isinstance(json.loads(err), dict)
+
+
 class TestRuntimeDependencies:
     def test_commands_run_without_scipy(self, small_sim_config):
         # A fresh interpreter: the test process itself has scipy loaded.
@@ -533,10 +594,12 @@ class TestOutputPlumbing:
         assert payload["error"] == "validation"
         assert "cannot read config" in payload["message"]
 
-    def test_unknown_command_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate", "--config", FIG2])
-        assert exc.value.code == 2
+    def test_unknown_command_is_usage_error(self, capsys):
+        code, _, err = _run(capsys, "frobnicate", "--config", FIG2)
+        assert code == 2
+        payload = json.loads(err)
+        assert payload["error"] == "validation"
+        assert payload["field"] == "command"
 
     @pytest.mark.parametrize(
         "argv",

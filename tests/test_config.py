@@ -155,6 +155,14 @@ class TestStrictness:
         assert err.field == "lambda"
         assert "lambda must be > 0" in str(err)
 
+    @pytest.mark.parametrize("block, key", [(None, "lambda"), ("manual", "tau_H")])
+    def test_integer_beyond_float_range_rejected(self, block, key):
+        doc = _doc()
+        (doc if block is None else doc[block])[key] = int("9" * 401)
+        err = _error(doc)
+        assert err.field == (key if block is None else f"{block}.{key}")
+        assert "overflows a float" in str(err)
+
     def test_booleans_are_not_numbers(self):
         err = _error(_doc(x=True))
         assert "must be a number" in str(err)

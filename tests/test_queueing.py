@@ -7,7 +7,6 @@ from wedgeq import (
     RouteMoments,
     StabilityError,
     ValidationError,
-    utilization,
     wq_kingman,
     wq_pk,
 )
@@ -89,9 +88,6 @@ class TestKingman:
 
 
 class TestStability:
-    def test_utilization_reported_even_when_overloaded(self):
-        assert utilization(_inputs(1.5, 1.0, 0.5)) == pytest.approx(1.5)
-
     def test_overload_raises_with_rho(self):
         with pytest.raises(StabilityError) as err:
             wq_pk(_inputs(1.2, 1.0, 0.5))

@@ -230,10 +230,6 @@ class TestPolicyMode:
         se = math.sqrt(expected * (1.0 - expected) / n_ai)
         assert stats.escape_rate == pytest.approx(expected, abs=4 * se)
 
-    def test_price_override_skips_solver(self):
-        stats = run(_config(_policy_workflow(), n=16_000, policy_theta=0.3))
-        assert stats.theta_star == 0.3
-
     def test_degenerate_equilibrium_refused(self):
         env = SignalEnvironment(
             risk_map=RISK, signal_alpha=2.0, signal_beta=2.0,
@@ -276,7 +272,6 @@ class TestConfigValidation:
                 for setting in dataclasses.fields(SimSettings):
                     assert getattr(config, setting.name) == getattr(expected, setting.name)
                 assert config.workflow is workflow
-                assert config.policy_theta is None
 
     def test_bad_settings_rejected(self):
         workflow = _fixed_workflow()
@@ -294,12 +289,6 @@ class TestConfigValidation:
             SimConfig(workflow=workflow, n_arrivals=MAX_ARRIVALS + 1)
         with pytest.raises(ValidationError):
             SimConfig(workflow=workflow, n_batches=MAX_BATCHES + 1)
-
-    def test_policy_theta_only_in_policy_mode(self):
-        with pytest.raises(ValidationError):
-            SimConfig(workflow=_fixed_workflow(), policy_theta=0.3)
-        with pytest.raises(ValidationError):
-            SimConfig(workflow=_policy_workflow(), policy_theta=0.0)
 
     def test_replicate_count_validated(self):
         with pytest.raises(ValidationError):
