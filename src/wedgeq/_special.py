@@ -57,14 +57,18 @@ def log_beta(a: float, b: float) -> float:
     p, q = min(a, b), max(a, b)
     if q < _STIRLING_MIN:
         return math.lgamma(p) + math.lgamma(q) - math.lgamma(p + q)
-    ratio = p / (p + q)
+    # log(p + q) and the logs of p / (p + q) and q / (p + q), without
+    # forming p + q, which overflows when both shapes are near the float
+    # maximum; the remainder of an overflowed p + q is 0, its limit.
+    log1p_p_q = math.log1p(p / q)
+    log_sum = math.log(q) + log1p_p_q
     if p < _STIRLING_MIN:
         corr = _stirling_remainder(q) - _stirling_remainder(p + q)
-        return math.lgamma(p) + corr + p - p * math.log(p + q) + (q - 0.5) * math.log1p(-ratio)
+        return math.lgamma(p) + corr + p - p * log_sum - (q - 0.5) * log1p_p_q
     corr = _stirling_remainder(p) + _stirling_remainder(q) - _stirling_remainder(p + q)
     return (
         -0.5 * math.log(q) + _LOG_SQRT_2PI + corr
-        + (p - 0.5) * math.log(ratio) + q * math.log1p(-ratio)
+        - (p - 0.5) * math.log1p(q / p) - q * log1p_p_q
     )
 
 

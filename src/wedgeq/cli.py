@@ -13,6 +13,7 @@ error, 3 instability/infeasibility, 4 solver found no root.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import re
@@ -443,7 +444,13 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message, field=field)
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built on the first main() call and reused after.
+
+    Parsing keeps no state on the parser: each parse_args call fills a new
+    namespace, so one tree serves every main() call in a process.
+    """
     parser = _Parser(
         prog="wedgeq",
         description="Queueing analytics and simulation for AI-assisted workflows with rework.",

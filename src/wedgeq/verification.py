@@ -17,6 +17,7 @@ theta = Phi(theta).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -42,6 +43,10 @@ _QUAD_RTOL = 1e-8
 
 # Residual tolerance guaranteed for reported fixed points.
 _ROOT_RTOL = 1e-8
+
+# Levels of a bisection tree priced per quadrature call by _multisect: one
+# call evaluates the 2**_MULTISECT_LEVELS - 1 midpoints those levels hold.
+_MULTISECT_LEVELS = 4
 
 # Prices per block of the batched quadrature: bounds its (prices x nodes)
 # temporaries, so a full grid scan never holds its whole broadcast at once.
@@ -106,6 +111,14 @@ class SignalEnvironment:
         require_finite(self.signal_beta, "signal_beta", "> 0")
         require_finite(self.K, "K", "> 0")
         require_finite(self.kappa, "kappa", "> 0")
+        # The solver's price scan starts 12 decades below a price scale
+        # proportional to kappa, which a subnormal kappa underflows to 0.
+        if self.kappa < sys.float_info.min:
+            raise ValidationError(
+                f"kappa must be a normal float, at least {sys.float_info.min!r}, "
+                f"got {self.kappa!r}",
+                field="kappa",
+            )
         # c_w == 0 is admitted so the no-congestion-cost boundary case can be
         # represented; solve_equilibrium reports it degenerate.
         require_finite(self.c_w, "c_w", ">= 0")
@@ -113,6 +126,9 @@ class SignalEnvironment:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
         require_no_overflow(lambda: self.review_scale, "K", "kappa * K * (1 - p_inf)")
         object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
+        require_no_overflow(
+            lambda: self._log_norm, "signal_alpha", "log B(signal_alpha, signal_beta)"
+        )
         # Extreme shapes overflow the log-density to -inf: a density of 0,
         # which the check below rejects.
         with np.errstate(over="ignore"):
@@ -394,34 +410,69 @@ def _degenerate_equilibrium(theta_hi: float, zero_demand: bool) -> EquilibriumSo
     return EquilibriumSolution(primary=eq, roots=(eq,), theta_lo=0.0, theta_hi=theta_hi)
 
 
-def _bisect_lockstep(g_at, lo: np.ndarray, hi: np.ndarray, g_lo: np.ndarray) -> list[float]:
-    """Midpoints of the sign-change brackets [lo, hi] of g, bisected together.
+def _geometric_mid(lo, hi):
+    return np.sqrt(lo * hi)
 
-    One g_at call per step evaluates the midpoints of the brackets still
-    open.  Each bracket keeps the half whose ends differ in sign from g at
-    its lower end, stops once hi - lo <= 1e-13 * max(1, mid) or after 200
-    steps, and is dropped where g turns NaN (the queue is unstable there),
-    so it visits the iterates it would visit bisected on its own.
+
+def _arithmetic_mid(lo, hi):
+    return 0.5 * (lo + hi)
+
+
+def _multisect(f, lo, hi, f_lo, midpoint, is_open):
+    """Bisect the brackets [lo, hi] of f together; returns their final lo, hi and drop mask.
+
+    Each step a bracket keeps the half whose ends differ in sign of f from
+    its lower end.  It stops once is_open(lo, hi, midpoint(lo, hi)) fails or
+    after 200 steps, and is dropped where f turns NaN (the queue is
+    unstable there).  Every _MULTISECT_LEVELS steps one f call prices all
+    midpoints of the next _MULTISECT_LEVELS levels of each open bracket's
+    bisection tree, and the steps in between read the value at the node
+    they reach.  f prices each point independently of the others in its
+    call, so every bracket visits the iterates of plain bisection, one
+    midpoint per f call.
     """
-    lo, hi, g_lo = lo.copy(), hi.copy(), g_lo.copy()
+    lo, hi, f_lo = (np.array(a, dtype=float) for a in (lo, hi, f_lo))
     open_ = np.ones(lo.size, dtype=bool)
     dropped = np.zeros(lo.size, dtype=bool)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        open_ &= hi - lo > 1e-13 * np.maximum(1.0, mid)
+    # Row of each bracket in the priced tree, and its node there: node j
+    # has children 2j + 1 (lower half) and 2j + 2 (upper half).
+    row = np.zeros(lo.size, dtype=np.intp)
+    node = np.zeros(lo.size, dtype=np.intp)
+    for step in range(200):
+        mid = midpoint(lo, hi)
+        open_ &= is_open(lo, hi, mid)
         active = np.flatnonzero(open_)
         if active.size == 0:
             break
-        g_mid = g_at(mid[active])
-        unstable = np.isnan(g_mid)
+        if step % _MULTISECT_LEVELS == 0:
+            tree = _price_tree(f, lo[active], hi[active], midpoint)
+            row[active] = np.arange(active.size)
+            node[active] = 0
+        f_mid = tree[row[active], node[active]]
+        unstable = np.isnan(f_mid)
         open_[active[unstable]] = False
         dropped[active[unstable]] = True
-        active, g_mid = active[~unstable], g_mid[~unstable]
-        same = (g_mid < 0.0) == (g_lo[active] < 0.0)
+        active, f_mid = active[~unstable], f_mid[~unstable]
+        same = (f_mid < 0.0) == (f_lo[active] < 0.0)
         lo[active[same]] = mid[active[same]]
-        g_lo[active[same]] = g_mid[same]
+        f_lo[active[same]] = f_mid[same]
         hi[active[~same]] = mid[active[~same]]
-    return (0.5 * (lo + hi))[~dropped].tolist()
+        node[active] = 2 * node[active] + np.where(same, 2, 1)
+    return lo, hi, dropped
+
+
+def _price_tree(f, lo, hi, midpoint) -> np.ndarray:
+    """f at the midpoints of the first _MULTISECT_LEVELS levels of each bracket's tree.
+
+    One row per bracket, its nodes in heap order, all priced in one f call.
+    """
+    lows, highs, mids = lo[:, None], hi[:, None], []
+    for _ in range(_MULTISECT_LEVELS):
+        mids.append(midpoint(lows, highs))
+        lows = np.stack((lows, mids[-1]), axis=-1).reshape(lo.size, -1)
+        highs = np.stack((mids[-1], highs), axis=-1).reshape(lo.size, -1)
+    tree = np.concatenate(mids, axis=1)
+    return f(tree.ravel()).reshape(tree.shape)
 
 
 # Overflow in the scan is benign too: an overflowed Phi or g0 * g1 keeps its sign.
@@ -475,16 +526,14 @@ def solve_equilibrium(
                 f"(theta >= {theta_hi:.6g}) the load is "
                 f"rho = {lam * tau_anchors[0] / capacity:.6g}"
             )
-        low, high = theta_tiny, float(anchors[stable_rows[0]])
-        for _ in range(200):
-            mid = math.sqrt(low * high)
-            if high - low <= 1e-12 * high:
-                break
-            if is_stable(lam, tau_at([mid])[0], capacity):
-                high = mid
-            else:
-                low = mid
-        theta_lo = high * (1.0 + 1e-6)
+        # Geometric bisection of the stability boundary between theta_tiny
+        # (unstable: sign -1) and the anchor (stable: sign +1).
+        _, high, _ = _multisect(
+            lambda thetas: np.where(is_stable(lam, tau_at(thetas), capacity), 1.0, -1.0),
+            [theta_tiny], [anchors[stable_rows[0]]], [-1.0], _geometric_mid,
+            lambda lo, hi, mid: hi - lo > 1e-12 * hi,
+        )
+        theta_lo = float(high[0]) * (1.0 + 1e-6)
     theta_lo = min(theta_lo, theta_hi * (1.0 - 1e-9))
 
     # --- scan and bisect ---------------------------------------------------
@@ -495,7 +544,11 @@ def solve_equilibrium(
     # false for NaN, and a zero g0 needs a finite g1.
     candidates = grid[:-1][(g0 == 0.0) & ~np.isnan(g1)].tolist()
     brackets = np.flatnonzero(g0 * g1 < 0.0)
-    candidates += _bisect_lockstep(g_at, grid[brackets], grid[brackets + 1], g0[brackets])
+    lo, hi, dropped = _multisect(
+        g_at, grid[brackets], grid[brackets + 1], g0[brackets], _arithmetic_mid,
+        lambda lo, hi, mid: hi - lo > 1e-13 * np.maximum(1.0, mid),
+    )
+    candidates += _arithmetic_mid(lo, hi)[~dropped].tolist()
     if not math.isnan(g_values[-1]):
         if g_values[-1] == 0.0:
             candidates.append(float(grid[-1]))

@@ -10,7 +10,7 @@ import pytest
 
 import wedgeq
 import wedgeq.verification as ver
-from wedgeq import fixture_path
+from wedgeq import cli, fixture_path
 from wedgeq.cli import MAX_TABLE_ROWS, _parse_grid, _parse_list, main
 from wedgeq.errors import ValidationError
 
@@ -504,6 +504,16 @@ class TestErrorContract:
                 ["equilibrium"], ("fig5-beta22", "signal_env.signal.alpha", "1e308"), 2,
                 id="alpha",
             ),
+            pytest.param(
+                ["equilibrium"],
+                ("fig5-beta22", "signal_env.signal", '{"alpha": 1e308, "beta": 1e308}'), 2,
+                id="alpha-and-beta",
+            ),
+            *[
+                pytest.param([command], ("fig5-beta22", "signal_env.kappa", "1e-320"), 2,
+                             id=f"{command}-subnormal-kappa")
+                for command in ("equilibrium", "simulate")
+            ],
         ],
     )
     def test_exit_code_and_stderr(self, capsys, tmp_path, argv, edit, code):
@@ -518,6 +528,50 @@ class TestErrorContract:
         else:
             assert out == ""
             assert isinstance(json.loads(err), dict)
+
+
+class TestReentrantMain:
+    """main() builds its parser once per process; no call leaks into the next."""
+
+    COMMANDS = ("moments", "wait", "wedge", "stabilize", "sweep", "design", "dist",
+                "equilibrium", "review-curve", "simulate")
+
+    @staticmethod
+    def _fresh(capsys, monkeypatch, *argv):
+        """main() on a parser built from scratch for this call."""
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+            return _run(capsys, *argv)
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            (("dist", "--config", FIG2, "--seed", "5", "--format", "json"),
+             ("dist", "--config", FIG2)),
+            (("wait", "--config", FIG2, "--bogus"), ("wait", "--config", FIG2)),
+        ],
+        ids=["flags-then-defaults", "usage-error-then-valid"],
+    )
+    def test_later_call_matches_a_fresh_parser(self, capsys, monkeypatch, first, then):
+        cli._build_parser.cache_clear()
+        _run(capsys, *first)
+        assert cli._build_parser() is cli._build_parser()
+        got = _run(capsys, *then)
+        assert got == self._fresh(capsys, monkeypatch, *then)
+        assert got[0] == 0
+
+    def test_help_text_is_stable(self, capsys):
+        cli._build_parser.cache_clear()
+        texts = []
+        for _ in range(2):
+            for argv in (["--help"], *[[command, "--help"] for command in self.COMMANDS]):
+                with pytest.raises(SystemExit) as done:
+                    main(argv)
+                assert done.value.code == 0
+                texts.append(capsys.readouterr().out)
+        first, second = texts[: len(texts) // 2], texts[len(texts) // 2 :]
+        assert first == second
+        assert all(text.startswith("usage: wedgeq") for text in first)
 
 
 class TestRuntimeDependencies:

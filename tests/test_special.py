@@ -55,6 +55,22 @@ def test_log_beta_matches_scipy():
             assert log_beta(a, b) == pytest.approx(special.betaln(a, b), rel=1e-14, abs=1e-14)
 
 
+def test_log_beta_at_large_shapes():
+    # Shapes whose sum overflows a float, and shapes of very different scale.
+    for a, b in ((5.0, 1.7e308), (12.0, 1e308), (0.5, 1e300), (1e300, 1e5), (1e12, 3e12)):
+        assert log_beta(a, b) == pytest.approx(special.betaln(a, b), rel=1e-14)
+        assert log_beta(b, a) == log_beta(a, b)
+    # scipy returns NaN for two huge equal shapes; Stirling's series gives
+    # log B(x, x) = log(2 pi) / 2 - log(x) / 2 - (2x - 1/2) log 2 + O(1/x),
+    # summed so that 2x, which overflows at x = 1e308, is never formed.
+    for x in (1e200, 1e308):
+        log2 = math.log(2.0)
+        expected = 0.5 * math.log(2.0 * math.pi) - 0.5 * math.log(x) + 0.5 * log2 - 2.0 * (x * log2)
+        assert log_beta(x, x) == pytest.approx(expected, rel=1e-15)
+    # Below -1.8e308, the largest float: the true value is out of range.
+    assert log_beta(1.7976931348623157e308, 1.7976931348623157e308) == -math.inf
+
+
 def test_signal_log_normaliser_matches_scipy(make_env):
     for alpha, beta in ((1.0, 1.0), (2.0, 2.0), (5.0, 2.0), (2.0, 5.0), (3.5, 12.0), (15.0, 15.0)):
         env = make_env(alpha=alpha, beta=beta)

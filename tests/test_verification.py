@@ -373,10 +373,15 @@ class TestSolveEquilibrium:
         assert len(err.value.thetas) == len(err.value.residuals)
         assert len(err.value.thetas) >= 16
 
-    @pytest.mark.parametrize("name, unbatched", [("fig5-beta22", 596), ("fig5-beta52", 637)])
-    def test_quadrature_call_budget(self, monkeypatch, name, unbatched):
-        # One price per quadrature call took `unbatched` calls per solve; the
-        # batched scan and lock-step bisection must need at most a fifth.
+    @pytest.mark.parametrize(
+        "name, budget",
+        [pytest.param(name, budget, id=name)
+         for name, budget in (("fig5-beta22", 26), ("fig5-beta52", 30), ("fig6", 26))],
+    )
+    def test_quadrature_call_budget(self, monkeypatch, name, budget):
+        # One price per quadrature call took about 600 calls per solve, and
+        # one-midpoint bisection steps 85-90; multisection needs the counts
+        # measured when it was introduced.
         spec = load_config(fixture_path(f"{name}.json"))
         calls = []
         kernel = ver._policy_moments
@@ -387,13 +392,103 @@ class TestSolveEquilibrium:
 
         monkeypatch.setattr(ver, "_policy_moments", counting)
         solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
-        assert len(calls) <= unbatched // 5
+        assert len(calls) <= budget
+
+    @pytest.mark.parametrize("name", ["fig5-beta22", "fig5-beta52", "fig6"])
+    def test_multisection_matches_plain_bisection(self, name):
+        spec = load_config(fixture_path(f"{name}.json"))
+        root_counts, tail_roots = set(), 0
+        for lam in (0.3, 0.5, 0.7, 0.72, 0.75, 0.76, 0.85, 0.9, 0.95):
+            solution = solve_equilibrium(spec.env, spec.rework, lam, spec.capacity)
+            theta_lo, roots = _plain_bisection_solve(spec.env, spec.rework, lam, spec.capacity)
+            assert solution.theta_lo == theta_lo
+            assert [root.theta_star for root in solution.roots] == roots
+            root_counts.add(len(roots))
+            tail_roots += roots[-1] > solution.theta_hi
+        if name == "fig5-beta52":
+            # The grid reaches the three-root band and the tail root.
+            assert 3 in root_counts
+            assert tail_roots > 0
 
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             solve_equilibrium(ENV, REWORK, 0.0, 1.0)
         with pytest.raises(ValidationError):
             solve_equilibrium(ENV, REWORK, 0.75, 0.0)
+
+
+def _plain_bisection_solve(env, rework, lam, capacity):
+    """theta_lo and the roots by plain bisection, one midpoint per quadrature call.
+
+    The solver's search before multisection: a scalar geometric bisection
+    of the stability boundary and a lock-step bisection of the scan's sign
+    changes, without certification.
+    """
+
+    def moments(thetas):
+        return ver._policy_moments(env, np.asarray(thetas, dtype=float), rework, ver.QUAD_NODES)
+
+    def g_at(thetas):
+        tau, q = moments(thetas)
+        stable = ver.is_stable(lam, tau, capacity)
+        g = np.full(thetas.shape, math.nan)
+        g[stable] = thetas[stable] - ver._phi_value(env.c_w, lam, capacity, tau[stable], q[stable])
+        return g
+
+    with np.errstate(all="ignore"):
+        theta_hi = env.review_scale * env.risk_map.value(1.0)
+        theta_tiny = theta_hi * 1e-12
+        if ver.is_stable(lam, moments([theta_tiny])[0][0], capacity):
+            theta_lo = theta_tiny
+        else:
+            anchors = np.concatenate(([theta_hi], np.geomspace(theta_tiny, theta_hi, 64)))
+            stable_rows = np.flatnonzero(ver.is_stable(lam, moments(anchors)[0], capacity))
+            low, high = theta_tiny, float(anchors[stable_rows[0]])
+            for _ in range(200):
+                mid = math.sqrt(low * high)
+                if high - low <= 1e-12 * high:
+                    break
+                if ver.is_stable(lam, moments([mid])[0][0], capacity):
+                    high = mid
+                else:
+                    low = mid
+            theta_lo = high * (1.0 + 1e-6)
+        theta_lo = min(theta_lo, theta_hi * (1.0 - 1e-9))
+
+        grid = np.geomspace(theta_lo, theta_hi, ver.SCAN_POINTS)
+        g_values = g_at(grid)
+        g0, g1 = g_values[:-1], g_values[1:]
+        candidates = grid[:-1][(g0 == 0.0) & ~np.isnan(g1)].tolist()
+        rows = np.flatnonzero(g0 * g1 < 0.0)
+        lo, hi, g_lo = grid[rows], grid[rows + 1], g0[rows]
+        open_ = np.ones(lo.size, dtype=bool)
+        dropped = np.zeros(lo.size, dtype=bool)
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            open_ &= hi - lo > 1e-13 * np.maximum(1.0, mid)
+            active = np.flatnonzero(open_)
+            if active.size == 0:
+                break
+            g_mid = g_at(mid[active])
+            unstable = np.isnan(g_mid)
+            open_[active[unstable]] = False
+            dropped[active[unstable]] = True
+            active, g_mid = active[~unstable], g_mid[~unstable]
+            same = (g_mid < 0.0) == (g_lo[active] < 0.0)
+            lo[active[same]] = mid[active[same]]
+            g_lo[active[same]] = g_mid[same]
+            hi[active[~same]] = mid[active[~same]]
+        candidates += (0.5 * (lo + hi))[~dropped].tolist()
+        if not math.isnan(g_values[-1]):
+            if g_values[-1] == 0.0:
+                candidates.append(float(grid[-1]))
+            elif g_values[-1] < 0.0:
+                candidates.append(float(grid[-1] - g_values[-1]))
+    roots = []
+    for theta in sorted(candidates):
+        if not roots or theta - roots[-1] > 1e-9 * max(1.0, theta):
+            roots.append(theta)
+    return float(theta_lo), roots
 
 
 class TestEnvironmentValidation:
@@ -426,6 +521,18 @@ class TestEnvironmentValidation:
         ):
             with pytest.raises(ValidationError):
                 make_env(**kwargs)
+
+    def test_subnormal_kappa_rejected(self, make_env):
+        assert make_env(kappa=2.2250738585072014e-308).kappa > 0.0
+        with pytest.raises(ValidationError) as err:
+            make_env(kappa=1e-320)
+        assert err.value.field == "kappa"
+
+    def test_shapes_whose_normaliser_overflows_rejected(self, make_env):
+        for shape in (1e308, 1.7976931348623157e308):
+            with pytest.raises(ValidationError) as err:
+                make_env(alpha=shape, beta=shape)
+            assert err.value.field == "signal_alpha"
 
     def test_singular_density_shapes_rejected(self, make_env):
         with pytest.raises(ValidationError):
