@@ -65,6 +65,8 @@ class RiskMap:
     b: float
     g: float
     s0: float
+    # pi(0) and pi(1), the range of risks a threshold can fall inside, set once below.
+    _ends: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self.a, "a", ">= 0")
@@ -75,6 +77,7 @@ class RiskMap:
             raise ValidationError(
                 f"risk map exceeds 1 on [0, 1]: pi(1) = {self.value(1.0):.6g}", field="b"
             )
+        object.__setattr__(self, "_ends", tuple(self.value(np.array([0.0, 1.0]))))
 
     # exp overflows for signals far below s0; pi(s) then saturates to a.
     @np.errstate(over="ignore")
@@ -125,6 +128,16 @@ class SignalEnvironment:
         if not 0.0 <= self.p_inf < 1.0:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
         require_no_overflow(lambda: self.review_scale, "K", "kappa * K * (1 - p_inf)")
+        # The scan starts 12 decades below theta_hi, the price above which
+        # nothing is reviewed, and a nonzero theta_hi must keep that start
+        # above 0.
+        theta_hi = self.review_scale * self.risk_map.value(1.0)
+        if theta_hi > 0.0 and theta_hi * 1e-12 == 0.0:
+            raise ValidationError(
+                "K is too small: the equilibrium scan starts at 1e-12 * kappa * K * "
+                f"(1 - p_inf) * pi(1) = 1e-12 * {theta_hi!r}, which underflows to 0",
+                field="K",
+            )
         object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
         require_no_overflow(
             lambda: self._log_norm, "signal_alpha", "log B(signal_alpha, signal_beta)"
@@ -261,7 +274,7 @@ def threshold_signal(env: SignalEnvironment, theta: float) -> float:
 
 def _signal_at_risk(rm: RiskMap, star: np.ndarray) -> np.ndarray:
     """threshold_signal for each risk threshold in the 1-D array star."""
-    low, high = rm.value(np.array([0.0, 1.0]))
+    low, high = rm._ends
     s = np.where(star <= low, 0.0, 1.0)
     inside = (low < star) & (star < high)
     # Here a < star < pi(1) <= a + b, so the logistic argument is valid.
@@ -279,19 +292,25 @@ def _row_dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _panel_moments(env: SignalEnvironment, rework: ReworkModel, star, lo, hi, n: int):
-    """(tau, q) per price, summed over that price's panels [lo, hi] of n nodes.
+def _panels(env: SignalEnvironment, lo, hi, n: int):
+    """pi(s) and quadrature weights at the n Gauss-Legendre nodes of panels [lo, hi].
 
-    star is a (prices, 1, 1) column and lo, hi are (prices, panels, 1):
-    every panel is its own affine map of the shared Gauss-Legendre nodes.
+    lo and hi are (prices, panels, 1) arrays, every panel its own affine
+    map of the shared nodes, or the floats 0 and 1 for the unit panel.
     """
     nodes, weights = _gauss_nodes(n)
     half = 0.5 * (hi - lo)
     s = lo + half * (nodes + 1.0)
-    pi_s = env.risk_map.value(s)
+    return env.risk_map.value(s), (half * weights) * env.signal_pdf(s)
+
+
+def _panel_moments(env: SignalEnvironment, rework: ReworkModel, star, pi_s, weight):
+    """(tau, q) per price, summed over its panels; star is a (prices, 1, 1) column.
+
+    pi_s and weight come from _panels, per price or broadcast over prices.
+    """
     effort = np.log(np.maximum(pi_s / star, 1.0)) / env.kappa
     resid = np.minimum(pi_s, star)
-    weight = (half * weights) * env.signal_pdf(s)
     tau = _row_dots(weight, effort + rework.mu_R * resid)
     q = _row_dots(
         weight, effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid
@@ -299,36 +318,39 @@ def _panel_moments(env: SignalEnvironment, rework: ReworkModel, star, lo, hi, n:
     return tau.sum(axis=1), q.sum(axis=1)
 
 
+def _row_blocks(mask: np.ndarray):
+    """The rows where mask holds, in selections of at most _BLOCK_ROWS."""
+    rows = np.flatnonzero(mask)
+    return [rows[start : start + _BLOCK_ROWS] for start in range(0, rows.size, _BLOCK_ROWS)]
+
+
 def _policy_moments(env: SignalEnvironment, thetas, rework: ReworkModel, n_nodes: int):
     """Signal-averaged (tau_A, q_A) arrays at every price in thetas.
 
     Split Gauss-Legendre quadrature: a price whose threshold signal is
     interior gets two panels of max(8, n_nodes // 2) nodes split there;
-    one that reviews every draft or none gets one panel of n_nodes.
-    Prices are evaluated _BLOCK_ROWS at a time.  thetas is not checked
-    here: the public entry points check it once, and the solver's grid
-    and bisection points are positive by construction.
+    one that reviews every draft or none gets the unit panel [0, 1] of
+    n_nodes, whose nodes, risks and weights are shared by every such
+    price.  Prices are evaluated _BLOCK_ROWS at a time.  thetas is not
+    checked here: the public entry points check it once, and the solver's
+    grid and bisection points are positive by construction.
     """
     stars = np.asarray(thetas, dtype=float) / env.review_scale
     splits = _signal_at_risk(env.risk_map, stars)
     interior = (splits > 0.0) & (splits < 1.0)
-    # Columns 0, 1, 2 are the panel edges 0, split, 1; each group lists
-    # the columns its panels start and end at.
-    edges = np.column_stack((np.zeros(stars.size), splits, np.ones(stars.size)))
-    groups = (
-        (~interior, [0], [2], n_nodes),
-        (interior, [0, 1], [1, 2], max(8, n_nodes // 2)),
-    )
     tau, q = np.empty(stars.size), np.empty(stars.size)
-    for mask, lo, hi, n in groups:
-        rows = np.flatnonzero(mask)
-        for start in range(0, rows.size, _BLOCK_ROWS):
-            block = rows[start : start + _BLOCK_ROWS]
-            column = block[:, None]
-            tau[block], q[block] = _panel_moments(
-                env, rework, stars[column, None], edges[column, lo, None],
-                edges[column, hi, None], n,
-            )
+    if not interior.all():
+        unit = _panels(env, 0.0, 1.0, n_nodes)
+        for block in _row_blocks(~interior):
+            tau[block], q[block] = _panel_moments(env, rework, stars[block, None, None], *unit)
+    for block in _row_blocks(interior):
+        # Panels [0, split] and [split, 1] of each price.
+        split = splits[block, None, None]
+        lo, hi = np.zeros((split.shape[0], 2, 1)), np.ones((split.shape[0], 2, 1))
+        lo[:, 1:], hi[:, :1] = split, split
+        tau[block], q[block] = _panel_moments(
+            env, rework, stars[block, None, None], *_panels(env, lo, hi, max(8, n_nodes // 2))
+        )
     return tau, q
 
 
@@ -410,72 +432,81 @@ def _degenerate_equilibrium(theta_hi: float, zero_demand: bool) -> EquilibriumSo
     return EquilibriumSolution(primary=eq, roots=(eq,), theta_lo=0.0, theta_hi=theta_hi)
 
 
-def _geometric_mid(lo, hi):
-    return np.sqrt(lo * hi)
+def _geometric_mid(lo: float, hi: float) -> float:
+    product = lo * hi
+    # Below the smallest normal float the product loses digits or underflows
+    # to 0, which would stall the bisection of a tiny price scale.
+    if product < sys.float_info.min:
+        return math.sqrt(lo) * math.sqrt(hi)
+    return math.sqrt(product)
 
 
-def _arithmetic_mid(lo, hi):
+def _arithmetic_mid(lo: float, hi: float) -> float:
     return 0.5 * (lo + hi)
 
 
 def _multisect(f, lo, hi, f_lo, midpoint, is_open):
-    """Bisect the brackets [lo, hi] of f together; returns their final lo, hi and drop mask.
+    """Bisect the brackets [lo, hi] of f together; returns their final lo, hi and drop flags.
 
     Each step a bracket keeps the half whose ends differ in sign of f from
     its lower end.  It stops once is_open(lo, hi, midpoint(lo, hi)) fails or
     after 200 steps, and is dropped where f turns NaN (the queue is
-    unstable there).  Every _MULTISECT_LEVELS steps one f call prices all
-    midpoints of the next _MULTISECT_LEVELS levels of each open bracket's
-    bisection tree, and the steps in between read the value at the node
-    they reach.  f prices each point independently of the others in its
-    call, so every bracket visits the iterates of plain bisection, one
-    midpoint per f call.
+    unstable there).  Each round one f call prices all midpoints of the
+    next _MULTISECT_LEVELS levels of each open bracket's bisection tree;
+    then every bracket walks down those levels in Python floats, reading
+    the value at the node it reaches.  f prices each point independently
+    of the others in its call, so every bracket visits the iterates of
+    plain bisection, one midpoint per f call.
     """
-    lo, hi, f_lo = (np.array(a, dtype=float) for a in (lo, hi, f_lo))
-    open_ = np.ones(lo.size, dtype=bool)
-    dropped = np.zeros(lo.size, dtype=bool)
-    # Row of each bracket in the priced tree, and its node there: node j
-    # has children 2j + 1 (lower half) and 2j + 2 (upper half).
-    row = np.zeros(lo.size, dtype=np.intp)
-    node = np.zeros(lo.size, dtype=np.intp)
-    for step in range(200):
-        mid = midpoint(lo, hi)
-        open_ &= is_open(lo, hi, mid)
-        active = np.flatnonzero(open_)
-        if active.size == 0:
+    lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
+    # lo only moves to a midpoint whose f has its sign, so that sign is fixed.
+    negative = (np.asarray(f_lo) < 0.0).tolist()
+    dropped = [False] * len(lo)
+    open_ = [i for i in range(len(lo)) if is_open(lo[i], hi[i], midpoint(lo[i], hi[i]))]
+    tree_size = 2**_MULTISECT_LEVELS - 1
+    for step in range(0, 200, _MULTISECT_LEVELS):
+        if not open_:
             break
-        if step % _MULTISECT_LEVELS == 0:
-            tree = _price_tree(f, lo[active], hi[active], midpoint)
-            row[active] = np.arange(active.size)
-            node[active] = 0
-        f_mid = tree[row[active], node[active]]
-        unstable = np.isnan(f_mid)
-        open_[active[unstable]] = False
-        dropped[active[unstable]] = True
-        active, f_mid = active[~unstable], f_mid[~unstable]
-        same = (f_mid < 0.0) == (f_lo[active] < 0.0)
-        lo[active[same]] = mid[active[same]]
-        f_lo[active[same]] = f_mid[same]
-        hi[active[~same]] = mid[active[~same]]
-        node[active] = 2 * node[active] + np.where(same, 2, 1)
+        points = [mid for i in open_ for mid in _tree_points(lo[i], hi[i], midpoint)]
+        values = f(np.array(points)).tolist()
+        still_open = []
+        for first, i in zip(range(0, len(points), tree_size), open_):
+            # Node j of the tree has children 2j + 1 (lower half) and 2j + 2 (upper half).
+            node = 0
+            for _ in range(min(_MULTISECT_LEVELS, 200 - step)):
+                mid, f_mid = points[first + node], values[first + node]
+                if math.isnan(f_mid):
+                    dropped[i] = True
+                    break
+                if (f_mid < 0.0) == negative[i]:
+                    lo[i], node = mid, 2 * node + 2
+                else:
+                    hi[i], node = mid, 2 * node + 1
+                if not is_open(lo[i], hi[i], midpoint(lo[i], hi[i])):
+                    break
+            else:
+                still_open.append(i)
+        open_ = still_open
     return lo, hi, dropped
 
 
-def _price_tree(f, lo, hi, midpoint) -> np.ndarray:
-    """f at the midpoints of the first _MULTISECT_LEVELS levels of each bracket's tree.
+def _tree_points(lo: float, hi: float, midpoint) -> list[float]:
+    """The midpoints of the first _MULTISECT_LEVELS levels of [lo, hi]'s bisection tree.
 
-    One row per bracket, its nodes in heap order, all priced in one f call.
+    In heap order: level by level, each level from low to high.
     """
-    lows, highs, mids = lo[:, None], hi[:, None], []
+    points, spans = [], [(lo, hi)]
     for _ in range(_MULTISECT_LEVELS):
-        mids.append(midpoint(lows, highs))
-        lows = np.stack((lows, mids[-1]), axis=-1).reshape(lo.size, -1)
-        highs = np.stack((mids[-1], highs), axis=-1).reshape(lo.size, -1)
-    tree = np.concatenate(mids, axis=1)
-    return f(tree.ravel()).reshape(tree.shape)
+        halves = []
+        for a, b in spans:
+            mid = midpoint(a, b)
+            points.append(mid)
+            halves += ((a, mid), (mid, b))
+        spans = halves
+    return points
 
 
-# Overflow in the scan is benign too: an overflowed Phi or g0 * g1 keeps its sign.
+# Overflow in the scan is benign too: an overflowed Phi keeps its sign.
 @np.errstate(all="ignore")
 def solve_equilibrium(
     env: SignalEnvironment, rework: ReworkModel, lam: float, capacity: float
@@ -533,22 +564,23 @@ def solve_equilibrium(
             [theta_tiny], [anchors[stable_rows[0]]], [-1.0], _geometric_mid,
             lambda lo, hi, mid: hi - lo > 1e-12 * hi,
         )
-        theta_lo = float(high[0]) * (1.0 + 1e-6)
+        theta_lo = high[0] * (1.0 + 1e-6)
     theta_lo = min(theta_lo, theta_hi * (1.0 - 1e-9))
 
     # --- scan and bisect ---------------------------------------------------
     grid = np.geomspace(theta_lo, theta_hi, SCAN_POINTS)
     g_values = g_at(grid)
     g0, g1 = g_values[:-1], g_values[1:]
-    # A pair with an unstable (NaN) end gives no candidate: g0 * g1 < 0 is
-    # false for NaN, and a zero g0 needs a finite g1.
+    # A pair with an unstable (NaN) end gives no candidate: the product of
+    # signs is NaN there, and a zero g0 needs a finite g1.  Signs, not the
+    # values, are multiplied: on a tiny price scale g0 * g1 underflows to 0.
     candidates = grid[:-1][(g0 == 0.0) & ~np.isnan(g1)].tolist()
-    brackets = np.flatnonzero(g0 * g1 < 0.0)
+    brackets = np.flatnonzero(np.sign(g0) * np.sign(g1) < 0.0)
     lo, hi, dropped = _multisect(
         g_at, grid[brackets], grid[brackets + 1], g0[brackets], _arithmetic_mid,
-        lambda lo, hi, mid: hi - lo > 1e-13 * np.maximum(1.0, mid),
+        lambda lo, hi, mid: hi - lo > 1e-13 * max(1.0, mid),
     )
-    candidates += _arithmetic_mid(lo, hi)[~dropped].tolist()
+    candidates += [_arithmetic_mid(a, b) for a, b, drop in zip(lo, hi, dropped) if not drop]
     if not math.isnan(g_values[-1]):
         if g_values[-1] == 0.0:
             candidates.append(float(grid[-1]))

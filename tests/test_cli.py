@@ -461,17 +461,22 @@ class TestOverflowingInputs:
         assert payload["field"] == f"{block}.{key}"
 
 
-def _edited(tmp_path, fixture: str, dotted: str, literal: str) -> str:
-    """A fixture with the key at dotted path set to a raw JSON literal, and a short sim."""
+def _edited(tmp_path, fixture: str, *edits: str) -> str:
+    """A fixture with a short sim and each key at a dotted path set to the
+    raw JSON literal that follows it in edits."""
     doc = json.loads(fixture_path(f"{fixture}.json").read_text())
-    *blocks, key = dotted.split(".")
-    target = doc
-    for block in blocks:
-        target = target[block]
-    target[key] = "@VALUE@"
+    for index, dotted in enumerate(edits[::2]):
+        *blocks, key = dotted.split(".")
+        target = doc
+        for block in blocks:
+            target = target[block]
+        target[key] = f"@VALUE{index}@"
     doc["sim"]["n_arrivals"] = 3_200
+    text = json.dumps(doc)
+    for index, literal in enumerate(edits[1::2]):
+        text = text.replace(f'"@VALUE{index}@"', literal)
     path = tmp_path / "edited.json"
-    path.write_text(json.dumps(doc).replace('"@VALUE@"', literal))
+    path.write_text(text)
     return str(path)
 
 
@@ -493,6 +498,8 @@ class TestErrorContract:
                              id=f"{command}-{dotted.rsplit('.', 1)[-1]}")
                 for dotted, literal, commands in (
                     ("signal_env.kappa", "1e-300", ("equilibrium", "simulate")),
+                    # The scan starts at a subnormal price, 1e-12 * theta_hi.
+                    ("signal_env.K", "1e-300", ("equilibrium", "review-curve", "simulate")),
                     ("signal_env.c_w", "1e308", ("equilibrium", "simulate")),
                     ("signal_env.risk_map.s0", "1e300",
                      ("equilibrium", "review-curve", "simulate")),
@@ -513,6 +520,16 @@ class TestErrorContract:
                 pytest.param([command], ("fig5-beta22", "signal_env.kappa", "1e-320"), 2,
                              id=f"{command}-subnormal-kappa")
                 for command in ("equilibrium", "simulate")
+            ],
+            # A nonzero price scale whose 1e-12 multiple, the scan's start,
+            # underflows to 0.
+            *[
+                pytest.param([command], ("fig5-beta22", *edits), 2, id=f"{command}-{name}")
+                for name, edits in (
+                    ("tiny-kappa-and-K", ("signal_env.kappa", "1e-300", "signal_env.K", "1e-20")),
+                    ("subnormal-K", ("signal_env.K", "5e-324")),
+                )
+                for command in ("equilibrium", "review-curve", "simulate")
             ],
         ],
     )

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -223,12 +224,15 @@ class TestBatchedMoments:
         assert any(0.0 < split < 1.0 for split in splits)
 
     def test_rows_match_single_price_calls(self):
+        # Exactly: a price's moments must not depend on the prices batched
+        # with it, or the solver's multisection would leave the iterates of
+        # plain bisection.
         tau, q = ver._policy_moments(ENV, self.THETAS, REWORK, ver.QUAD_NODES)
         assert tau.shape == q.shape == self.THETAS.shape
         for theta, tau_row, q_row in zip(self.THETAS, tau, q):
             one_tau, one_q = ver._policy_moments(ENV, [theta], REWORK, ver.QUAD_NODES)
-            assert tau_row == pytest.approx(one_tau[0], rel=1e-14)
-            assert q_row == pytest.approx(one_q[0], rel=1e-14)
+            assert tau_row == one_tau[0]
+            assert q_row == one_q[0]
 
     def test_rows_match_adaptive_quadrature(self):
         thetas = self.THETAS[::6]
@@ -410,11 +414,143 @@ class TestSolveEquilibrium:
             assert 3 in root_counts
             assert tail_roots > 0
 
+    def test_tiny_price_scale(self, monkeypatch):
+        # Scaling K and c_w by a factor scales every price by it: thresholds
+        # depend on theta / (kappa K) and Phi is proportional to c_w.  Near
+        # 1e-300 the stability search's products lo * hi and the scan's
+        # g0 * g1 underflowed: the search ran its 200-step cap, ending at
+        # theta_hi, and the scan lost its sign change (NoRootError).
+        spec = load_config(fixture_path("fig5-beta22.json"))
+        reference = solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
+        calls = []
+        kernel = ver._policy_moments
+
+        def counting(*args):
+            calls.append(1)
+            return kernel(*args)
+
+        monkeypatch.setattr(ver, "_policy_moments", counting)
+        for scale in (1e-280, 1e-300):
+            env = dataclasses.replace(spec.env, K=spec.env.K * scale, c_w=spec.env.c_w * scale)
+            calls.clear()
+            solution = solve_equilibrium(env, spec.rework, spec.lam, spec.capacity)
+            assert len(calls) <= 26
+            assert solution.theta_lo / solution.theta_hi == pytest.approx(
+                reference.theta_lo / reference.theta_hi, rel=1e-9
+            )
+            # Below 1 the root bisection stops at an absolute 1e-13, so here
+            # the root is the midpoint of its scan bracket.
+            assert len(solution.roots) == 1
+            assert solution.primary.theta_star / scale == pytest.approx(
+                reference.primary.theta_star, rel=5e-3
+            )
+
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
             solve_equilibrium(ENV, REWORK, 0.0, 1.0)
         with pytest.raises(ValidationError):
             solve_equilibrium(ENV, REWORK, 0.75, 0.0)
+
+
+def _one_midpoint_bisection(f, lo, hi, f_lo, midpoint, is_open):
+    """Bisection of each bracket on its own, one midpoint per f call."""
+    out = []
+    for low, high, f_low in zip(lo, hi, f_lo):
+        dropped = False
+        for _ in range(200):
+            mid = midpoint(low, high)
+            if not is_open(low, high, mid):
+                break
+            f_mid = float(f(np.array([mid]))[0])
+            if math.isnan(f_mid):
+                dropped = True
+                break
+            if (f_mid < 0.0) == (f_low < 0.0):
+                low, f_low = mid, f_mid
+            else:
+                high = mid
+        out.append((low, high, dropped))
+    return out
+
+
+class TestMultisect:
+    """_multisect against one-midpoint bisection, on functions with no quadrature."""
+
+    @staticmethod
+    def _check(f, lo, hi, midpoint, is_open):
+        f_lo = f(np.array(lo, dtype=float)).tolist()
+        calls = []
+
+        def counting(points):
+            calls.append(points.size)
+            return f(points)
+
+        got = ver._multisect(counting, lo, hi, f_lo, midpoint, is_open)
+        assert list(zip(*got)) == _one_midpoint_bisection(f, lo, hi, f_lo, midpoint, is_open)
+        # Every call prices whole trees of 15 midpoints.
+        assert all(size % (2**ver._MULTISECT_LEVELS - 1) == 0 for size in calls)
+        return got, calls
+
+    def test_arithmetic_brackets_close_in_different_rounds(self):
+        # Roots at 0.3, 1.7 and 2.2; the tolerances close the brackets after
+        # 14, 23 and 34 steps, in rounds 4, 6 and 9.
+        roots = np.array([0.3, 1.7, 2.2])
+
+        def f(x):
+            return np.prod(x[:, None] - roots, axis=1)
+
+        steps = {0.0: 1e-4, 1.0: 2e-7, 2.0: 1e-10}
+        _, calls = self._check(
+            f, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], ver._arithmetic_mid,
+            lambda lo, hi, mid: hi - lo > steps[math.floor(lo)],
+        )
+        assert calls == [45] * 4 + [30] * 2 + [15] * 3
+
+    def test_geometric_brackets(self):
+        # Roots at 3e-5 and pi / 2, reached to 1e-12 relative in 44 and 40 steps.
+        _, calls = self._check(
+            lambda x: np.log(x / 3.0e-5) * np.cos(x), [1e-9, 1.0], [1e-3, 2.0],
+            ver._geometric_mid, lambda lo, hi, mid: hi - lo > 1e-12 * hi,
+        )
+        assert calls == [30] * 10 + [15]
+
+    def test_geometric_midpoint_of_tiny_bracket(self):
+        assert ver._geometric_mid(0.3, 0.7) == math.sqrt(0.3 * 0.7)
+        # lo * hi underflows to 0 here.
+        assert ver._geometric_mid(1e-312, 1e-300) == pytest.approx(1e-306, rel=1e-12, abs=0.0)
+
+    def test_bracket_closed_on_entry_is_never_priced(self):
+        upper = float(np.nextafter(0.4, 1.0))
+        (lo, hi, _), calls = self._check(
+            lambda x: x - 0.45, [0.0, 0.4], [1.0, upper], ver._arithmetic_mid,
+            lambda lo, hi, mid: hi - lo > 1e-13 * max(1.0, mid),
+        )
+        assert (lo[1], hi[1]) == (0.4, upper)
+        assert set(calls) == {15}
+
+    def test_nan_region_drops_a_bracket_mid_round(self):
+        # The second bracket steps up to 1.5, then its midpoint 1.75 lies
+        # where f is NaN: it is dropped at its second step, and the first
+        # bracket goes on alone.
+        def f(x):
+            return np.where(x > 1.6, np.nan, x - 0.7 - np.floor(x))
+
+        (_, _, dropped), calls = self._check(
+            f, [0.0, 1.0], [1.0, 2.0], ver._arithmetic_mid,
+            lambda lo, hi, mid: hi - lo > 1e-12,
+        )
+        assert dropped == [False, True]
+        assert calls[:2] == [30, 15]
+
+    def test_step_cap(self):
+        # A tolerance no bracket can reach: each stops after 200 steps, 50
+        # rounds of 4, at a bracket of adjacent floats around the root.
+        (lo, hi, _), calls = self._check(
+            lambda x: x - 0.7, [0.0], [1.0], ver._arithmetic_mid,
+            lambda lo, hi, mid: True,
+        )
+        assert len(calls) == 200 // ver._MULTISECT_LEVELS
+        assert lo[0] < 0.7 <= hi[0] and np.nextafter(lo[0], 1.0) == hi[0]
 
 
 def _plain_bisection_solve(env, rework, lam, capacity):
@@ -527,6 +663,15 @@ class TestEnvironmentValidation:
         with pytest.raises(ValidationError) as err:
             make_env(kappa=1e-320)
         assert err.value.field == "kappa"
+
+    def test_price_scale_that_underflows_the_scan_rejected(self, make_env):
+        # kappa * K * pi(1) is nonzero but 1e-12 of it, where the equilibrium
+        # scan starts, underflows to 0.
+        assert make_env(K=1e-300).review_scale > 0.0
+        for overrides in (dict(kappa=1e-300, K=1e-20), dict(K=5e-324)):
+            with pytest.raises(ValidationError) as err:
+                make_env(**overrides)
+            assert err.value.field == "K"
 
     def test_shapes_whose_normaliser_overflows_rejected(self, make_env):
         for shape in (1e308, 1.7976931348623157e308):
