@@ -43,13 +43,12 @@ def _fifo_reflect(arrivals, services, out=None):
 
 def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out=None):
     n = arrivals.shape[0]
-    n_spawn = int(spawn_mask.sum())
+    # Rework job k, the k-th spawned, belongs to the k-th flagged arrival.
+    parents = np.flatnonzero(spawn_mask)
     # The loop assigns every entry of both arrays.
     waits, chain_complete = (np.empty(n), np.empty(n)) if out is None else out
-    rq_entry = np.empty(n_spawn)
-    rq_service = np.empty(n_spawn)
-    rq_parent = np.empty(n_spawn, dtype=np.intp)
-    rework_waits = np.empty(n_spawn)
+    rq_entry = np.empty(parents.size)
+    rework_waits = np.empty(parents.size)
 
     head = tail = 0
     i = 0
@@ -65,17 +64,15 @@ def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out=None):
             chain_complete[i] = depart
             if spawn_mask[i]:
                 rq_entry[tail] = depart
-                rq_service[tail] = rework_services[i]
-                rq_parent[tail] = i
                 tail += 1
             i += 1
         else:
             entry = rq_entry[head]
-            service = rq_service[head]
+            service = rework_services[head]
             start = entry if entry > now else now
             depart = start + service
             rework_waits[head] = start - entry
-            chain_complete[rq_parent[head]] = depart
+            chain_complete[parents[head]] = depart
             head += 1
         busy += service
         now = depart
@@ -85,16 +82,20 @@ def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out=None):
 def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
     """Run the queue; returns (waits, chain_complete, rework_waits, end, busy).
 
-    waits[i]          queue wait of external job i (service start - arrival)
-    chain_complete[i] when job i's chain ends: its own departure, or its
-                      rework job's departure if it spawned one
-    rework_waits[k]   queue wait of the k-th spawned job, in spawn order
-    end               calendar time of the last departure (0 when empty)
-    busy              total server busy time
+    spawn_mask[i]      1 if external job i spawns a rework job, else 0
+    rework_services[k] service of the k-th spawned job: one per flagged
+                       arrival, in arrival order, which is spawn order
 
-    spawn_mask and rework_services may be empty arrays when no job spawns
-    rework.  ``out`` is an optional pair of length-n buffers that receive
-    waits and chain_complete.
+    waits[i]           queue wait of external job i (service start - arrival)
+    chain_complete[i]  when job i's chain ends: its own departure, or its
+                       rework job's departure if it spawned one
+    rework_waits[k]    queue wait of the k-th spawned job
+    end                calendar time of the last departure (0 when empty)
+    busy               total server busy time
+
+    spawn_mask and rework_services may both be empty arrays when no job
+    spawns rework.  ``out`` is an optional pair of length-n buffers that
+    receive waits and chain_complete.
     """
     if not spawn_mask.any():
         waits, departures, end, busy = _fifo_reflect(arrivals, services, out)

@@ -38,6 +38,7 @@ from .simulator import SimConfig, replicate
 from .verification import (
     effort_for_risk,
     irreducible_escape_rate,
+    policy_route_moments,
     solve_equilibrium,
 )
 
@@ -128,49 +129,59 @@ def _inputs_block(spec: WorkflowSpec) -> dict:
     return block
 
 
-def _route_block(moments) -> dict:
-    return {"mean": moments.mean, "m2": moments.m2, "c2": moments.c2}
+def _routes(spec: WorkflowSpec, theta: float | None = None):
+    """AI and mixed route moments: at the fixed effort, or under the review policy at theta."""
+    if theta is None:
+        ai = ai_route_moments(spec.curve, spec.rework, spec.review_r)
+    else:
+        ai = policy_route_moments(spec.env, theta, spec.rework)
+    return ai, mixed_moments(spec.manual, ai, spec.x)
 
 
-def _fixed_routes(spec: WorkflowSpec):
-    ai = ai_route_moments(spec.curve, spec.rework, spec.review_r)
-    mixed = mixed_moments(spec.manual, ai, spec.x)
-    return ai, mixed
+def _header(command: str, spec: WorkflowSpec, ai, mixed=None, p_r: bool = True) -> dict:
+    """The command, inputs, p_r and routes blocks that open a fixed-effort report."""
+    payload = {"command": command, "inputs": _inputs_block(spec)}
+    if p_r:
+        payload["p_r"] = residual_error(spec.curve, spec.review_r)
+    routes = {"manual": spec.manual.moments, "ai": ai, "mixed": mixed}
+    payload["routes"] = {
+        name: {"mean": moments.mean, "m2": moments.m2, "c2": moments.c2}
+        for name, moments in routes.items()
+        if moments is not None
+    }
+    return payload
+
+
+def _queue_block(spec: WorkflowSpec, mixed) -> dict:
+    """Offered load and stability of the mixed route, and its P-K and Kingman waits if stable."""
+    block = {
+        "rho": spec.lam * mixed.mean / spec.capacity,
+        "stable": queueing.is_stable(spec.lam, mixed.mean, spec.capacity),
+    }
+    if block["stable"]:
+        inputs = queueing.QueueInputs(
+            lam=spec.lam, capacity=spec.capacity, service=mixed, c2_a=spec.c2_a
+        )
+        block["wq_pk"] = queueing.wq_pk(inputs).wq
+        block["wq_kingman"] = queueing.wq_kingman(inputs).wq
+    return block
 
 
 # ---------------------------------------------------------------------------
 # command handlers
 
 def _handle_moments(spec: WorkflowSpec, args) -> str:
-    ai, mixed = _fixed_routes(spec)
-    queue: dict = {"rho": spec.lam * mixed.mean / spec.capacity}
-    queue["stable"] = queueing.is_stable(spec.lam, mixed.mean, spec.capacity)
-    if queue["stable"]:
-        inputs = queueing.QueueInputs(
-            lam=spec.lam, capacity=spec.capacity, service=mixed, c2_a=spec.c2_a
-        )
-        queue["wq_pk"] = queueing.wq_pk(inputs).wq
-        queue["wq_kingman"] = queueing.wq_kingman(inputs).wq
-    else:
-        queue["wq_pk"] = None
-        queue["wq_kingman"] = None
-    payload = {
-        "command": "moments",
-        "inputs": _inputs_block(spec),
-        "p_r": residual_error(spec.curve, spec.review_r),
-        "routes": {
-            "manual": _route_block(spec.manual.moments),
-            "ai": _route_block(ai),
-            "mixed": _route_block(mixed),
-        },
-        "queue": queue,
-    }
-    return render_json(payload)
+    ai, mixed = _routes(spec)
+    queue = _queue_block(spec, mixed)
+    queue.setdefault("wq_pk", None)
+    queue.setdefault("wq_kingman", None)
+    return render_json({**_header("moments", spec, ai, mixed), "queue": queue})
 
 
 def _handle_wait(spec: WorkflowSpec, args) -> str:
-    ai, mixed = _fixed_routes(spec)
-    waits = {}
+    ai, mixed = _routes(spec)
+    payload = _header("wait", spec, ai, mixed)
+    waits = payload["waits"] = {}
     for name, moments in (("manual", spec.manual.moments), ("ai", ai), ("mixed", mixed)):
         inputs = queueing.QueueInputs(
             lam=spec.lam, capacity=spec.capacity, service=moments, c2_a=spec.c2_a
@@ -183,47 +194,27 @@ def _handle_wait(spec: WorkflowSpec, args) -> str:
             "total_sojourn_pk": exact.total_sojourn,
             "wq_kingman": approx.wq,
         }
-    payload = {
-        "command": "wait",
-        "inputs": _inputs_block(spec),
-        "p_r": residual_error(spec.curve, spec.review_r),
-        "routes": {
-            "manual": _route_block(spec.manual.moments),
-            "ai": _route_block(ai),
-            "mixed": _route_block(mixed),
-        },
-        "waits": waits,
-        "kingman_approximate": True,
-    }
+    payload["kingman_approximate"] = True
     return render_json(payload)
 
 
 def _handle_wedge(spec: WorkflowSpec, args) -> str:
-    ai, _ = _fixed_routes(spec)
+    ai, _ = _routes(spec)
     report = diagnostics.wedge_test(spec.manual, ai, spec.lam, spec.capacity)
-    payload = {
-        "command": "wedge",
-        "inputs": _inputs_block(spec),
-        "p_r": residual_error(spec.curve, spec.review_r),
-        "routes": {"manual": _route_block(spec.manual.moments), "ai": _route_block(ai)},
-        "wedge": asdict(report),
-    }
-    return render_json(payload)
+    return render_json({**_header("wedge", spec, ai), "wedge": asdict(report)})
 
 
 def _handle_stabilize(spec: WorkflowSpec, args) -> str:
-    ai, _ = _fixed_routes(spec)
+    ai, _ = _routes(spec)
     result = diagnostics.stabilization(spec.manual, ai, spec.lam, spec.capacity)
-    payload = {
-        "command": "stabilize",
-        "inputs": _inputs_block(spec),
-        "routes": {"manual": _route_block(spec.manual.moments), "ai": _route_block(ai)},
-        "rho_manual": spec.lam * spec.manual.tau_H / spec.capacity,
-        "rho_ai": spec.lam * ai.mean / spec.capacity,
-        "x_c": result.x_c,
-        "feasible": result.feasible,
-        "rescue_ok": result.rescue_ok,
-    }
+    payload = _header("stabilize", spec, ai, p_r=False)
+    payload.update(
+        rho_manual=spec.lam * spec.manual.tau_H / spec.capacity,
+        rho_ai=spec.lam * ai.mean / spec.capacity,
+        x_c=result.x_c,
+        feasible=result.feasible,
+        rescue_ok=result.rescue_ok,
+    )
     if result.feasible and result.x_c > 0.0:
         mix = mixed_moments(spec.manual, ai, result.x_c)
         payload["load_at_x_c"] = spec.lam * mix.mean / spec.capacity
@@ -232,7 +223,7 @@ def _handle_stabilize(spec: WorkflowSpec, args) -> str:
 
 def _handle_sweep(spec: WorkflowSpec, args) -> str:
     grid = _parse_grid(args.grid, "--grid", "> 0")
-    ai, _ = _fixed_routes(spec)
+    ai, _ = _routes(spec)
     header = ["lambda", "w_manual", "w_ai", "rho_H", "rho_A", "stable_H", "stable_A"]
     routes = (spec.manual.moments, ai)
     rows = []
@@ -297,7 +288,7 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
     def _moments(samples) -> tuple[float, float, float]:
         mean = float(samples.mean())
         m2 = float((samples**2).mean())
-        c2 = m2 / mean**2 - 1.0 if mean > 0 else 0.0
+        c2 = m2 / mean / mean - 1.0 if mean > 0 else 0.0
         return mean, m2, c2
 
     m_mean, m_m2, m_c2 = _moments(manual_samples)
@@ -379,24 +370,10 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
         require_count(args.seed, "--seed", 0, MAX_SEED)
     config = SimConfig.from_workflow(spec, seed=args.seed)
     stats = replicate(config)
-
-    if spec.mode == "fixed":
-        ai, mixed = _fixed_routes(spec)
-    else:
-        from .verification import policy_route_moments
-
-        ai = policy_route_moments(spec.env, stats.theta_star, spec.rework)
-        mixed = mixed_moments(spec.manual, ai, spec.x)
-
-    analytic: dict = {"rho": spec.lam * mixed.mean / spec.capacity}
-    analytic["stable"] = queueing.is_stable(spec.lam, mixed.mean, spec.capacity)
+    ai, mixed = _routes(spec, stats.theta_star)
+    analytic = _queue_block(spec, mixed)
     deltas = {}
     if analytic["stable"]:
-        inputs = queueing.QueueInputs(
-            lam=spec.lam, capacity=spec.capacity, service=mixed, c2_a=spec.c2_a
-        )
-        analytic["wq_pk"] = queueing.wq_pk(inputs).wq
-        analytic["wq_kingman"] = queueing.wq_kingman(inputs).wq
         analytic["service_mean"] = mixed.mean
         analytic["service_m2"] = mixed.m2
         if stats.wq_ci_half_width > 0.0:

@@ -162,13 +162,12 @@ def wedge_test(manual: ManualRoute, ai: RouteMoments, lam: float, capacity: floa
     w_manual = wq_pk(manual_inputs).wq
     w_ai = wq_pk(ai_inputs).wq
 
-    # (1 + c2) == m2 / mean^2, which keeps identical routes at exactly 1.
-    lhs = (ai.m2 / ai.mean**2) / (manual.q_H / manual.tau_H**2)
-    rhs = (
-        (manual.tau_H / ai.mean) ** 2
-        * (capacity - lam * ai.mean)
-        / (capacity - lam * manual.tau_H)
-    )
+    # (1 + c2) == m2 / mean^2, which keeps identical routes at exactly 1.  Each
+    # square is two factors: mean**2 underflows below about 1e-162, and a
+    # float ** raises OverflowError where * gives inf.
+    lhs = (ai.m2 / ai.mean / ai.mean) / (manual.q_H / manual.tau_H / manual.tau_H)
+    speedup = manual.tau_H / ai.mean
+    rhs = speedup * speedup * (capacity - lam * ai.mean) / (capacity - lam * manual.tau_H)
     ai_better = lhs < rhs
 
     direct = w_ai < w_manual

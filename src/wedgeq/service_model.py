@@ -83,7 +83,8 @@ class RouteMoments:
         """Squared coefficient of variation (0 for a degenerate time)."""
         if self.mean == 0.0:
             return 0.0
-        return max(0.0, self.m2 / self.mean**2 - 1.0)
+        # Two divisions: mean**2 underflows to 0 for a mean below about 1e-162.
+        return max(0.0, self.m2 / self.mean / self.mean - 1.0)
 
 
 @dataclass(frozen=True)
@@ -97,6 +98,10 @@ class ManualRoute:
         require_finite(self.tau_H, "tau_H", "> 0")
         require_finite(self.c2_H, "c2_H", ">= 0")
         require_no_overflow(lambda: self.q_H, "tau_H", "tau_H^2 * (1 + c2_H)")
+        if self.q_H == 0.0:
+            raise ValidationError(
+                "tau_H is too small: tau_H^2 * (1 + c2_H) underflows to 0", field="tau_H"
+            )
 
     @property
     def q_H(self) -> float:
@@ -183,6 +188,8 @@ class ReworkModel:
         return RouteMoments(mean=self.mu_R, m2=self.mu_R2)
 
 
+# -kappa * r overflows to -inf for a huge effort, and exp(-inf) = 0 is the limit.
+@np.errstate(over="ignore")
 def residual_error(curve: ErrorCurve, r):
     """Error probability remaining after ``r`` hours of review.
 

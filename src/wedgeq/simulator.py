@@ -17,6 +17,7 @@ bit-reproducible for a given config.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -34,12 +35,7 @@ from .service_model import (
     sample_manual,
     sample_rework,
 )
-from .verification import (
-    policy_route_moments,
-    residual_risk,
-    review_effort,
-    solve_equilibrium,
-)
+from .verification import pi_star, policy_route_moments, review_policy, solve_equilibrium
 
 # Two-sided confidence level of every reported wait interval.
 CI_LEVEL = 0.99
@@ -128,6 +124,11 @@ def _resolve_theta(config: SimConfig) -> float | None:
     return solution.primary.theta_star
 
 
+# SimStats fields that replicate sums, and those it averages, across replications.
+_SUMMED = ("n_arrivals", "n_rework_jobs", "warmup_skipped")
+_AVERAGED = ("wq_p50", "wq_p90", "wq_p99", "rho_hat", "busy_fraction", "service_mean",
+             "service_m2", "sojourn_mean")
+
 # The kernel's "no job spawns rework" arguments, used by folded runs.
 _NO_SPAWN = np.zeros(0, dtype=np.uint8)
 _NO_REWORK = np.zeros(0)
@@ -146,13 +147,15 @@ def _draw_ai_first_pass(workflow: WorkflowSpec, theta, n_ai: int, rng_escape, rn
         review_times = np.full(n_ai, float(workflow.review_r))
         p_escape = residual_error(workflow.curve, workflow.review_r)
     else:
-        signals = rng_signal.beta(workflow.env.signal_alpha, workflow.env.signal_beta, n_ai)
-        review_times = review_effort(workflow.env, theta, signals)
-        p_escape = residual_risk(workflow.env, theta, signals)
+        env = workflow.env
+        signals = rng_signal.beta(env.signal_alpha, env.signal_beta, n_ai)
+        review_times, p_escape = review_policy(
+            env, pi_star(env, theta), env.risk_map.value(signals)
+        )
     return review_times, rng_escape.random(n_ai) < p_escape
 
 
-def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
+def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool) -> SimStats:
     workflow = config.workflow
     n = config.n_arrivals
     capacity = workflow.capacity
@@ -199,8 +202,8 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
         first_services = attention / capacity
         spawn_mask = np.zeros(n, dtype=np.uint8)
         spawn_mask[escaped_at] = 1
-        rework_services = np.zeros(n)
-        rework_services[escaped_at] = rework_draws / capacity
+        # In spawn order: the escapes are flagged in arrival order.
+        rework_services = rework_draws / capacity
 
     # Total attention of each task's chain (first pass + any rework), in place.
     chain_attention = attention
@@ -274,14 +277,21 @@ def _run_single(config: SimConfig, rep: int, theta: float | None) -> SimStats:
         escape_rate=escape_rate,
         sojourn_mean=sojourn_mean,
         batch_means=tuple(float(b) for b in batch_means),
-        unstable=not _analytic_stable(workflow, theta),
+        unstable=unstable,
         theta_star=theta,
     )
 
 
+def _runs(config: SimConfig, reps: int) -> list[SimStats]:
+    """The first reps replications, sharing one price and one analytic stability verdict."""
+    theta = _resolve_theta(config)
+    unstable = not _analytic_stable(config.workflow, theta)
+    return [_run_single(config, rep, theta, unstable) for rep in range(reps)]
+
+
 def run(config: SimConfig) -> SimStats:
     """The first replication (what ``replicate`` returns when ``config.reps == 1``)."""
-    return _run_single(config, rep=0, theta=_resolve_theta(config))
+    return _runs(config, 1)[0]
 
 
 def replicate(config: SimConfig) -> SimStats:
@@ -289,39 +299,20 @@ def replicate(config: SimConfig) -> SimStats:
 
     Aggregates replication means; the confidence half-width is the
     across-replication t-interval and ``batch_means`` holds the per-rep
-    means.  Rates and quantiles are averaged across replications.
+    means.  Counts are summed, and rates and quantiles are averaged across
+    replications.
     """
-    theta = _resolve_theta(config)
-    runs = [_run_single(config, rep=i, theta=theta) for i in range(config.reps)]
+    runs = _runs(config, config.reps)
     if config.reps == 1:
         return runs[0]
-
     rep_means = np.array([r.wq_mean for r in runs])
-    half_width = _t_half_width(rep_means)
-
-    def _avg(attr: str) -> float:
-        return float(np.mean([getattr(r, attr) for r in runs]))
-
     escapes = [r.escape_rate for r in runs if r.escape_rate is not None]
-    return SimStats(
-        mode=config.rework_mode,
-        backend=IMPL,
-        n_arrivals=sum(r.n_arrivals for r in runs),
-        n_rework_jobs=sum(r.n_rework_jobs for r in runs),
-        warmup_skipped=sum(r.warmup_skipped for r in runs),
+    return dataclasses.replace(
+        runs[0],
+        **{name: sum(getattr(r, name) for r in runs) for name in _SUMMED},
+        **{name: float(np.mean([getattr(r, name) for r in runs])) for name in _AVERAGED},
         wq_mean=float(rep_means.mean()),
-        wq_ci_half_width=half_width,
-        ci_level=CI_LEVEL,
-        wq_p50=_avg("wq_p50"),
-        wq_p90=_avg("wq_p90"),
-        wq_p99=_avg("wq_p99"),
-        rho_hat=_avg("rho_hat"),
-        busy_fraction=_avg("busy_fraction"),
-        service_mean=_avg("service_mean"),
-        service_m2=_avg("service_m2"),
+        wq_ci_half_width=_t_half_width(rep_means),
         escape_rate=float(np.mean(escapes)) if escapes else None,
-        sojourn_mean=_avg("sojourn_mean"),
         batch_means=tuple(float(m) for m in rep_means),
-        unstable=any(r.unstable for r in runs),
-        theta_star=theta,
     )

@@ -52,6 +52,10 @@ _MULTISECT_LEVELS = 4
 # temporaries, so a full grid scan never holds its whole broadcast at once.
 _BLOCK_ROWS = 64
 
+# _panels bounds of [0, 0.5] and [0.5, 1], for unit integrals with no threshold
+# to split at: two panels so mild endpoint curvature does not dominate the error.
+_HALF_PANELS = (np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]]))
+
 
 @dataclass(frozen=True)
 class RiskMap:
@@ -145,7 +149,7 @@ class SignalEnvironment:
         # Extreme shapes overflow the log-density to -inf: a density of 0,
         # which the check below rejects.
         with np.errstate(over="ignore"):
-            total = _integrate_unit(lambda s: self.signal_pdf(s), QUAD_NODES)
+            total = float(_panels(self, *_HALF_PANELS, QUAD_NODES)[1].sum())
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(
                 "signal density does not integrate to 1 within 1e-10 "
@@ -200,22 +204,20 @@ def _gauss_nodes(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
-def _panel_eval(f, lo: float, hi: float, n: int) -> float:
-    nodes, weights = _gauss_nodes(n)
-    half = 0.5 * (hi - lo)
-    s = lo + half * (nodes + 1.0)
-    return half * float(np.dot(weights, f(s)))
-
-
-def _integrate_unit(f, n: int) -> float:
-    # Two panels so mild endpoint curvature does not dominate the error.
-    return _panel_eval(f, 0.0, 0.5, n) + _panel_eval(f, 0.5, 1.0, n)
-
-
 def pi_star(env: SignalEnvironment, theta: float) -> float:
     """Review threshold: drafts with pi(s) <= pi_star are waved through."""
     require_finite(theta, "theta", "> 0")
     return theta / env.review_scale
+
+
+def review_policy(env: SignalEnvironment, star, pi):
+    """(effort, residual risk) of the optimal review of drafts of risk pi at threshold star.
+
+    effort = max(0, log(pi / star)) / kappa, and the residual risk
+    pi * exp(-kappa * effort) is exactly min(pi, star), computed in that form.
+    """
+    effort = np.log(np.maximum(pi / star, 1.0)) / env.kappa
+    return effort, np.minimum(pi, star)
 
 
 def effort_for_risk(env: SignalEnvironment, theta: float, pi):
@@ -228,38 +230,28 @@ def effort_for_risk(env: SignalEnvironment, theta: float, pi):
     pi_arr = np.asarray(pi, dtype=float)
     if np.any(pi_arr < 0.0) or np.any(pi_arr > 1.0):
         raise ValidationError("risk pi must lie in [0, 1]", field="pi")
-    ratio = np.maximum(pi_arr / star, 1.0)
-    out = np.log(ratio) / env.kappa
-    if np.ndim(pi) == 0:
-        return float(out)
-    return out
+    effort, _ = review_policy(env, star, pi_arr)
+    return float(effort) if np.ndim(pi) == 0 else effort
 
 
-def review_effort(env: SignalEnvironment, theta: float, s):
-    """Optimal review effort for signal(s) s in [0, 1]."""
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
-        raise ValidationError("signal s must lie in [0, 1]", field="s")
-    out = effort_for_risk(env, theta, env.risk_map.value(s_arr))
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
-
-
-def residual_risk(env: SignalEnvironment, theta: float, s):
-    """Escape probability left after optimal review: min(pi(s), pi_star).
-
-    Equal to pi(s) * exp(-kappa * r*(s)) pointwise; the clipped form is
-    exact and avoids the round trip through exp(log(...)).
-    """
+def _signal_policy(env: SignalEnvironment, theta: float, s):
+    """review_policy at price theta for signal(s) s in [0, 1]; floats for a scalar s."""
     star = pi_star(env, theta)
     s_arr = np.asarray(s, dtype=float)
     if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
         raise ValidationError("signal s must lie in [0, 1]", field="s")
-    out = np.minimum(env.risk_map.value(s_arr), star)
-    if np.ndim(s) == 0:
-        return float(out)
-    return out
+    policy = review_policy(env, star, env.risk_map.value(s_arr))
+    return tuple(map(float, policy)) if np.ndim(s) == 0 else policy
+
+
+def review_effort(env: SignalEnvironment, theta: float, s):
+    """Optimal review effort for signal(s) s in [0, 1]."""
+    return _signal_policy(env, theta, s)[0]
+
+
+def residual_risk(env: SignalEnvironment, theta: float, s):
+    """Escape probability left after optimal review: min(pi(s), pi_star)."""
+    return _signal_policy(env, theta, s)[1]
 
 
 def threshold_signal(env: SignalEnvironment, theta: float) -> float:
@@ -295,8 +287,8 @@ def _row_dots(a, b):
 def _panels(env: SignalEnvironment, lo, hi, n: int):
     """pi(s) and quadrature weights at the n Gauss-Legendre nodes of panels [lo, hi].
 
-    lo and hi are (prices, panels, 1) arrays, every panel its own affine
-    map of the shared nodes, or the floats 0 and 1 for the unit panel.
+    lo and hi are (..., panels, 1) arrays, every panel its own affine map
+    of the shared nodes, or the floats 0 and 1 for the unit panel.
     """
     nodes, weights = _gauss_nodes(n)
     half = 0.5 * (hi - lo)
@@ -309,8 +301,7 @@ def _panel_moments(env: SignalEnvironment, rework: ReworkModel, star, pi_s, weig
 
     pi_s and weight come from _panels, per price or broadcast over prices.
     """
-    effort = np.log(np.maximum(pi_s / star, 1.0)) / env.kappa
-    resid = np.minimum(pi_s, star)
+    effort, resid = review_policy(env, star, pi_s)
     tau = _row_dots(weight, effort + rework.mu_R * resid)
     q = _row_dots(
         weight, effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid
@@ -390,10 +381,8 @@ def irreducible_escape_rate(env: SignalEnvironment) -> float:
     This share of errors is uncatchable by review and is reported
     separately; it does not enter the policy route moments.
     """
-    mean_risk = _integrate_unit(
-        lambda s: env.risk_map.value(s) * env.signal_pdf(s), QUAD_NODES
-    )
-    return env.p_inf * mean_risk
+    risk, weight = _panels(env, *_HALF_PANELS, QUAD_NODES)
+    return env.p_inf * float(_row_dots(weight, risk).sum())
 
 
 def phi(

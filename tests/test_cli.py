@@ -1,12 +1,16 @@
+import contextlib
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import wedgeq
 import wedgeq.verification as ver
@@ -708,3 +712,149 @@ class TestOutputPlumbing:
             assert code == 0
             assert "NaN" not in out and "Infinity" not in out
             json.loads(out)
+
+
+# ---------------------------------------------------------------------------
+# the error contract as a property
+
+_FIXTURES = ("fig2", "fig3", "fig4", "fig5-beta22", "fig5-beta52", "fig6")
+# Simulation sizes the property caps so that an example takes milliseconds.
+_MAX_PROPERTY_ARRIVALS = 4000
+_MAX_PROPERTY_REPS = 3
+
+
+def _paths(doc: dict, prefix=()):
+    """Every key path of a document: its blocks and their leaves."""
+    for key, value in doc.items():
+        yield (*prefix, key)
+        if isinstance(value, dict):
+            yield from _paths(value, (*prefix, key))
+
+
+# Extreme and wrong-typed JSON values.  json.dumps writes NaN and Infinity as
+# the non-standard literals, which json.loads reads back.
+_LEAVES = st.one_of(
+    st.sampled_from([
+        0, -1, 2, 0.0, -0.0, 0.5, 1.0, 5e-324, 1e-300, 1e-162, 1e-20, 1e20, 1e300,
+        1.7976931348623157e308, -1e300, 10**400, math.nan, math.inf, -math.inf,
+        True, None, "x", [], {},
+    ]),
+    st.floats(),
+    st.integers(min_value=-(2**70), max_value=2**70),
+)
+_DELETE = "@delete@"
+
+# Command-line flag values, and the rework mode the fixture's sim block starts from.
+_FLAGS = st.fixed_dictionaries({
+    "grid": st.sampled_from([None, "0.1:0.9:0.1", "0.5", "1e-300:1:0.25", "1:0:1", "x",
+                             "0:1e308:1e307"]),
+    "format": st.sampled_from(["json", "csv"]),
+    "bin_width": st.sampled_from(["0.05", "1e-300", "1e300", "-1"]),
+    "seed": st.sampled_from([None, "0", "7", "-1", str(2**64)]),
+    "rework_mode": st.sampled_from(["folded", "feedback"]),
+})
+_DEFAULT_FLAGS = {
+    "grid": None, "format": "json", "bin_width": "0.05", "seed": None, "rework_mode": "folded",
+}
+
+
+@st.composite
+def _edits(draw, fixture: str):
+    doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+    paths = list(_paths(doc))
+    return draw(st.lists(
+        st.tuples(st.sampled_from(paths), st.one_of(_LEAVES, st.just(_DELETE))),
+        max_size=3,
+    ))
+
+
+def _argv(command: str, config: str, flags: dict) -> list[str]:
+    argv = [command, "--config", config]
+    if command in ("sweep", "design", "dist", "review-curve"):
+        argv += ["--format", flags["format"]]
+    if command == "sweep" or (command in ("design", "review-curve") and flags["grid"]):
+        argv += ["--grid", flags["grid"] or "0.1:0.9:0.1"]
+    if command == "dist":
+        argv += ["--n-samples", "2000", "--bin-width", flags["bin_width"]]
+    if command in ("dist", "simulate") and flags["seed"] is not None:
+        argv += ["--seed", flags["seed"]]
+    return argv
+
+
+def _config_text(fixture: str, edits, rework_mode: str) -> str:
+    """The fixture in rework_mode with edits applied, its simulation capped small."""
+    doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+    doc["sim"]["rework_mode"] = rework_mode
+    for path, value in edits:
+        target = doc
+        for key in path[:-1]:
+            if not isinstance(target.get(key), dict):
+                break
+            target = target[key]
+        else:
+            if value == _DELETE:
+                target.pop(path[-1], None)
+            else:
+                target[path[-1]] = value
+    # A missing n_arrivals would default to 10^6.
+    sim = doc.setdefault("sim", {})
+    if isinstance(sim, dict):
+        sim.setdefault("n_arrivals", _MAX_PROPERTY_ARRIVALS)
+        for key, cap in (("n_arrivals", _MAX_PROPERTY_ARRIVALS), ("reps", _MAX_PROPERTY_REPS)):
+            value = sim.get(key)
+            if isinstance(value, (int, float)) and not isinstance(value, bool) and value > cap:
+                sim[key] = cap
+    return json.dumps(doc)
+
+
+def _tiny_p0(command):
+    edits = [(("error_curve", "p0"), 1e-300), (("error_curve", "p_inf"), 0), (("review_r",), 0)]
+    return example(fixture="fig2", command=command, edits=edits, flags=_DEFAULT_FLAGS)
+
+
+class TestContractProperty:
+    """For any mutated fixture and any command, main() returns 0 with empty
+    stderr, or a documented nonzero code with exactly one JSON object on
+    stderr and nothing on stdout.  It never raises or warns."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(
+        fixture=st.shared(st.sampled_from(_FIXTURES), key="fixture"),
+        command=st.sampled_from(TestReentrantMain.COMMANDS),
+        edits=st.shared(st.sampled_from(_FIXTURES), key="fixture").flatmap(_edits),
+        flags=_FLAGS,
+    )
+    # mean**2 underflowed to 0 in the route moments' c2 (ZeroDivisionError).
+    @_tiny_p0("moments")
+    @_tiny_p0("wait")
+    @_tiny_p0("wedge")
+    @_tiny_p0("stabilize")
+    @example(fixture="fig2", command="moments", edits=[(("manual", "tau_H"), 5e-324)],
+             flags=_DEFAULT_FLAGS)
+    @example(fixture="fig2", command="moments",
+             edits=[(("rework", "mu_R"), 5e-324), (("review_r",), 1e-300)], flags=_DEFAULT_FLAGS)
+    @example(fixture="fig2", command="simulate",
+             edits=[(("rework", "mu_R"), 5e-324), (("review_r",), 1e-300)], flags=_DEFAULT_FLAGS)
+    @example(fixture="fig2", command="dist", edits=[(("manual", "tau_H"), 1e-300)],
+             flags=_DEFAULT_FLAGS)
+    @example(fixture="fig2", command="dist",
+             edits=[(("error_curve", "p0"), 0), (("error_curve", "p_inf"), 0),
+                    (("review_r",), 1e-300)], flags=_DEFAULT_FLAGS)
+    # numpy's overflow warning from residual_error ahead of the JSON error.
+    @example(fixture="fig2", command="dist", edits=[(("review_r",), 1.7976931348623157e308)],
+             flags=_DEFAULT_FLAGS)
+    def test_main_keeps_its_contract(self, fixture, command, edits, flags):
+        with tempfile.TemporaryDirectory() as directory:
+            config = Path(directory) / "mutated.json"
+            config.write_text(_config_text(fixture, edits, flags["rework_mode"]))
+            out, err = io.StringIO(), io.StringIO()
+            with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err):
+                warnings.simplefilter("error")
+                code = main(_argv(command, str(config), flags))
+        if code == 0:
+            assert err.getvalue() == ""
+        else:
+            assert code in (1, 2, 3, 4)
+            assert out.getvalue() == ""
+            assert isinstance(json.loads(err.getvalue()), dict)

@@ -238,6 +238,14 @@ class TestWedgeTest:
         assert report.rhs == 1.0
         assert report.bang_bang_direction == INDIFFERENT
 
+    def test_ai_mean_whose_square_underflows(self, manual):
+        # (tau_H / tau_A)**2 overflows and tau_A**2 underflows.
+        ai = RouteMoments(mean=7.0 / 3.0 * 1e-300, m2=6.8375e-300)
+        report = wedge_test(manual, ai, 0.5, 1.0)
+        assert report.lhs == pytest.approx(6.8375 / (7.0 / 3.0) ** 2 * 1e300 / 1.1, rel=1e-12)
+        assert report.rhs == math.inf
+        assert report.ai_better is True
+
     def test_instability_names_route(self, manual):
         with pytest.raises(StabilityError, match="manual route"):
             wedge_test(manual, AI_REF, 1.05, 1.0)

@@ -15,8 +15,11 @@ def _heap_oracle(arrivals, services, spawn_mask, rework_services):
     as the production merge.  Every job with entry <= now is already on the
     heap whenever the server picks, because rework only enters at a
     departure instant, so the pop order is the true FIFO order.
+    rework_services holds one service per flagged arrival, in spawn order,
+    so a parent's rework service sits at its rank among the flagged arrivals.
     """
     n = len(arrivals)
+    spawn_index = np.cumsum(spawn_mask) - 1
     waits = np.zeros(n)
     chain = np.zeros(n)
     rework_waits = []
@@ -27,7 +30,7 @@ def _heap_oracle(arrivals, services, spawn_mask, rework_services):
     spawn_seq = 0
     while events:
         entry, stream, idx = heapq.heappop(events)
-        service = float(services[idx]) if stream == 0 else float(rework_services[idx])
+        service = float(services[idx] if stream == 0 else rework_services[spawn_index[idx]])
         start = entry if entry > now else now
         depart = start + service
         if stream == 0:
@@ -59,12 +62,15 @@ def _random_case(seed, n_max=60):
 
 
 def _as_kernel_args(case):
+    """The kernel's arguments from per-arrival arrays: the rework services of
+    the flagged arrivals only, in spawn order."""
     arrivals, services, spawn_mask, rework_services = case
+    spawn_mask = np.ascontiguousarray(spawn_mask, dtype=np.uint8)
     return (
         np.ascontiguousarray(arrivals, dtype=np.float64),
         np.ascontiguousarray(services, dtype=np.float64),
-        np.ascontiguousarray(spawn_mask, dtype=np.uint8),
-        np.ascontiguousarray(rework_services, dtype=np.float64),
+        spawn_mask,
+        np.asarray(rework_services, dtype=np.float64)[spawn_mask.astype(bool)],
     )
 
 
@@ -178,7 +184,7 @@ class TestInvariants:
         waits, chain, rework_waits, end, busy = simulate_fifo(*case)
         assert np.all(waits >= 0.0)
         assert np.all(rework_waits >= 0.0)
-        total_work = services.sum() + rework_services[spawn_mask.astype(bool)].sum()
+        total_work = services.sum() + rework_services.sum()
         assert busy == pytest.approx(total_work, rel=1e-12)
         if len(arrivals):
             assert end == pytest.approx(chain.max(), rel=1e-12)

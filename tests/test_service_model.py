@@ -27,6 +27,8 @@ class TestResidualError:
     def test_saturates_at_floor(self):
         curve = ErrorCurve(p0=0.9, p_inf=0.1, kappa=1.5)
         assert residual_error(curve, 1e6) == pytest.approx(0.1, rel=1e-12)
+        # -kappa * r overflows to -inf: the limit, and no overflow warning.
+        assert residual_error(curve, 1.7976931348623157e308) == 0.1
 
     def test_hand_value(self):
         # 0.1 + 0.8 * exp(-1.5 * 1.2), evaluated independently
@@ -84,6 +86,16 @@ class TestValidation:
             ManualRoute(tau_H=0.0, c2_H=0.1)
         with pytest.raises(ValidationError):
             ManualRoute(tau_H=1.0, c2_H=-0.1)
+        # q_H = tau_H^2 * (1 + c2_H) underflows to 0.
+        with pytest.raises(ValidationError, match="tau_H is too small"):
+            ManualRoute(tau_H=1e-300, c2_H=0.1)
+
+    def test_c2_of_a_mean_whose_square_underflows(self):
+        # mean = 1e-300 * 7/3 and m2 = 1e-300 * 6.8375: mean**2 is 0 in floats.
+        ai = ai_route_moments(
+            ErrorCurve(p0=1e-300, p_inf=0.0, kappa=2.0), ReworkModel(7.0 / 3.0, 6.8375), 0.0
+        )
+        assert ai.c2 == pytest.approx(6.8375 / (7.0 / 3.0) ** 2 * 1e300, rel=1e-12)
 
     def test_rework_model(self):
         with pytest.raises(ValidationError):
