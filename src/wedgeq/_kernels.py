@@ -1,82 +1,52 @@
-"""The simulator's FIFO queue kernel, in NumPy/Python.
+"""The simulator's FIFO queue kernel, in NumPy.
 
 ``simulate_fifo`` consumes pre-drawn arrival and service arrays (calendar
 time units) and plays them through a single-server FIFO queue.  A flagged
 arrival spawns one rework job at its own departure instant; the rework job
-joins the tail of the queue with its own service time.  Because spawned
-jobs enter at departure instants, the rework stream is itself sorted in
-time, so the event loop is a two-stream merge and needs no event heap.
-Without rework the queue reduces to a reflected random walk, which NumPy
-evaluates in closed form.
+joins the tail of the queue with its own service time.  The queue has one
+implementation, the reflected random walk of Lindley's recursion, which
+NumPy evaluates without a Python loop.  Rework makes the walk's input
+depend on its output (a rework enters when its parent departs), so feedback
+runs take the walk's fixed point, one chunk of arrivals at a time.
 """
 
 import numpy as np
 
 IMPL = "python"
 
+# Arrivals per chunk of the feedback fixed point.
+_CHUNK = 1 << 14
 
-def _fifo_reflect(arrivals, services, out=None):
-    """Vectorized no-rework path via the reflected random walk.
 
-    The FIFO wait recursion w[i] = max(0, w[i-1] + s[i-1] - gap[i])
-    has the closed form w[i] = path[i] - min(path[0..i]) for the
-    cumulative drift path, which NumPy evaluates without a Python loop.
-    ``out`` is an optional pair of length-n buffers that receive the
-    waits and the departures; the departures buffer holds the drift path
-    until the waits are known, so the walk allocates nothing else.
+def _fifo_reflect(arrivals, services, carry, out=None):
+    """One pass of the reflected random walk, continued from ``carry``.
+
+    The FIFO wait recursion w[i] = max(0, w[i-1] + s[i-1] - gap[i]) has the
+    closed form w[i] = path[i] - min(path[..i]) for the cumulative drift
+    path.  ``carry`` is (arrival, service, path, running minimum) of the job
+    before, and the walk returns its own last job's.  NumPy accumulates left
+    to right, so a walk continued in chunks is bit-identical to the one-shot
+    walk.  ``out`` is an optional pair of buffers for the waits and the
+    departures; the departures buffer holds the path until the waits are
+    known, so the walk allocates nothing else.
     """
+    a_prev, s_prev, path_prev, low = carry
     n = arrivals.shape[0]
-    if n == 0:
-        return np.zeros(0), np.zeros(0), 0.0, 0.0
     waits, departures = (np.empty(n), np.empty(n)) if out is None else out
     path = departures
-    path[0] = 0.0
+    path[0] = path_prev + (s_prev - (arrivals[0] - a_prev))
     np.subtract(arrivals[1:], arrivals[:-1], out=path[1:])
     np.subtract(services[:-1], path[1:], out=path[1:])
-    np.cumsum(path[1:], out=path[1:])
+    np.cumsum(path, out=path)
+    first = path[0]
+    path[0] = min(first, low)
     np.minimum.accumulate(path, out=waits)
+    path[0] = first
+    carry = (arrivals[-1], services[-1], path[-1], waits[-1])
     np.subtract(path, waits, out=waits)
     np.add(arrivals, waits, out=departures)
     departures += services
-    return waits, departures, float(departures[-1]), float(services.sum())
-
-
-def _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out=None):
-    n = arrivals.shape[0]
-    # Rework job k, the k-th spawned, belongs to the k-th flagged arrival.
-    parents = np.flatnonzero(spawn_mask)
-    # The loop assigns every entry of both arrays.
-    waits, chain_complete = (np.empty(n), np.empty(n)) if out is None else out
-    rq_entry = np.empty(parents.size)
-    rework_waits = np.empty(parents.size)
-
-    head = tail = 0
-    i = 0
-    now = 0.0
-    busy = 0.0
-    while i < n or head < tail:
-        if i < n and (head == tail or arrivals[i] <= rq_entry[head]):
-            entry = arrivals[i]
-            service = services[i]
-            start = entry if entry > now else now
-            depart = start + service
-            waits[i] = start - entry
-            chain_complete[i] = depart
-            if spawn_mask[i]:
-                rq_entry[tail] = depart
-                tail += 1
-            i += 1
-        else:
-            entry = rq_entry[head]
-            service = rework_services[head]
-            start = entry if entry > now else now
-            depart = start + service
-            rework_waits[head] = start - entry
-            chain_complete[parents[head]] = depart
-            head += 1
-        busy += service
-        now = depart
-    return waits, chain_complete, rework_waits, now, busy
+    return waits, departures, carry
 
 
 def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
@@ -97,7 +67,49 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
     spawns rework.  ``out`` is an optional pair of length-n buffers that
     receive waits and chain_complete.
     """
-    if not spawn_mask.any():
-        waits, departures, end, busy = _fifo_reflect(arrivals, services, out)
-        return waits, departures, np.zeros(0), end, busy
-    return _fifo_merge_loop(arrivals, services, spawn_mask, rework_services, out)
+    n = arrivals.shape[0]
+    waits, chain = (np.empty(n), np.empty(n)) if out is None else out
+    # Rework job k, the k-th spawned, belongs to the k-th flagged arrival.
+    parents = np.flatnonzero(spawn_mask)
+    rework_waits = np.empty(parents.size)
+    busy = float(services.sum()) + float(rework_services.sum())
+    if n == 0:
+        return waits, chain, rework_waits, 0.0, busy
+    carry = (arrivals[0], 0.0, 0.0, 0.0)
+    if not parents.size:
+        _fifo_reflect(arrivals, services, carry, (waits, chain))
+        return waits, chain, rework_waits, float(chain[-1]), busy
+    done, pending = 0, np.zeros(0)  # reworks merged so far; entries of the rest
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        a, s = arrivals[lo:hi], services[lo:hi]
+        own = parents[np.searchsorted(parents, lo) : np.searchsorted(parents, hi)] - lo
+        # Carried entries are final; a new one starts as its parent's a + s.
+        old, pending = pending.size, np.concatenate((pending, a[own] + s[own]))
+        # Only reworks spawned before a parent can sit ahead of it, so each
+        # pass makes one more own entry final (pass p the first p), and pass
+        # own.size + 1 changes none: the passes always reach the fixed point.
+        for _ in range(own.size + 1):
+            # Rework k follows the externals that arrived by its entry (so
+            # externals win ties), and never precedes rework k - 1.
+            pos = np.maximum.accumulate(np.searchsorted(a, pending, "right"))
+            # One entering at or after the chunk's last arrival waits for the next.
+            take = pending.size if hi == n else int(np.searchsorted(pos, hi - lo))
+            at = pos[:take] + np.arange(take)
+            external = np.ones(hi - lo + take, dtype=bool)
+            external[at] = False
+            slots = np.flatnonzero(external)
+            entries, work = np.empty(external.size), np.empty(external.size)
+            entries[slots], entries[at] = a, pending[:take]
+            work[slots], work[at] = s, rework_services[done : done + take]
+            w, d, walked = _fifo_reflect(entries, work, carry)
+            departed = d[slots[own]]
+            if np.array_equal(departed, pending[old:]):
+                break
+            pending[old:] = departed
+        carry = walked
+        waits[lo:hi], chain[lo:hi] = w[slots], d[slots]
+        rework_waits[done : done + take] = w[at]
+        chain[parents[done : done + take]] = d[at]
+        pending, done = pending[take:], done + take
+    return waits, chain, rework_waits, float(d[-1]), busy

@@ -287,9 +287,12 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
 
     def _moments(samples) -> tuple[float, float, float]:
         mean = float(samples.mean())
-        m2 = float((samples**2).mean())
-        c2 = m2 / mean / mean - 1.0 if mean > 0 else 0.0
-        return mean, m2, c2
+        if not mean > 0:
+            return mean, 0.0, 0.0
+        # Scaled first: the square of a sample below about 1e-162 underflows.
+        scaled = samples / mean
+        r2 = float(np.square(scaled, out=scaled).mean())
+        return mean, r2 * mean * mean, r2 - 1.0
 
     m_mean, m_m2, m_c2 = _moments(manual_samples)
     a_mean, a_m2, a_c2 = _moments(ai_samples)

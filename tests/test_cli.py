@@ -290,6 +290,19 @@ class TestDist:
         header_at = next(i for i, l in enumerate(lines) if not l.startswith("#"))
         assert lines[header_at] == "bin_lo,bin_hi,manual_count,manual_density,ai_count,ai_density"
 
+    def test_c2_of_samples_whose_square_underflows(self, capsys, tmp_path):
+        # Every AI sample is the review time 1e-300, so its square is 0.
+        doc = json.loads(fixture_path("fig2.json").read_text())
+        doc["review_r"] = 1e-300
+        doc["error_curve"] = {"p0": 0.0, "p_inf": 0.0, "kappa": 2.0}
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        moments = _run_json(
+            capsys, "dist", "--config", str(path), "--n-samples", "1000", "--format", "json"
+        )["moments"]
+        assert moments["ai_mean"] == pytest.approx(1e-300, rel=1e-12)
+        assert moments["ai_c2"] == pytest.approx(0.0, abs=1e-12)
+
     def test_bad_sample_count(self, capsys):
         code, _, err = _run(capsys, "dist", "--config", FIG2, "--n-samples", "0")
         assert code == 2

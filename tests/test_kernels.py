@@ -1,9 +1,10 @@
+import dataclasses
 import heapq
 
 import numpy as np
 import pytest
 
-from wedgeq import simulator
+from wedgeq import SimConfig, _kernels, fixture_path, load_config, simulator
 from wedgeq._kernels import IMPL, simulate_fifo
 
 
@@ -12,9 +13,10 @@ def _heap_oracle(arrivals, services, spawn_mask, rework_services):
 
     Keys are (entry_time, stream, seq) with stream 0 for external jobs and
     1 for rework, so an external job wins an entry-time tie — the same rule
-    as the production merge.  Every job with entry <= now is already on the
-    heap whenever the server picks, because rework only enters at a
-    departure instant, so the pop order is the true FIFO order.
+    as the kernel's placement of rework among the arrivals.  Every job with
+    entry <= now is already on the heap whenever the server picks, because
+    rework only enters at a departure instant, so the pop order is the true
+    FIFO order.
     rework_services holds one service per flagged arrival, in spawn order,
     so a parent's rework service sits at its rank among the flagged arrivals.
     """
@@ -115,6 +117,71 @@ class TestAgainstHeapOracle:
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
         assert a[3] == pytest.approx(b[3], rel=1e-12)
         assert a[4] == pytest.approx(b[4], rel=1e-12)
+
+
+class TestChunkBoundaries:
+    """The feedback fixed point runs in chunks of ``_kernels._CHUNK`` arrivals;
+    on the dyadic grid every chunking must reproduce the oracle bit for bit."""
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_any_chunk_size_is_bitwise_exact(self, monkeypatch, chunk, seed):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        case = _as_kernel_args(_random_case(seed))
+        got = simulate_fifo(*case)
+        want = _heap_oracle(*case)
+        for x, y in zip(got[:3], want[:3]):
+            np.testing.assert_array_equal(x, y)
+        assert got[3] == want[3]
+
+    @pytest.mark.parametrize("chunk", [2, 1 << 14])
+    def test_rework_carried_into_next_chunk(self, monkeypatch, chunk):
+        # Job 0 departs at 2 and spawns; with chunks of two arrivals that is
+        # after its chunk's last arrival (1), so the rework joins the next
+        # chunk ahead of job 2 (arrives 2.5): job 1 (2-3), rework (3-4),
+        # job 2 (4-5), job 3 (5-6).
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        case = _as_kernel_args(
+            ([0.0, 1.0, 2.5, 4.0], [2.0, 1.0, 1.0, 1.0], [1, 0, 0, 0], [1.0, 0.0, 0.0, 0.0])
+        )
+        waits, chain, rework_waits, end, busy = simulate_fifo(*case)
+        np.testing.assert_array_equal(waits, [0.0, 1.0, 1.5, 1.0])
+        np.testing.assert_array_equal(chain, [4.0, 3.0, 5.0, 6.0])
+        np.testing.assert_array_equal(rework_waits, [1.0])
+        assert end == 6.0
+        assert busy == 6.0
+
+
+class TestRealisticRegime:
+    @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
+    def test_feedback_run_matches_oracle(self, monkeypatch, name):
+        # The arguments simulator.run builds at 1e5 arrivals: several chunks,
+        # about 15% (fig2) and 30% (fig5-beta52) of arrivals spawn rework.
+        config = dataclasses.replace(
+            SimConfig.from_workflow(load_config(fixture_path(f"{name}.json"))),
+            n_arrivals=100_000, rework_mode="feedback",
+        )
+        calls = []
+
+        def capture(*args, out=None):
+            calls.append([np.copy(a) for a in args])
+            return simulate_fifo(*args, out=out)
+
+        monkeypatch.setattr(simulator, "simulate_fifo", capture)
+        simulator.run(config)
+        (args,) = calls
+        arrivals, _, spawn_mask, _ = args
+        assert arrivals.size > 4 * _kernels._CHUNK
+        assert 0.1 < spawn_mask.mean() < 0.4
+        got = simulate_fifo(*args)
+        want = _heap_oracle(*args)
+        # The walk's path and the oracle's clock both round at the scale of
+        # the horizon, so they agree to a few of its ulps, not bitwise.
+        tol = 16 * np.spacing(arrivals[-1])
+        for x, y in zip(got[:3], want[:3]):
+            np.testing.assert_allclose(x, y, rtol=0, atol=tol)
+        assert got[3] == pytest.approx(want[3], rel=0, abs=tol)
+        assert got[4] == pytest.approx(want[4], rel=1e-12)
 
 
 class TestHandWorkedCases:
