@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
     WedgeqError,
 )
-from .queueing import QueueInputs, is_stable, require_stable, wq_pk
+from .queueing import EPS_RHO, QueueInputs, is_stable, require_stable, wq_pk
 from .service_model import ReworkModel, RouteMoments, require_finite, require_no_overflow
 
 # Gauss-Legendre nodes per quadrature panel, and prices in the equilibrium scan.
@@ -44,9 +44,9 @@ _QUAD_RTOL = 1e-8
 # Residual tolerance guaranteed for reported fixed points.
 _ROOT_RTOL = 1e-8
 
-# Levels of a bisection tree priced per quadrature call by _multisect: one
-# call evaluates the 2**_MULTISECT_LEVELS - 1 midpoints those levels hold.
-_MULTISECT_LEVELS = 4
+# Round cap of _bracket_roots.  Illinois steps close a double-precision
+# bracket in well under 20 rounds; the cap only bounds a misbehaving f.
+_BRACKET_ROUNDS = 100
 
 # Prices per block of the batched quadrature: bounds its (prices x nodes)
 # temporaries, so a full grid scan never holds its whole broadcast at once.
@@ -324,7 +324,7 @@ def _policy_moments(env: SignalEnvironment, thetas, rework: ReworkModel, n_nodes
     n_nodes, whose nodes, risks and weights are shared by every such
     price.  Prices are evaluated _BLOCK_ROWS at a time.  thetas is not
     checked here: the public entry points check it once, and the solver's
-    grid and bisection points are positive by construction.
+    grid and bracket points are positive by construction.
     """
     stars = np.asarray(thetas, dtype=float) / env.review_scale
     splits = _signal_at_risk(env.risk_map, stars)
@@ -421,78 +421,63 @@ def _degenerate_equilibrium(theta_hi: float, zero_demand: bool) -> EquilibriumSo
     return EquilibriumSolution(primary=eq, roots=(eq,), theta_lo=0.0, theta_hi=theta_hi)
 
 
-def _geometric_mid(lo: float, hi: float) -> float:
-    product = lo * hi
-    # Below the smallest normal float the product loses digits or underflows
-    # to 0, which would stall the bisection of a tiny price scale.
-    if product < sys.float_info.min:
-        return math.sqrt(lo) * math.sqrt(hi)
-    return math.sqrt(product)
+def _bracket_roots(f, lo, hi, f_lo, f_hi, rtol):
+    """Narrow the brackets [lo, hi] of sign changes of f together; returns lo, hi and drop flags.
 
-
-def _arithmetic_mid(lo: float, hi: float) -> float:
-    return 0.5 * (lo + hi)
-
-
-def _multisect(f, lo, hi, f_lo, midpoint, is_open):
-    """Bisect the brackets [lo, hi] of f together; returns their final lo, hi and drop flags.
-
-    Each step a bracket keeps the half whose ends differ in sign of f from
-    its lower end.  It stops once is_open(lo, hi, midpoint(lo, hi)) fails or
-    after 200 steps, and is dropped where f turns NaN (the queue is
-    unstable there).  Each round one f call prices all midpoints of the
-    next _MULTISECT_LEVELS levels of each open bracket's bisection tree;
-    then every bracket walks down those levels in Python floats, reading
-    the value at the node it reaches.  f prices each point independently
-    of the others in its call, so every bracket visits the iterates of
-    plain bisection, one midpoint per f call.
+    Illinois regula falsi (Dowell & Jarratt, BIT 11, 1971): each round one
+    f call prices the secant point of every open bracket, and the end whose
+    f has that point's sign moves to it.  When the same end is kept twice in
+    a row its f value is halved, so the secant point cannot creep up on the
+    root from one side.  A bracket closes once hi - lo <= rtol * hi, or at a
+    point where f is 0 (lo = hi there), and is dropped where f is NaN (the
+    queue is unstable there).  At most _BRACKET_ROUNDS rounds are run.
     """
     lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
-    # lo only moves to a midpoint whose f has its sign, so that sign is fixed.
-    negative = (np.asarray(f_lo) < 0.0).tolist()
+    f_lo, f_hi = np.asarray(f_lo, dtype=float).tolist(), np.asarray(f_hi, dtype=float).tolist()
+    # Fixed per bracket: a halved f value can underflow to a signless 0.
+    negative = [value < 0.0 for value in f_lo]
+    # Which end each bracket kept last round: -1 lo, +1 hi, 0 none yet.
+    kept = [0] * len(lo)
     dropped = [False] * len(lo)
-    open_ = [i for i in range(len(lo)) if is_open(lo[i], hi[i], midpoint(lo[i], hi[i]))]
-    tree_size = 2**_MULTISECT_LEVELS - 1
-    for step in range(0, 200, _MULTISECT_LEVELS):
+    open_ = [i for i in range(len(lo)) if hi[i] - lo[i] > rtol * hi[i]]
+    for _ in range(_BRACKET_ROUNDS):
         if not open_:
             break
-        points = [mid for i in open_ for mid in _tree_points(lo[i], hi[i], midpoint)]
+        points = []
+        for i in open_:
+            # The share of the bracket below the secant point, taken ratio
+            # first: f * (hi - lo) underflows on a tiny price scale.  An
+            # infinite f value leaves no secant; the midpoint stands in.
+            span = f_lo[i] - f_hi[i]
+            share = f_lo[i] / span if math.isfinite(span) else 0.5
+            # A quarter of the tolerance inside both ends, so a root next to
+            # one end still closes its bracket within a round or two.
+            margin = 0.25 * rtol * hi[i]
+            point = lo[i] + (hi[i] - lo[i]) * share
+            points.append(min(max(point, lo[i] + margin), hi[i] - margin))
         values = f(np.array(points)).tolist()
         still_open = []
-        for first, i in zip(range(0, len(points), tree_size), open_):
-            # Node j of the tree has children 2j + 1 (lower half) and 2j + 2 (upper half).
-            node = 0
-            for _ in range(min(_MULTISECT_LEVELS, 200 - step)):
-                mid, f_mid = points[first + node], values[first + node]
-                if math.isnan(f_mid):
-                    dropped[i] = True
-                    break
-                if (f_mid < 0.0) == negative[i]:
-                    lo[i], node = mid, 2 * node + 2
-                else:
-                    hi[i], node = mid, 2 * node + 1
-                if not is_open(lo[i], hi[i], midpoint(lo[i], hi[i])):
-                    break
+        for i, point, value in zip(open_, points, values):
+            if math.isnan(value):
+                dropped[i] = True
+                continue
+            if value == 0.0:
+                lo[i] = hi[i] = point
+                continue
+            if (value < 0.0) == negative[i]:
+                lo[i], f_lo[i] = point, value
+                if kept[i] == 1:
+                    f_hi[i] *= 0.5
+                kept[i] = 1
             else:
+                hi[i], f_hi[i] = point, value
+                if kept[i] == -1:
+                    f_lo[i] *= 0.5
+                kept[i] = -1
+            if hi[i] - lo[i] > rtol * hi[i]:
                 still_open.append(i)
         open_ = still_open
     return lo, hi, dropped
-
-
-def _tree_points(lo: float, hi: float, midpoint) -> list[float]:
-    """The midpoints of the first _MULTISECT_LEVELS levels of [lo, hi]'s bisection tree.
-
-    In heap order: level by level, each level from low to high.
-    """
-    points, spans = [], [(lo, hi)]
-    for _ in range(_MULTISECT_LEVELS):
-        halves = []
-        for a, b in spans:
-            mid = midpoint(a, b)
-            points.append(mid)
-            halves += ((a, mid), (mid, b))
-        spans = halves
-    return points
 
 
 # Overflow in the scan is benign too: an overflowed Phi keeps its sign.
@@ -503,12 +488,12 @@ def solve_equilibrium(
     """Find all fixed points of theta = Phi(theta) on the feasible domain.
 
     Scans g(theta) = theta - Phi(theta) on a geometric grid over
-    [theta_lo, theta_hi] in one batched quadrature call, bisects every
-    sign change in lock-step, and adds the analytic tail root above
-    theta_hi (where no draft is reviewed and Phi is constant) when g is
-    still negative there.  theta_lo is the smallest price at which the
-    queue is stable: below it review effort inflates tau_A past capacity.
-    The smallest root is primary.
+    [theta_lo, theta_hi] in one batched quadrature call, narrows every
+    sign change together by Illinois steps, and adds the analytic tail
+    root above theta_hi (where no draft is reviewed and Phi is constant)
+    when g is still negative there.  theta_lo is the smallest price at
+    which the queue is stable: below it review effort inflates tau_A past
+    capacity.  The smallest root is primary.
     """
     require_finite(lam, "lam", "> 0")
     require_finite(capacity, "capacity", "> 0")
@@ -519,8 +504,12 @@ def solve_equilibrium(
     if env.c_w == 0.0:
         return _degenerate_equilibrium(theta_hi=theta_hi, zero_demand=False)
 
-    def tau_at(thetas) -> np.ndarray:
-        return _policy_moments(env, thetas, rework, QUAD_NODES)[0]
+    def rho_at(thetas: np.ndarray) -> np.ndarray:
+        return lam * _policy_moments(env, thetas, rework, QUAD_NODES)[0] / capacity
+
+    def margin(rho: np.ndarray) -> np.ndarray:
+        """(1 - EPS_RHO) - rho, positive exactly where is_stable holds; -inf for a NaN load."""
+        return np.fmax((1.0 - EPS_RHO) - rho, -math.inf)
 
     def g_at(thetas: np.ndarray) -> np.ndarray:
         """g = theta - Phi(theta) at each price; NaN where the queue is unstable."""
@@ -532,31 +521,30 @@ def solve_equilibrium(
 
     # --- feasible interval -------------------------------------------------
     theta_tiny = theta_hi * 1e-12
-    if is_stable(lam, tau_at([theta_tiny])[0], capacity):
+    anchors = np.geomspace(theta_tiny, theta_hi, 64)
+    rho = rho_at(anchors)
+    margins = margin(rho)
+    stable_rows = np.flatnonzero(margins > 0.0)
+    if stable_rows.size == 0:
+        raise InfeasibleError(
+            "no review price stabilizes the queue: even with no review "
+            f"(theta >= {theta_hi:.6g}) the load is rho = {rho[-1]:.6g}"
+        )
+    row = stable_rows[0]
+    if row == 0:
         theta_lo = theta_tiny
     else:
-        # theta_hi first, then the geometric candidates: the first stable
-        # price anchors the search for the stability boundary.
-        anchors = np.concatenate(([theta_hi], np.geomspace(theta_tiny, theta_hi, 64)))
-        tau_anchors = tau_at(anchors)
-        stable_rows = np.flatnonzero(is_stable(lam, tau_anchors, capacity))
-        if stable_rows.size == 0:
-            raise InfeasibleError(
-                "no review price stabilizes the queue: even with no review "
-                f"(theta >= {theta_hi:.6g}) the load is "
-                f"rho = {lam * tau_anchors[0] / capacity:.6g}"
-            )
-        # Geometric bisection of the stability boundary between theta_tiny
-        # (unstable: sign -1) and the anchor (stable: sign +1).
-        _, high, _ = _multisect(
-            lambda thetas: np.where(is_stable(lam, tau_at(thetas), capacity), 1.0, -1.0),
-            [theta_tiny], [anchors[stable_rows[0]]], [-1.0], _geometric_mid,
-            lambda lo, hi, mid: hi - lo > 1e-12 * hi,
+        # The first stable anchor and the unstable one below it bracket the
+        # stability boundary.
+        _, high, _ = _bracket_roots(
+            lambda thetas: margin(rho_at(thetas)),
+            anchors[row - 1 : row], anchors[row : row + 1],
+            margins[row - 1 : row], margins[row : row + 1], 1e-12,
         )
         theta_lo = high[0] * (1.0 + 1e-6)
     theta_lo = min(theta_lo, theta_hi * (1.0 - 1e-9))
 
-    # --- scan and bisect ---------------------------------------------------
+    # --- scan and refine ---------------------------------------------------
     grid = np.geomspace(theta_lo, theta_hi, SCAN_POINTS)
     g_values = g_at(grid)
     g0, g1 = g_values[:-1], g_values[1:]
@@ -565,11 +553,10 @@ def solve_equilibrium(
     # values, are multiplied: on a tiny price scale g0 * g1 underflows to 0.
     candidates = grid[:-1][(g0 == 0.0) & ~np.isnan(g1)].tolist()
     brackets = np.flatnonzero(np.sign(g0) * np.sign(g1) < 0.0)
-    lo, hi, dropped = _multisect(
-        g_at, grid[brackets], grid[brackets + 1], g0[brackets], _arithmetic_mid,
-        lambda lo, hi, mid: hi - lo > 1e-13 * max(1.0, mid),
+    lo, hi, dropped = _bracket_roots(
+        g_at, grid[brackets], grid[brackets + 1], g0[brackets], g1[brackets], 1e-13
     )
-    candidates += [_arithmetic_mid(a, b) for a, b, drop in zip(lo, hi, dropped) if not drop]
+    candidates += [a + 0.5 * (b - a) for a, b, drop in zip(lo, hi, dropped) if not drop]
     if not math.isnan(g_values[-1]):
         if g_values[-1] == 0.0:
             candidates.append(float(grid[-1]))
@@ -588,7 +575,7 @@ def solve_equilibrium(
 
     roots: list[float] = []
     for theta in sorted(candidates):
-        if not roots or theta - roots[-1] > 1e-9 * max(1.0, theta):
+        if not roots or theta - roots[-1] > 1e-9 * theta:
             roots.append(theta)
 
     # --- package -----------------------------------------------------------
@@ -600,7 +587,7 @@ def solve_equilibrium(
         residual = abs(
             theta - _phi_value(env.c_w, lam, capacity, moments.mean, moments.m2)
         )
-        if residual > _ROOT_RTOL * max(1.0, theta):
+        if residual > _ROOT_RTOL * theta:
             raise WedgeqError(
                 f"fixed-point residual {residual:.3e} at theta={theta!r} exceeds "
                 f"the solver guarantee {_ROOT_RTOL:.0e}"

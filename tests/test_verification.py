@@ -31,6 +31,7 @@ from wedgeq import (
     threshold_signal,
 )
 from wedgeq.config import load_config
+from wedgeq.queueing import is_stable
 
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
 ENV = SignalEnvironment(
@@ -225,8 +226,8 @@ class TestBatchedMoments:
 
     def test_rows_match_single_price_calls(self):
         # Exactly: a price's moments must not depend on the prices batched
-        # with it, or the solver's multisection would leave the iterates of
-        # plain bisection.
+        # with it, or a root would depend on which other brackets were
+        # still open when the solver priced its points.
         tau, q = ver._policy_moments(ENV, self.THETAS, REWORK, ver.QUAD_NODES)
         assert tau.shape == q.shape == self.THETAS.shape
         for theta, tau_row, q_row in zip(self.THETAS, tau, q):
@@ -288,7 +289,7 @@ class TestSolveEquilibrium:
         assert eq.pi_star == pytest.approx(eq.theta_star / 4.0, rel=1e-12)
         assert eq.rho == pytest.approx(0.75 * eq.tau_A, rel=1e-12)
         assert eq.wq == pytest.approx(0.7512, abs=5e-4)
-        assert eq.residual <= 1e-8 * max(1.0, eq.theta_star)
+        assert eq.residual <= 1e-8 * eq.theta_star
         assert not eq.degenerate
 
     def test_agrees_with_quadrature_bisection(self):
@@ -314,7 +315,7 @@ class TestSolveEquilibrium:
         assert solution.primary is solution.roots[0]
         for index, eq in enumerate(solution.roots):
             assert eq.root_index == index
-            assert eq.residual <= 1e-8 * max(1.0, eq.theta_star)
+            assert eq.residual <= 1e-8 * eq.theta_star
         assert solution.primary.theta_star == pytest.approx(1.3158, abs=5e-4)
         assert solution.primary.wq == pytest.approx(1.7623, abs=5e-4)
 
@@ -380,12 +381,12 @@ class TestSolveEquilibrium:
     @pytest.mark.parametrize(
         "name, budget",
         [pytest.param(name, budget, id=name)
-         for name, budget in (("fig5-beta22", 26), ("fig5-beta52", 30), ("fig6", 26))],
+         for name, budget in (("fig5-beta22", 16), ("fig5-beta52", 21), ("fig6", 15))],
     )
     def test_quadrature_call_budget(self, monkeypatch, name, budget):
-        # One price per quadrature call took about 600 calls per solve, and
-        # one-midpoint bisection steps 85-90; multisection needs the counts
-        # measured when it was introduced.
+        # The counts measured for Illinois steps: one call prices the 64
+        # stability anchors, one the scan, each round one point per open
+        # bracket, and each root takes 2 certification calls.
         spec = load_config(fixture_path(f"{name}.json"))
         calls = []
         kernel = ver._policy_moments
@@ -399,16 +400,30 @@ class TestSolveEquilibrium:
         assert len(calls) <= budget
 
     @pytest.mark.parametrize("name", ["fig5-beta22", "fig5-beta52", "fig6"])
-    def test_multisection_matches_plain_bisection(self, name):
+    def test_roots_match_brentq_oracle(self, name):
         spec = load_config(fixture_path(f"{name}.json"))
         root_counts, tail_roots = set(), 0
         for lam in (0.3, 0.5, 0.7, 0.72, 0.75, 0.76, 0.85, 0.9, 0.95):
             solution = solve_equilibrium(spec.env, spec.rework, lam, spec.capacity)
-            theta_lo, roots = _plain_bisection_solve(spec.env, spec.rework, lam, spec.capacity)
-            assert solution.theta_lo == theta_lo
-            assert [root.theta_star for root in solution.roots] == roots
-            root_counts.add(len(roots))
-            tail_roots += roots[-1] > solution.theta_hi
+
+            def gap(theta):
+                return theta - phi(spec.env, theta, spec.rework, lam, spec.capacity)
+
+            for eq in solution.roots:
+                star = eq.theta_star
+                oracle = brentq(gap, star * (1.0 - 1e-6), star * (1.0 + 1e-6), xtol=1e-300)
+                assert star == pytest.approx(oracle, rel=1e-12)
+
+            def stable(theta):
+                tau = policy_route_moments(spec.env, theta, spec.rework).mean
+                return is_stable(lam, tau, spec.capacity)
+
+            # theta_lo is the boundary inflated by 1e-6, and the search
+            # brackets the boundary to 1e-12 relative.
+            assert stable(solution.theta_lo)
+            assert not stable(solution.theta_lo / (1.0 + 1e-6) * (1.0 - 2e-12))
+            root_counts.add(len(solution.roots))
+            tail_roots += solution.roots[-1].theta_star > solution.theta_hi
         if name == "fig5-beta52":
             # The grid reaches the three-root band and the tail root.
             assert 3 in root_counts
@@ -417,11 +432,10 @@ class TestSolveEquilibrium:
     def test_tiny_price_scale(self, monkeypatch):
         # Scaling K and c_w by a factor scales every price by it: thresholds
         # depend on theta / (kappa K) and Phi is proportional to c_w.  Near
-        # 1e-300 the stability search's products lo * hi and the scan's
-        # g0 * g1 underflowed: the search ran its 200-step cap, ending at
-        # theta_hi, and the scan lost its sign change (NoRootError).
-        spec = load_config(fixture_path("fig5-beta22.json"))
-        reference = solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
+        # 1e-300 products of two prices underflow, and at 1e-310 theta_hi
+        # and the lowest stability anchor are subnormal.  Every tolerance is
+        # relative, so no root may move with the scale, and fig5-beta52 at
+        # lambda = 0.72 keeps its three roots.
         calls = []
         kernel = ver._policy_moments
 
@@ -430,20 +444,23 @@ class TestSolveEquilibrium:
             return kernel(*args)
 
         monkeypatch.setattr(ver, "_policy_moments", counting)
-        for scale in (1e-280, 1e-300):
-            env = dataclasses.replace(spec.env, K=spec.env.K * scale, c_w=spec.env.c_w * scale)
-            calls.clear()
-            solution = solve_equilibrium(env, spec.rework, spec.lam, spec.capacity)
-            assert len(calls) <= 26
-            assert solution.theta_lo / solution.theta_hi == pytest.approx(
-                reference.theta_lo / reference.theta_hi, rel=1e-9
-            )
-            # Below 1 the root bisection stops at an absolute 1e-13, so here
-            # the root is the midpoint of its scan bracket.
-            assert len(solution.roots) == 1
-            assert solution.primary.theta_star / scale == pytest.approx(
-                reference.primary.theta_star, rel=5e-3
-            )
+        for name, lam, budget in (("fig5-beta22", 0.75, 16), ("fig5-beta52", 0.72, 21)):
+            spec = load_config(fixture_path(f"{name}.json"))
+            reference = solve_equilibrium(spec.env, spec.rework, lam, spec.capacity)
+            assert len(reference.roots) == (1 if name == "fig5-beta22" else 3)
+            for scale in (1e-20, 1e-300, 1e-310):
+                env = dataclasses.replace(
+                    spec.env, K=spec.env.K * scale, c_w=spec.env.c_w * scale
+                )
+                calls.clear()
+                solution = solve_equilibrium(env, spec.rework, lam, spec.capacity)
+                assert len(calls) <= budget
+                assert solution.theta_lo / solution.theta_hi == pytest.approx(
+                    reference.theta_lo / reference.theta_hi, rel=1e-9
+                )
+                assert len(solution.roots) == len(reference.roots)
+                for eq, ref in zip(solution.roots, reference.roots):
+                    assert eq.theta_star / scale == pytest.approx(ref.theta_star, rel=1e-9)
 
     def test_argument_validation(self):
         with pytest.raises(ValidationError):
@@ -452,179 +469,80 @@ class TestSolveEquilibrium:
             solve_equilibrium(ENV, REWORK, 0.75, 0.0)
 
 
-def _one_midpoint_bisection(f, lo, hi, f_lo, midpoint, is_open):
-    """Bisection of each bracket on its own, one midpoint per f call."""
-    out = []
-    for low, high, f_low in zip(lo, hi, f_lo):
-        dropped = False
-        for _ in range(200):
-            mid = midpoint(low, high)
-            if not is_open(low, high, mid):
-                break
-            f_mid = float(f(np.array([mid]))[0])
-            if math.isnan(f_mid):
-                dropped = True
-                break
-            if (f_mid < 0.0) == (f_low < 0.0):
-                low, f_low = mid, f_mid
-            else:
-                high = mid
-        out.append((low, high, dropped))
-    return out
-
-
-class TestMultisect:
-    """_multisect against one-midpoint bisection, on functions with no quadrature."""
+class TestBracketRoots:
+    """_bracket_roots on functions with no quadrature."""
 
     @staticmethod
-    def _check(f, lo, hi, midpoint, is_open):
-        f_lo = f(np.array(lo, dtype=float)).tolist()
+    def _run(f, lo, hi, rtol, f_hi=None):
+        lo, hi = np.array(lo), np.array(hi)
         calls = []
 
         def counting(points):
             calls.append(points.size)
             return f(points)
 
-        got = ver._multisect(counting, lo, hi, f_lo, midpoint, is_open)
-        assert list(zip(*got)) == _one_midpoint_bisection(f, lo, hi, f_lo, midpoint, is_open)
-        # Every call prices whole trees of 15 midpoints.
-        assert all(size % (2**ver._MULTISECT_LEVELS - 1) == 0 for size in calls)
-        return got, calls
+        f_hi = f(hi) if f_hi is None else np.array(f_hi)
+        return ver._bracket_roots(counting, lo, hi, f(lo), f_hi, rtol), calls
 
-    def test_arithmetic_brackets_close_in_different_rounds(self):
-        # Roots at 0.3, 1.7 and 2.2; the tolerances close the brackets after
-        # 14, 23 and 34 steps, in rounds 4, 6 and 9.
-        roots = np.array([0.3, 1.7, 2.2])
-
+    def test_brackets_close_in_different_rounds(self):
+        # Roots at 0.3, 1.7 and 2.2 of a line, a parabola and a steep
+        # exponential close after 2, 9 and 14 rounds.  The fourth bracket is
+        # already closed and is never priced.
         def f(x):
-            return np.prod(x[:, None] - roots, axis=1)
+            k = np.floor(x)
+            u = x - k
+            steep = np.exp(8.0 * u) - np.exp(1.6)
+            return np.select([k == 0, k == 1], [u - 0.3, u * u - 0.49], steep)
 
-        steps = {0.0: 1e-4, 1.0: 2e-7, 2.0: 1e-10}
-        _, calls = self._check(
-            f, [0.0, 1.0, 2.0], [1.0, 2.0, 3.0], ver._arithmetic_mid,
-            lambda lo, hi, mid: hi - lo > steps[math.floor(lo)],
+        upper = float(np.nextafter(2.5, 3.0))
+        (lo, hi, dropped), calls = self._run(
+            f, [0.0, 1.0, 2.0, 2.5], [0.9, 1.9, 2.9, upper], 1e-13
         )
-        assert calls == [45] * 4 + [30] * 2 + [15] * 3
+        assert calls == [3] * 2 + [2] * 7 + [1] * 5
+        for a, b, root in zip(lo[:3], hi[:3], (0.3, 1.7, 2.2)):
+            assert a <= root <= b and b - a <= 1e-13 * b
+        assert (lo[3], hi[3]) == (2.5, upper)
+        assert dropped == [False] * 4
 
-    def test_geometric_brackets(self):
-        # Roots at 3e-5 and pi / 2, reached to 1e-12 relative in 44 and 40 steps.
-        _, calls = self._check(
-            lambda x: np.log(x / 3.0e-5) * np.cos(x), [1e-9, 1.0], [1e-3, 2.0],
-            ver._geometric_mid, lambda lo, hi, mid: hi - lo > 1e-12 * hi,
-        )
-        assert calls == [30] * 10 + [15]
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_root_one_ulp_from_an_end(self, end):
+        # The secant point lies within an ulp of the end; held a quarter
+        # tolerance inside, it closes the bracket in one round.
+        root = float(np.nextafter(0.4, 1.0) if end == "lo" else np.nextafter(1.0, 0.0))
+        (lo, hi, _), calls = self._run(lambda x: (x - root) * (1.0 + x * x), [0.4], [1.0], 1e-13)
+        assert calls == [1]
+        assert lo[0] < root < hi[0] and hi[0] - lo[0] <= 1e-13
 
-    def test_geometric_midpoint_of_tiny_bracket(self):
-        assert ver._geometric_mid(0.3, 0.7) == math.sqrt(0.3 * 0.7)
-        # lo * hi underflows to 0 here.
-        assert ver._geometric_mid(1e-312, 1e-300) == pytest.approx(1e-306, rel=1e-12, abs=0.0)
+    def test_bracket_at_tiny_scale(self):
+        # f and the bracket are both near 1e-300, so f * (hi - lo) would
+        # underflow to 0; the secant share f_lo / (f_lo - f_hi) does not.
+        root = 3e-300
+        (lo, hi, _), calls = self._run(lambda x: x * np.log(x / root), [1e-301], [1e-298], 1e-13)
+        assert len(calls) == 13
+        assert lo[0] <= root <= hi[0] and hi[0] - lo[0] <= 1e-13 * hi[0]
 
-    def test_bracket_closed_on_entry_is_never_priced(self):
-        upper = float(np.nextafter(0.4, 1.0))
-        (lo, hi, _), calls = self._check(
-            lambda x: x - 0.45, [0.0, 0.4], [1.0, upper], ver._arithmetic_mid,
-            lambda lo, hi, mid: hi - lo > 1e-13 * max(1.0, mid),
-        )
-        assert (lo[1], hi[1]) == (0.4, upper)
-        assert set(calls) == {15}
-
-    def test_nan_region_drops_a_bracket_mid_round(self):
-        # The second bracket steps up to 1.5, then its midpoint 1.75 lies
-        # where f is NaN: it is dropped at its second step, and the first
-        # bracket goes on alone.
+    def test_nan_point_drops_a_bracket(self):
+        # The second bracket's first secant point, 1.7, lies where f is NaN:
+        # it is dropped, and the first bracket goes on alone.
         def f(x):
             return np.where(x > 1.6, np.nan, x - 0.7 - np.floor(x))
 
-        (_, _, dropped), calls = self._check(
-            f, [0.0, 1.0], [1.0, 2.0], ver._arithmetic_mid,
-            lambda lo, hi, mid: hi - lo > 1e-12,
-        )
+        (lo, hi, dropped), calls = self._run(f, [0.0, 1.0], [0.9, 2.0], 1e-12, f_hi=[0.2, 0.3])
         assert dropped == [False, True]
-        assert calls[:2] == [30, 15]
+        assert calls == [2, 1]
+        assert lo[0] <= 0.7 <= hi[0]
 
-    def test_step_cap(self):
-        # A tolerance no bracket can reach: each stops after 200 steps, 50
-        # rounds of 4, at a bracket of adjacent floats around the root.
-        (lo, hi, _), calls = self._check(
-            lambda x: x - 0.7, [0.0], [1.0], ver._arithmetic_mid,
-            lambda lo, hi, mid: True,
-        )
-        assert len(calls) == 200 // ver._MULTISECT_LEVELS
-        assert lo[0] < 0.7 <= hi[0] and np.nextafter(lo[0], 1.0) == hi[0]
+    def test_zero_closes_a_bracket(self):
+        (lo, hi, _), calls = self._run(lambda x: x - 0.5, [0.0], [1.0], 1e-13)
+        assert calls == [1]
+        assert (lo[0], hi[0]) == (0.5, 0.5)
 
-
-def _plain_bisection_solve(env, rework, lam, capacity):
-    """theta_lo and the roots by plain bisection, one midpoint per quadrature call.
-
-    The solver's search before multisection: a scalar geometric bisection
-    of the stability boundary and a lock-step bisection of the scan's sign
-    changes, without certification.
-    """
-
-    def moments(thetas):
-        return ver._policy_moments(env, np.asarray(thetas, dtype=float), rework, ver.QUAD_NODES)
-
-    def g_at(thetas):
-        tau, q = moments(thetas)
-        stable = ver.is_stable(lam, tau, capacity)
-        g = np.full(thetas.shape, math.nan)
-        g[stable] = thetas[stable] - ver._phi_value(env.c_w, lam, capacity, tau[stable], q[stable])
-        return g
-
-    with np.errstate(all="ignore"):
-        theta_hi = env.review_scale * env.risk_map.value(1.0)
-        theta_tiny = theta_hi * 1e-12
-        if ver.is_stable(lam, moments([theta_tiny])[0][0], capacity):
-            theta_lo = theta_tiny
-        else:
-            anchors = np.concatenate(([theta_hi], np.geomspace(theta_tiny, theta_hi, 64)))
-            stable_rows = np.flatnonzero(ver.is_stable(lam, moments(anchors)[0], capacity))
-            low, high = theta_tiny, float(anchors[stable_rows[0]])
-            for _ in range(200):
-                mid = math.sqrt(low * high)
-                if high - low <= 1e-12 * high:
-                    break
-                if ver.is_stable(lam, moments([mid])[0][0], capacity):
-                    high = mid
-                else:
-                    low = mid
-            theta_lo = high * (1.0 + 1e-6)
-        theta_lo = min(theta_lo, theta_hi * (1.0 - 1e-9))
-
-        grid = np.geomspace(theta_lo, theta_hi, ver.SCAN_POINTS)
-        g_values = g_at(grid)
-        g0, g1 = g_values[:-1], g_values[1:]
-        candidates = grid[:-1][(g0 == 0.0) & ~np.isnan(g1)].tolist()
-        rows = np.flatnonzero(g0 * g1 < 0.0)
-        lo, hi, g_lo = grid[rows], grid[rows + 1], g0[rows]
-        open_ = np.ones(lo.size, dtype=bool)
-        dropped = np.zeros(lo.size, dtype=bool)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            open_ &= hi - lo > 1e-13 * np.maximum(1.0, mid)
-            active = np.flatnonzero(open_)
-            if active.size == 0:
-                break
-            g_mid = g_at(mid[active])
-            unstable = np.isnan(g_mid)
-            open_[active[unstable]] = False
-            dropped[active[unstable]] = True
-            active, g_mid = active[~unstable], g_mid[~unstable]
-            same = (g_mid < 0.0) == (g_lo[active] < 0.0)
-            lo[active[same]] = mid[active[same]]
-            g_lo[active[same]] = g_mid[same]
-            hi[active[~same]] = mid[active[~same]]
-        candidates += (0.5 * (lo + hi))[~dropped].tolist()
-        if not math.isnan(g_values[-1]):
-            if g_values[-1] == 0.0:
-                candidates.append(float(grid[-1]))
-            elif g_values[-1] < 0.0:
-                candidates.append(float(grid[-1] - g_values[-1]))
-    roots = []
-    for theta in sorted(candidates):
-        if not roots or theta - roots[-1] > 1e-9 * max(1.0, theta):
-            roots.append(theta)
-    return float(theta_lo), roots
+    def test_round_cap(self):
+        # A tolerance no bracket can reach around a root between two floats:
+        # the search stops after _BRACKET_ROUNDS rounds, at adjacent floats.
+        (lo, hi, _), calls = self._run(lambda x: (x - 0.7) - 2e-17, [0.0], [1.0], 0.0)
+        assert len(calls) == ver._BRACKET_ROUNDS
+        assert (lo[0], hi[0]) == (0.7, np.nextafter(0.7, 1.0))
 
 
 class TestEnvironmentValidation:
