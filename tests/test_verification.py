@@ -469,57 +469,82 @@ class TestSolveEquilibrium:
             solve_equilibrium(ENV, REWORK, 0.75, 0.0)
 
 
-class TestBracketRoots:
-    """_bracket_roots on functions with no quadrature."""
+def _run_bracket_roots(f, lo, hi, rtol, f_hi=None):
+    """_bracket_roots on f from the brackets [lo, hi]; returns its result and the f call sizes."""
+    lo, hi = np.array(lo), np.array(hi)
+    calls = []
 
-    @staticmethod
-    def _run(f, lo, hi, rtol, f_hi=None):
-        lo, hi = np.array(lo), np.array(hi)
-        calls = []
+    def counting(points):
+        calls.append(points.size)
+        return f(points)
 
-        def counting(points):
-            calls.append(points.size)
-            return f(points)
+    f_hi = f(hi) if f_hi is None else np.array(f_hi)
+    return ver._bracket_roots(counting, lo, hi, f(lo), f_hi, rtol), calls
 
-        f_hi = f(hi) if f_hi is None else np.array(f_hi)
-        return ver._bracket_roots(counting, lo, hi, f(lo), f_hi, rtol), calls
 
-    def test_brackets_close_in_different_rounds(self):
+class TestMultisect:
+    """_bracket_roots narrowing several brackets together, on functions with no quadrature."""
+
+    def test_arithmetic_brackets_close_in_different_rounds(self):
         # Roots at 0.3, 1.7 and 2.2 of a line, a parabola and a steep
-        # exponential close after 2, 9 and 14 rounds.  The fourth bracket is
-        # already closed and is never priced.
+        # exponential close after 2, 9 and 14 rounds; each round prices only
+        # the brackets still open.
         def f(x):
             k = np.floor(x)
             u = x - k
             steep = np.exp(8.0 * u) - np.exp(1.6)
             return np.select([k == 0, k == 1], [u - 0.3, u * u - 0.49], steep)
 
-        upper = float(np.nextafter(2.5, 3.0))
-        (lo, hi, dropped), calls = self._run(
-            f, [0.0, 1.0, 2.0, 2.5], [0.9, 1.9, 2.9, upper], 1e-13
-        )
+        (lo, hi, dropped), calls = _run_bracket_roots(f, [0.0, 1.0, 2.0], [0.9, 1.9, 2.9], 1e-13)
         assert calls == [3] * 2 + [2] * 7 + [1] * 5
-        for a, b, root in zip(lo[:3], hi[:3], (0.3, 1.7, 2.2)):
+        for a, b, root in zip(lo, hi, (0.3, 1.7, 2.2)):
             assert a <= root <= b and b - a <= 1e-13 * b
-        assert (lo[3], hi[3]) == (2.5, upper)
-        assert dropped == [False] * 4
+        assert dropped == [False] * 3
+
+    def test_geometric_brackets(self):
+        # Roots at 3e-5 and pi / 2, one in a bracket spanning six decades,
+        # reached to 1e-12 relative in 13 and 7 rounds.
+        (lo, hi, dropped), calls = _run_bracket_roots(
+            lambda x: np.log(x / 3.0e-5) * np.cos(x), [1e-9, 1.0], [1e-3, 2.0], 1e-12
+        )
+        assert calls == [2] * 7 + [1] * 6
+        for a, b, root in zip(lo, hi, (3.0e-5, math.pi / 2)):
+            assert a <= root <= b and b - a <= 1e-12 * b
+        assert dropped == [False, False]
+
+    def test_geometric_midpoint_of_tiny_bracket(self):
+        # f and the bracket are both near 1e-300, so f * (hi - lo) would
+        # underflow to 0; the secant share f_lo / (f_lo - f_hi) does not.
+        root = 3e-300
+        (lo, hi, _), calls = _run_bracket_roots(
+            lambda x: x * np.log(x / root), [1e-301], [1e-298], 1e-13
+        )
+        assert len(calls) == 13
+        assert lo[0] <= root <= hi[0] and hi[0] - lo[0] <= 1e-13 * hi[0]
+
+    def test_bracket_closed_on_entry_is_never_priced(self):
+        # The second bracket is one ulp wide on entry: only the first is
+        # priced, and its secant point 0.45 is the root.
+        upper = float(np.nextafter(0.4, 1.0))
+        (lo, hi, _), calls = _run_bracket_roots(lambda x: x - 0.45, [0.0, 0.4], [1.0, upper], 1e-13)
+        assert calls == [1]
+        assert (lo[0], hi[0]) == (0.45, 0.45)
+        assert (lo[1], hi[1]) == (0.4, upper)
+
+
+class TestBracketRoots:
+    """_bracket_roots on one bracket, or one bracket lost, with no quadrature."""
 
     @pytest.mark.parametrize("end", ["lo", "hi"])
     def test_root_one_ulp_from_an_end(self, end):
         # The secant point lies within an ulp of the end; held a quarter
         # tolerance inside, it closes the bracket in one round.
         root = float(np.nextafter(0.4, 1.0) if end == "lo" else np.nextafter(1.0, 0.0))
-        (lo, hi, _), calls = self._run(lambda x: (x - root) * (1.0 + x * x), [0.4], [1.0], 1e-13)
+        (lo, hi, _), calls = _run_bracket_roots(
+            lambda x: (x - root) * (1.0 + x * x), [0.4], [1.0], 1e-13
+        )
         assert calls == [1]
         assert lo[0] < root < hi[0] and hi[0] - lo[0] <= 1e-13
-
-    def test_bracket_at_tiny_scale(self):
-        # f and the bracket are both near 1e-300, so f * (hi - lo) would
-        # underflow to 0; the secant share f_lo / (f_lo - f_hi) does not.
-        root = 3e-300
-        (lo, hi, _), calls = self._run(lambda x: x * np.log(x / root), [1e-301], [1e-298], 1e-13)
-        assert len(calls) == 13
-        assert lo[0] <= root <= hi[0] and hi[0] - lo[0] <= 1e-13 * hi[0]
 
     def test_nan_point_drops_a_bracket(self):
         # The second bracket's first secant point, 1.7, lies where f is NaN:
@@ -527,20 +552,22 @@ class TestBracketRoots:
         def f(x):
             return np.where(x > 1.6, np.nan, x - 0.7 - np.floor(x))
 
-        (lo, hi, dropped), calls = self._run(f, [0.0, 1.0], [0.9, 2.0], 1e-12, f_hi=[0.2, 0.3])
+        (lo, hi, dropped), calls = _run_bracket_roots(
+            f, [0.0, 1.0], [0.9, 2.0], 1e-12, f_hi=[0.2, 0.3]
+        )
         assert dropped == [False, True]
         assert calls == [2, 1]
         assert lo[0] <= 0.7 <= hi[0]
 
     def test_zero_closes_a_bracket(self):
-        (lo, hi, _), calls = self._run(lambda x: x - 0.5, [0.0], [1.0], 1e-13)
+        (lo, hi, _), calls = _run_bracket_roots(lambda x: x - 0.5, [0.0], [1.0], 1e-13)
         assert calls == [1]
         assert (lo[0], hi[0]) == (0.5, 0.5)
 
     def test_round_cap(self):
         # A tolerance no bracket can reach around a root between two floats:
         # the search stops after _BRACKET_ROUNDS rounds, at adjacent floats.
-        (lo, hi, _), calls = self._run(lambda x: (x - 0.7) - 2e-17, [0.0], [1.0], 0.0)
+        (lo, hi, _), calls = _run_bracket_roots(lambda x: (x - 0.7) - 2e-17, [0.0], [1.0], 0.0)
         assert len(calls) == ver._BRACKET_ROUNDS
         assert (lo[0], hi[0]) == (0.7, np.nextafter(0.7, 1.0))
 
