@@ -5,16 +5,18 @@ time units) and plays them through a single-server FIFO queue.  A flagged
 arrival spawns one rework job at its own departure instant; the rework job
 joins the tail of the queue with its own service time.  The queue has one
 implementation, the reflected random walk of Lindley's recursion, which
-NumPy evaluates without a Python loop.  Rework makes the walk's input
-depend on its output (a rework enters when its parent departs), so feedback
-runs take the walk's fixed point, one chunk of arrivals at a time.
+NumPy evaluates without a Python loop, one chunk of arrivals at a time.
+Each chunk continues from the previous job's wait, so rounding stays at the
+scale of a chunk, not of the whole run.  Rework makes the walk's input
+depend on its output (a rework enters when its parent departs), so a chunk
+with rework in it is walked to its fixed point.
 """
 
 import numpy as np
 
 IMPL = "python"
 
-# Arrivals per chunk of the feedback fixed point.
+# Arrivals per chunk of the walk.
 _CHUNK = 1 << 14
 
 
@@ -22,37 +24,35 @@ def _fifo_reflect(arrivals, services, carry, out=None):
     """One pass of the reflected random walk, continued from ``carry``.
 
     The FIFO wait recursion w[i] = max(0, w[i-1] + s[i-1] - gap[i]) has the
-    closed form w[i] = path[i] - min(path[..i]) for the cumulative drift
-    path.  ``carry`` is (arrival, service, path, running minimum) of the job
-    before, and the walk returns its own last job's.  NumPy accumulates left
-    to right, so a walk continued in chunks is bit-identical to the one-shot
-    walk.  ``out`` is an optional pair of buffers for the waits and the
-    departures; the departures buffer holds the path until the waits are
-    known, so the walk allocates nothing else.
+    closed form w[i] = path[i] - min(0, path[..i]) for the cumulative drift
+    path, which starts at the first job's unreflected wait.  ``carry`` is
+    (arrival, service, wait) of the job before, and the walk returns its
+    own last job's.  ``out`` is an optional pair of buffers for the waits
+    and the departures; the departures buffer holds the path until the
+    waits are known, so the walk allocates nothing else.
     """
-    a_prev, s_prev, path_prev, low = carry
+    a_prev, s_prev, w_prev = carry
     n = arrivals.shape[0]
     waits, departures = (np.empty(n), np.empty(n)) if out is None else out
     path = departures
-    path[0] = path_prev + (s_prev - (arrivals[0] - a_prev))
+    path[0] = w_prev + (s_prev - (arrivals[0] - a_prev))
     np.subtract(arrivals[1:], arrivals[:-1], out=path[1:])
     np.subtract(services[:-1], path[1:], out=path[1:])
     np.cumsum(path, out=path)
     first = path[0]
-    path[0] = min(first, low)
+    path[0] = min(first, 0.0)
     np.minimum.accumulate(path, out=waits)
     path[0] = first
-    carry = (arrivals[-1], services[-1], path[-1], waits[-1])
     np.subtract(path, waits, out=waits)
     np.add(arrivals, waits, out=departures)
     departures += services
-    return waits, departures, carry
+    return waits, departures, (arrivals[-1], services[-1], waits[-1])
 
 
 def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
     """Run the queue; returns (waits, chain_complete, rework_waits, end, busy).
 
-    spawn_mask[i]      1 if external job i spawns a rework job, else 0
+    spawn_mask[i]      true if external job i spawns a rework job
     rework_services[k] service of the k-th spawned job: one per flagged
                        arrival, in arrival order, which is spawn order
 
@@ -73,17 +73,15 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
     parents = np.flatnonzero(spawn_mask)
     rework_waits = np.empty(parents.size)
     busy = float(services.sum()) + float(rework_services.sum())
-    if n == 0:
-        return waits, chain, rework_waits, 0.0, busy
-    carry = (arrivals[0], 0.0, 0.0, 0.0)
-    if not parents.size:
-        _fifo_reflect(arrivals, services, carry, (waits, chain))
-        return waits, chain, rework_waits, float(chain[-1]), busy
+    carry = (0.0, 0.0, 0.0)  # the queue starts empty at time 0
     done, pending = 0, np.zeros(0)  # reworks merged so far; entries of the rest
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         a, s = arrivals[lo:hi], services[lo:hi]
         own = parents[np.searchsorted(parents, lo) : np.searchsorted(parents, hi)] - lo
+        if not (own.size or pending.size):
+            carry = _fifo_reflect(a, s, carry, (waits[lo:hi], chain[lo:hi]))[2]
+            continue
         # Carried entries are final; a new one starts as its parent's a + s.
         old, pending = pending.size, np.concatenate((pending, a[own] + s[own]))
         # Only reworks spawned before a parent can sit ahead of it, so each
@@ -112,4 +110,5 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, out=None):
         rework_waits[done : done + take] = w[at]
         chain[parents[done : done + take]] = d[at]
         pending, done = pending[take:], done + take
-    return waits, chain, rework_waits, float(d[-1]), busy
+    a_end, s_end, w_end = carry
+    return waits, chain, rework_waits, float(a_end + w_end + s_end), busy

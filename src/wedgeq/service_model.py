@@ -188,20 +188,15 @@ class ReworkModel:
         return RouteMoments(mean=self.mu_R, m2=self.mu_R2)
 
 
-# -kappa * r overflows to -inf for a huge effort, and exp(-inf) = 0 is the limit.
-@np.errstate(over="ignore")
-def residual_error(curve: ErrorCurve, r):
+def residual_error(curve: ErrorCurve, r: float) -> float:
     """Error probability remaining after ``r`` hours of review.
 
-    Accepts a scalar or array of efforts; negative effort is rejected.
+    Negative or non-finite effort is rejected.  For a huge effort,
+    -kappa * r is -inf and exp(-inf) = 0 is the limit.
     """
-    arr = np.asarray(r, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+    if not 0.0 <= r < math.inf:
         raise ValidationError("review effort r must be finite and >= 0", field="r")
-    out = curve.p_inf + (curve.p0 - curve.p_inf) * np.exp(-curve.kappa * arr)
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    return curve.p_inf + (curve.p0 - curve.p_inf) * math.exp(-curve.kappa * r)
 
 
 def ai_route_moments(curve: ErrorCurve, rework: ReworkModel, r: float) -> RouteMoments:

@@ -129,8 +129,9 @@ _SUMMED = ("n_arrivals", "n_rework_jobs", "warmup_skipped")
 _AVERAGED = ("wq_p50", "wq_p90", "wq_p99", "rho_hat", "busy_fraction", "service_mean",
              "service_m2", "sojourn_mean")
 
-# The kernel's "no job spawns rework" arguments, used by folded runs.
-_NO_SPAWN = np.zeros(0, dtype=np.uint8)
+# The kernel's "no job spawns rework" arguments, used by folded runs and by
+# feedback runs with no AI route.
+_NO_SPAWN = np.zeros(0, dtype=bool)
 _NO_REWORK = np.zeros(0)
 
 
@@ -200,8 +201,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
 
     if not folded:
         first_services = attention / capacity
-        spawn_mask = np.zeros(n, dtype=np.uint8)
-        spawn_mask[escaped_at] = 1
+        spawn_mask = _NO_SPAWN if escaped is None else escaped
         # In spawn order: the escapes are flagged in arrival order.
         rework_services = rework_draws / capacity
 

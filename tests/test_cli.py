@@ -853,7 +853,7 @@ class TestContractProperty:
     @example(fixture="fig2", command="dist",
              edits=[(("error_curve", "p0"), 0), (("error_curve", "p_inf"), 0),
                     (("review_r",), 1e-300)], flags=_DEFAULT_FLAGS)
-    # numpy's overflow warning from residual_error ahead of the JSON error.
+    # -kappa * r overflows in residual_error: no warning may precede the JSON error.
     @example(fixture="fig2", command="dist", edits=[(("review_r",), 1.7976931348623157e308)],
              flags=_DEFAULT_FLAGS)
     def test_main_keeps_its_contract(self, fixture, command, edits, flags):

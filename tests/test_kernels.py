@@ -120,19 +120,22 @@ class TestAgainstHeapOracle:
 
 
 class TestChunkBoundaries:
-    """The feedback fixed point runs in chunks of ``_kernels._CHUNK`` arrivals;
-    on the dyadic grid every chunking must reproduce the oracle bit for bit."""
+    """The walk runs in chunks of ``_kernels._CHUNK`` arrivals, with or without
+    rework to merge; on the dyadic grid every chunking must reproduce the
+    oracle bit for bit."""
 
     @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
     @pytest.mark.parametrize("seed", range(30))
     def test_any_chunk_size_is_bitwise_exact(self, monkeypatch, chunk, seed):
         monkeypatch.setattr(_kernels, "_CHUNK", chunk)
         case = _as_kernel_args(_random_case(seed))
-        got = simulate_fifo(*case)
-        want = _heap_oracle(*case)
-        for x, y in zip(got[:3], want[:3]):
-            np.testing.assert_array_equal(x, y)
-        assert got[3] == want[3]
+        # The same arrivals once more with no rework, as in folded runs.
+        for args in (case, case[:2] + (np.zeros_like(case[2]), np.zeros(0))):
+            got = simulate_fifo(*args)
+            want = _heap_oracle(*args)
+            for x, y in zip(got[:3], want[:3]):
+                np.testing.assert_array_equal(x, y)
+            assert got[3] == want[3]
 
     @pytest.mark.parametrize("chunk", [2, 1 << 14])
     def test_rework_carried_into_next_chunk(self, monkeypatch, chunk):
@@ -150,6 +153,43 @@ class TestChunkBoundaries:
         np.testing.assert_array_equal(rework_waits, [1.0])
         assert end == 6.0
         assert busy == 6.0
+
+    @pytest.mark.parametrize("chunk", [2, 1 << 14])
+    def test_busy_period_straddles_chunks(self, monkeypatch, chunk):
+        # No rework, as in folded runs.  Job 0 (0-2.5) keeps the server busy
+        # past every arrival: job 1 (2.5-3.5) ends the first chunk of two,
+        # and the second continues from its wait: job 2 (3.5-4.5), job 3
+        # (4.5-5.5).  The results land in the ``out`` buffers.
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        out = (np.empty(4), np.empty(4))
+        waits, chain, rework_waits, end, busy = simulate_fifo(
+            np.array([0.0, 1.0, 2.0, 3.5]), np.array([2.5, 1.0, 1.0, 1.0]),
+            np.zeros(0, dtype=bool), np.zeros(0), out=out,
+        )
+        assert waits is out[0] and chain is out[1]
+        np.testing.assert_array_equal(waits, [0.0, 1.5, 1.5, 1.0])
+        np.testing.assert_array_equal(chain, [2.5, 3.5, 4.5, 5.5])
+        assert rework_waits.shape == (0,)
+        assert end == 5.5
+        assert busy == 5.5
+
+
+class TestPrecision:
+    def test_waits_match_lindley_recursion(self):
+        # Each chunk's walk starts from a wait, so rounding stays at the scale
+        # of one chunk; a walk of the whole run's drift path is off by about
+        # 6e-11 here, and this loop agrees with np.longdouble to about 1e-13.
+        rng = np.random.default_rng(5)
+        n = 200_000
+        arrivals = np.cumsum(rng.exponential(1.0, n))
+        services = rng.exponential(0.9, n)
+        waits = simulate_fifo(arrivals, services, np.zeros(0, dtype=bool), np.zeros(0))[0]
+        a, s = arrivals.tolist(), services.tolist()
+        want, w = [0.0], 0.0
+        for i in range(1, n):
+            w = max(0.0, w + s[i - 1] - (a[i] - a[i - 1]))
+            want.append(w)
+        assert np.max(np.abs(waits - want)) <= 1e-11
 
 
 class TestRealisticRegime:

@@ -37,16 +37,11 @@ class TestResidualError:
             0.1 + 0.8 * math.exp(-1.8), rel=1e-14
         )
 
-    def test_array_input(self):
-        curve = ErrorCurve(p0=0.5, p_inf=0.0, kappa=2.0)
-        out = residual_error(curve, np.array([0.0, 0.5, 1.0]))
-        assert out.shape == (3,)
-        assert out[0] == pytest.approx(0.5)
-
     def test_negative_effort_rejected(self):
         curve = ErrorCurve(p0=0.5, p_inf=0.0, kappa=2.0)
-        with pytest.raises(ValidationError):
-            residual_error(curve, -0.1)
+        for r in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValidationError):
+                residual_error(curve, r)
 
     @given(
         r1=st.floats(0.0, 50.0),
