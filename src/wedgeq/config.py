@@ -34,9 +34,10 @@ from .verification import RiskMap, SignalEnvironment
 _REWORK_MODES = ("folded", "feedback")
 
 # Upper bounds on the simulation sizes, checked before anything is allocated.
-# A folded run keeps 35-41 bytes per arrival (feedback up to 56), so the
-# arrival cap needs up to 5.6 GB; the batch and replication caps bound the
-# degrees of freedom of the Student-t interval (at most MAX_BATCHES - 1).
+# A run keeps 8 bytes per post-warm-up arrival (its waits) plus a fixed 1-3
+# MB, so the arrival cap needs at most 0.8 GB; the batch and replication caps
+# bound the degrees of freedom of the Student-t interval (at most
+# MAX_BATCHES - 1).
 MAX_ARRIVALS = 100_000_000
 MAX_BATCHES = 10_000
 MAX_REPS = 1_000

@@ -13,6 +13,13 @@ choice, manual service, escape flags, rework draws, signals) so changing
 one distribution never perturbs the others' draws.  Replication seeds are
 spawned from the base seed by a fixed rule, so every statistic is
 bit-reproducible for a given config.
+
+A run streams through chunks of 2^14 arrivals: each chunk is drawn, walked
+through the queue and folded into running sums before the next is drawn,
+and only the post-warm-up waits are kept, for the batch means and the exact
+quantiles.  A run therefore holds 8 bytes per post-warm-up arrival (6.4 per
+arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded) to
+3 MB (feedback) for the chunk in hand.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import IMPL, simulate_fifo
+from ._kernels import _CHUNK, IMPL, QueueState, simulate_fifo
 from ._special import t_quantile
 from .config import SimSettings, WorkflowSpec
 from .errors import InfeasibleError
@@ -133,6 +140,7 @@ _AVERAGED = ("wq_p50", "wq_p90", "wq_p99", "rho_hat", "busy_fraction", "service_
 # feedback runs with no AI route.
 _NO_SPAWN = np.zeros(0, dtype=bool)
 _NO_REWORK = np.zeros(0)
+_NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
 def _t_half_width(means) -> float:
@@ -156,113 +164,131 @@ def _draw_ai_first_pass(workflow: WorkflowSpec, theta, n_ai: int, rng_escape, rn
     return review_times, rng_escape.random(n_ai) < p_escape
 
 
+def _sorted_quantiles(values, qs) -> list[float]:
+    """np.quantile's default (linear) method, read from values sorted ascending."""
+    top = values.size - 1
+    out = []
+    for q in qs:
+        virtual = top * q
+        i = math.floor(virtual)
+        g = virtual - i
+        a, b = float(values[i]), float(values[min(i + 1, top)])
+        out.append(b - (b - a) * (1.0 - g) if g >= 0.5 else a + (b - a) * g)
+    return out
+
+
 def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool) -> SimStats:
     workflow = config.workflow
     n = config.n_arrivals
     capacity = workflow.capacity
     folded = config.rework_mode == "folded"
+    mixed = 0.0 < workflow.x < 1.0
 
     seed_seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     (rng_arrival, rng_route, rng_manual, rng_escape, rng_rework, rng_signal) = (
         np.random.default_rng(child) for child in seed_seq.spawn(6)
     )
 
-    arrivals = _draw_interarrivals(workflow, rng_arrival, n)
-    np.cumsum(arrivals, out=arrivals)
-
-    # Routing.  is_ai is None when every task takes the same route, so the
-    # common x = 1 and x = 0 cases skip the mask scatters.
-    if workflow.x >= 1.0 or workflow.x <= 0.0:
-        is_ai = None
-        n_ai = n if workflow.x >= 1.0 else 0
-    else:
-        is_ai = rng_route.random(n) < workflow.x
-        n_ai = int(is_ai.sum())
-    n_manual = n - n_ai
-
-    # First-pass attention of every task, and the escape flags of AI drafts.
-    escaped = None
-    if n_ai == n:
-        attention, escaped = _draw_ai_first_pass(workflow, theta, n, rng_escape, rng_signal)
-    elif n_manual == n:
-        attention = sample_manual(workflow.manual, rng_manual, size=n)
-    else:
-        attention = np.zeros(n)
-        attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=n_manual)
-        review_times, escape_draws = _draw_ai_first_pass(
-            workflow, theta, n_ai, rng_escape, rng_signal
-        )
-        attention[is_ai] = review_times
-        escaped = np.zeros(n, dtype=bool)
-        escaped[is_ai] = escape_draws
-    # Indices rather than a boolean mask: the escapes are a small minority.
-    escaped_at = np.flatnonzero(escaped) if escaped is not None else np.zeros(0, dtype=np.intp)
-    rework_draws = sample_rework(workflow.rework, rng_rework, size=escaped_at.size)
-
-    if not folded:
-        first_services = attention / capacity
-        spawn_mask = _NO_SPAWN if escaped is None else escaped
-        # In spawn order: the escapes are flagged in arrival order.
-        rework_services = rework_draws / capacity
-
-    # Total attention of each task's chain (first pass + any rework), in place.
-    chain_attention = attention
-    chain_attention[escaped_at] += rework_draws
-
+    # The run streams through chunks of _CHUNK arrivals.  Each is drawn (a
+    # Generator continues its stream across calls, so the draws are those of
+    # one whole-run call), walked from the queue state the chunk before left,
+    # and folded into running sums; only the post-warm-up waits are kept.
     k0 = int(config.warmup_fraction * n)
-    window_start = 0.0 if k0 == 0 else float(arrivals[k0 - 1])
-    window = float(arrivals[-1]) - window_start
-    chain_post = chain_attention[k0:]
-    rho_hat = float(chain_post.sum()) / capacity / window
-    service_mean = float(chain_post.mean())
-    if escaped is None:
-        escape_rate = None
-    elif is_ai is None:
-        escape_rate = float(escaped[k0:].mean())
-    else:
-        post_ai = is_ai[k0:]
-        escape_rate = float(escaped[k0:][post_ai].mean()) if post_ai.any() else None
+    n_post = n - k0
+    waits_post = np.empty(n_post)
+    queue = QueueState()
+    last_arrival = window_start = 0.0
+    chain_sum = chain_m2 = sojourn = busy = 0.0
+    n_ai_post = n_escaped_post = 0
+    warm_spawns = walked = 0  # reworks spawned by warm-up arrivals; reworks walked
+    for lo in range(0, n, _CHUNK):
+        hi = min(lo + _CHUNK, n)
+        m = hi - lo
+        p = min(max(k0 - lo, 0), m)  # the chunk's first post-warm-up arrival
 
-    if folded:
-        # No rework job re-enters the queue, so there are no per-arrival spawn
-        # flags to build.  The queue's output buffers hold the squared chain
-        # attention until it runs, and the services overwrite the chain
-        # attention once its statistics are taken.
-        waits, chain_complete = np.empty(n), np.empty(n)
-        service_m2 = float(np.square(chain_post, out=waits[k0:]).mean())
-        services = np.divide(chain_attention, capacity, out=chain_attention)
-        spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
-        out = (waits, chain_complete)
-    else:
-        service_m2 = float(np.square(chain_post).mean())
-        services, out = first_services, None
-    waits, chain_complete, rework_waits, end_time, busy = simulate_fifo(
-        arrivals, services, spawn_mask, rework_services, out=out
-    )
+        arrivals = _draw_interarrivals(workflow, rng_arrival, m)
+        arrivals[0] += last_arrival  # the same left fold as one whole-run cumsum
+        np.cumsum(arrivals, out=arrivals)
+        last_arrival = float(arrivals[-1])
+        if lo < k0 <= hi:
+            window_start = float(arrivals[k0 - 1 - lo])
+
+        # Routing.  is_ai is None when every task takes the same route, so
+        # the common x = 1 and x = 0 cases skip the mask scatters.
+        if mixed:
+            is_ai = rng_route.random(m) < workflow.x
+            n_ai = int(np.count_nonzero(is_ai))
+            n_ai_post += int(np.count_nonzero(is_ai[p:]))
+        else:
+            is_ai, n_ai = None, m if workflow.x >= 1.0 else 0
+            n_ai_post += m - p if n_ai else 0
+
+        # First-pass attention of every task, and the escape flags of AI drafts.
+        escaped = None
+        if n_ai == m:
+            attention, escaped = _draw_ai_first_pass(workflow, theta, m, rng_escape, rng_signal)
+        elif n_ai == 0:
+            attention = sample_manual(workflow.manual, rng_manual, size=m)
+        else:
+            attention = np.zeros(m)
+            attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=m - n_ai)
+            review_times, escape_draws = _draw_ai_first_pass(
+                workflow, theta, n_ai, rng_escape, rng_signal
+            )
+            attention[is_ai] = review_times
+            escaped = np.zeros(m, dtype=bool)
+            escaped[is_ai] = escape_draws
+        if escaped is None:
+            escaped_at = _NO_INDEX
+        else:
+            # Indices rather than a boolean mask: the escapes are a small minority.
+            escaped_at = np.flatnonzero(escaped)
+            n_escaped_post += int(np.count_nonzero(escaped[p:]))
+            warm_spawns += int(np.count_nonzero(escaped[:p]))
+        rework_draws = sample_rework(workflow.rework, rng_rework, size=escaped_at.size)
+
+        if not folded:
+            services = attention / capacity  # the first pass; rework re-enters on its own
+            spawn_mask = _NO_SPAWN if escaped is None else escaped
+            # In spawn order: the escapes are flagged in arrival order.
+            rework_services = rework_draws / capacity
+        # Total attention of each task's chain (first pass + any rework), in place.
+        chain_attention = attention
+        chain_attention[escaped_at] += rework_draws
+        chain_post = chain_attention[p:]
+        chain_sum += float(chain_post.sum())
+        chain_m2 += float(np.square(chain_post).sum())
+        if folded:
+            # No rework job re-enters the queue: it lengthens its task's service.
+            services = np.divide(chain_attention, capacity, out=chain_attention)
+            spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
+
+        waits, chain_complete, rework_waits, end_time, chunk_busy = simulate_fifo(
+            arrivals, services, spawn_mask, rework_services, state=queue, last=hi == n
+        )
+        busy += chunk_busy
+        walked_before, walked = walked, walked + rework_waits.size
+        waits_post[max(lo - k0, 0) : max(hi - k0, 0)] = waits[p:]
+        # A chain still open at the chunk's end is NaN here; its sojourn is in
+        # queue.sojourns after the chunk that closes it, in spawn order.
+        sojourn += float(np.nansum(np.subtract(chain_complete[p:], arrivals[p:])))
+        sojourn += float(queue.sojourns[max(warm_spawns - walked_before, 0) :].sum())
 
     # --- estimation ---------------------------------------------------------
-    sojourn_mean = float(
-        np.subtract(chain_complete[k0:], arrivals[k0:], out=chain_complete[k0:]).mean()
-    )
-    waits_post = waits[k0:]
     n_batches = config.n_batches
-    per_batch = waits_post.size // n_batches
+    per_batch = n_post // n_batches
     batch_means = waits_post[: per_batch * n_batches].reshape(n_batches, per_batch).mean(axis=1)
     wq_mean = float(batch_means.mean())
     half_width = _t_half_width(batch_means)
-    # The quantiles are order statistics: sorting first (in place; the waits
-    # are not needed again) is several times faster than np.quantile's
-    # partition on waits that are mostly exact zeros, with the same values.
+    # The quantiles are order statistics of the waits (not needed again).
     waits_post.sort()
-    p50, p90, p99 = (
-        float(v) for v in np.quantile(waits_post, [0.5, 0.9, 0.99], overwrite_input=True)
-    )
+    p50, p90, p99 = _sorted_quantiles(waits_post, (0.5, 0.9, 0.99))
 
     return SimStats(
         mode=config.rework_mode,
         backend=IMPL,
         n_arrivals=n,
-        n_rework_jobs=int(rework_waits.size),
+        n_rework_jobs=walked,
         warmup_skipped=k0,
         wq_mean=wq_mean,
         wq_ci_half_width=half_width,
@@ -270,12 +296,12 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         wq_p50=p50,
         wq_p90=p90,
         wq_p99=p99,
-        rho_hat=rho_hat,
-        busy_fraction=float(busy) / float(end_time),
-        service_mean=service_mean,
-        service_m2=service_m2,
-        escape_rate=escape_rate,
-        sojourn_mean=sojourn_mean,
+        rho_hat=chain_sum / capacity / (last_arrival - window_start),
+        busy_fraction=busy / end_time,
+        service_mean=chain_sum / n_post,
+        service_m2=chain_m2 / n_post,
+        escape_rate=n_escaped_post / n_ai_post if n_ai_post else None,
+        sojourn_mean=sojourn / n_post,
         batch_means=tuple(float(b) for b in batch_means),
         unstable=unstable,
         theta_star=theta,

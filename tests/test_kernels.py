@@ -159,19 +159,87 @@ class TestChunkBoundaries:
         # No rework, as in folded runs.  Job 0 (0-2.5) keeps the server busy
         # past every arrival: job 1 (2.5-3.5) ends the first chunk of two,
         # and the second continues from its wait: job 2 (3.5-4.5), job 3
-        # (4.5-5.5).  The results land in the ``out`` buffers.
+        # (4.5-5.5).
         monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-        out = (np.empty(4), np.empty(4))
         waits, chain, rework_waits, end, busy = simulate_fifo(
             np.array([0.0, 1.0, 2.0, 3.5]), np.array([2.5, 1.0, 1.0, 1.0]),
-            np.zeros(0, dtype=bool), np.zeros(0), out=out,
+            np.zeros(0, dtype=bool), np.zeros(0),
         )
-        assert waits is out[0] and chain is out[1]
         np.testing.assert_array_equal(waits, [0.0, 1.5, 1.5, 1.0])
         np.testing.assert_array_equal(chain, [2.5, 3.5, 4.5, 5.5])
         assert rework_waits.shape == (0,)
         assert end == 5.5
         assert busy == 5.5
+
+
+class TestQueueState:
+    """A run split into calls that carry a ``QueueState`` is the same run."""
+
+    @pytest.mark.parametrize("chunk", [2, 64])
+    @pytest.mark.parametrize("piece", [1, 3, 10])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_calls_continue_one_run(self, monkeypatch, chunk, piece, seed):
+        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
+        arrivals, services, spawn_mask, rework_services = _as_kernel_args(
+            _random_case(seed, n_max=200)
+        )
+        want = _heap_oracle(arrivals, services, spawn_mask, rework_services)
+        n = arrivals.size
+        spawned = np.concatenate(([0], np.cumsum(spawn_mask, dtype=np.intp)))
+        state = _kernels.QueueState()
+        waits, chain, rework_waits, sojourns, busy, end = [], [], [], [], 0.0, 0.0
+        for lo in range(0, n, piece):
+            hi = min(lo + piece, n)
+            got = simulate_fifo(
+                arrivals[lo:hi], services[lo:hi], spawn_mask[lo:hi],
+                rework_services[spawned[lo] : spawned[hi]], state=state, last=hi == n,
+            )
+            waits.append(got[0])
+            chain.append(got[1])
+            rework_waits.append(got[2])
+            sojourns.append(state.sojourns)
+            end, busy = got[3], busy + got[4]
+        if not n:
+            return
+        waits, chain = np.concatenate(waits), np.concatenate(chain)
+        np.testing.assert_array_equal(waits, want[0])
+        np.testing.assert_array_equal(np.concatenate(rework_waits), want[2])
+        assert end == want[3]
+        assert busy == want[4]
+        # A chain left open by its call closes in a later one, in spawn order.
+        open_ = np.isnan(chain)
+        np.testing.assert_array_equal(chain[~open_], want[1][~open_])
+        np.testing.assert_array_equal(
+            np.concatenate(sojourns), (want[1] - arrivals)[open_]
+        )
+        assert state.entries.size == state.services.size == state.origins.size == 0
+
+    def test_rework_carried_to_the_next_call(self):
+        # Job 0 departs at 2 and spawns, after its call's last arrival (1):
+        # the rework stays pending, job 0's chain is open, and the next call
+        # walks it ahead of job 2 (arrives 2.5) and reports the chain's
+        # sojourn, 4 - 0.  Job 2 then waits until 4.
+        state = _kernels.QueueState()
+        waits, chain, rework_waits, end, busy = simulate_fifo(
+            np.array([0.0, 1.0]), np.array([2.0, 1.0]), np.array([True, False]),
+            np.array([1.0]), state=state, last=False,
+        )
+        np.testing.assert_array_equal(waits, [0.0, 1.0])
+        np.testing.assert_array_equal(chain, [np.nan, 3.0])
+        assert rework_waits.shape == (0,)
+        assert (end, busy) == (3.0, 4.0)  # busy counts a call's reworks too
+        np.testing.assert_array_equal(state.entries, [2.0])
+        np.testing.assert_array_equal(state.origins, [0.0])
+        waits, chain, rework_waits, end, busy = simulate_fifo(
+            np.array([2.5]), np.array([1.0]), np.zeros(1, dtype=bool), np.zeros(0),
+            state=state,
+        )
+        np.testing.assert_array_equal(waits, [1.5])
+        np.testing.assert_array_equal(chain, [5.0])
+        np.testing.assert_array_equal(rework_waits, [1.0])
+        np.testing.assert_array_equal(state.sojourns, [4.0])
+        assert (end, busy) == (5.0, 1.0)
+        assert state.entries.size == 0
 
 
 class TestPrecision:
@@ -195,23 +263,24 @@ class TestPrecision:
 class TestRealisticRegime:
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
     def test_feedback_run_matches_oracle(self, monkeypatch, name):
-        # The arguments simulator.run builds at 1e5 arrivals: several chunks,
-        # about 15% (fig2) and 30% (fig5-beta52) of arrivals spawn rework.
+        # The arguments simulator.run builds at 1e5 arrivals, one call per
+        # chunk: about 15% (fig2) and 30% (fig5-beta52) of arrivals spawn rework.
         config = dataclasses.replace(
             SimConfig.from_workflow(load_config(fixture_path(f"{name}.json"))),
             n_arrivals=100_000, rework_mode="feedback",
         )
         calls = []
 
-        def capture(*args, out=None):
+        def capture(*args, **kwargs):
             calls.append([np.copy(a) for a in args])
-            return simulate_fifo(*args, out=out)
+            return simulate_fifo(*args, **kwargs)
 
         monkeypatch.setattr(simulator, "simulate_fifo", capture)
         simulator.run(config)
-        (args,) = calls
+        assert len(calls) > 4
+        args = [np.concatenate(chunks) for chunks in zip(*calls)]
         arrivals, _, spawn_mask, _ = args
-        assert arrivals.size > 4 * _kernels._CHUNK
+        assert arrivals.size == config.n_arrivals
         assert 0.1 < spawn_mask.mean() < 0.4
         got = simulate_fifo(*args)
         want = _heap_oracle(*args)

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,11 +25,13 @@ from wedgeq import (
     replicate,
     residual_risk,
     run,
+    simulator,
     solve_equilibrium,
     wq_pk,
 )
+from wedgeq._kernels import _CHUNK, simulate_fifo
 from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
-from wedgeq.simulator import _draw_interarrivals
+from wedgeq.simulator import _draw_interarrivals, _sorted_quantiles
 
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
 ENV = SignalEnvironment(
@@ -180,6 +183,108 @@ class TestEstimatorInternals:
         assert _config(workflow).arrival_family == "gamma-renewal"
         assert _config(_fixed_workflow(c2_a=0.0)).arrival_family == "deterministic"
         assert _config(_fixed_workflow(c2_a=1.0)).arrival_family == "poisson"
+
+
+class TestStreaming:
+    """simulator.run draws, walks and reduces one chunk of arrivals at a time."""
+
+    # Every Generator call the simulator makes, as (name, draw(rng, size)).
+    DRAWS = [
+        ("exponential", lambda rng, k: rng.exponential(2.0, k)),
+        ("gamma shape < 1", lambda rng, k: rng.gamma(0.3, 1.5, k)),
+        ("gamma shape = 1", lambda rng, k: rng.gamma(1.0, 1.5, k)),
+        ("gamma shape > 1", lambda rng, k: rng.gamma(4.2, 0.5, k)),
+        ("random", lambda rng, k: rng.random(k)),
+        ("beta", lambda rng, k: rng.beta(5.0, 2.0, k)),
+    ]
+
+    @pytest.mark.parametrize("draw", [d for _, d in DRAWS], ids=[n for n, _ in DRAWS])
+    def test_chunked_draws_continue_one_stream(self, draw):
+        # The premise of streaming: draws in chunks of any sizes, concatenated,
+        # are bit for bit one draw of the total size.
+        sizes = [1, 7, 0, _CHUNK, 3, 5_000, 11]
+        whole = draw(np.random.default_rng(3), sum(sizes))
+        rng = np.random.default_rng(3)
+        np.testing.assert_array_equal(np.concatenate([draw(rng, k) for k in sizes]), whole)
+
+    @pytest.mark.parametrize("mode", ["folded", "feedback"])
+    @pytest.mark.parametrize("n", [5 * _CHUNK, 70_001], ids=["k0-on-boundary", "k0-inside"])
+    def test_running_sums_match_the_whole_run(self, monkeypatch, mode, n):
+        # The chunk calls, concatenated and played as one run, give the same
+        # statistics: the waits-derived ones bit for bit, the running sums to
+        # rounding.  At n = 5 chunks the warm-up ends on a chunk boundary, and
+        # a warm-up parent's rework is carried into the first measured chunk.
+        workflow = _fixed_workflow(lam=0.6, x=0.5)
+        calls, carried = [], []
+
+        def capture(*args, **kwargs):
+            calls.append([np.copy(a) for a in args])
+            result = simulate_fifo(*args, **kwargs)
+            carried.append(kwargs["state"].entries.size)
+            return result
+
+        monkeypatch.setattr(simulator, "simulate_fifo", capture)
+        stats = run(_config(workflow, n=n, seed=9, rework_mode=mode))
+        arrivals, services, spawn_mask, rework_services = (
+            np.concatenate(chunks) for chunks in zip(*calls)
+        )
+        k0 = stats.warmup_skipped
+        if n == 5 * _CHUNK and mode == "feedback":
+            assert carried[0] > 0
+        waits, chain, rework_waits, end, busy = simulate_fifo(
+            arrivals, services, spawn_mask, rework_services
+        )
+        post = waits[k0:]
+        assert stats.n_rework_jobs == rework_waits.size
+        assert [stats.wq_p50, stats.wq_p90, stats.wq_p99] == list(
+            np.quantile(post, [0.5, 0.9, 0.99])
+        )
+        batches = post[: post.size // 32 * 32].reshape(32, -1)
+        assert stats.wq_mean == batches.mean(axis=1).mean()
+        # Capacity is 1, so a service is its attention.
+        chain_attention = services.copy()
+        chain_attention[spawn_mask.astype(bool)] += rework_services
+        assert stats.rho_hat == pytest.approx(
+            chain_attention[k0:].sum() / (arrivals[-1] - arrivals[k0 - 1]), rel=1e-13
+        )
+        assert stats.service_m2 == pytest.approx(np.square(chain_attention[k0:]).mean(), rel=1e-13)
+        assert stats.busy_fraction == pytest.approx(busy / end, rel=1e-13)
+        assert stats.sojourn_mean == pytest.approx((chain[k0:] - arrivals[k0:]).mean(), rel=1e-13)
+
+    @pytest.mark.parametrize("mode", ["folded", "feedback"])
+    @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
+    def test_memory_is_the_post_warmup_waits(self, mode, name):
+        # A run keeps 8 bytes per post-warm-up arrival (its waits); the rest
+        # is a fixed allowance of 32 chunk-sized float arrays, whatever n is.
+        config = dataclasses.replace(
+            SimConfig.from_workflow(load_config(fixture_path(f"{name}.json"))),
+            n_arrivals=200_000, rework_mode=mode,
+        )
+        run(config)  # any lazy set-up outside the measurement
+        tracemalloc.start()
+        try:
+            stats = run(config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (stats.n_arrivals - stats.warmup_skipped) + 32 * 8 * _CHUNK
+
+
+class TestSortedQuantiles:
+    def test_matches_numpy_quantile(self):
+        # np.quantile's linear method, bit for bit, on sorted waits: mostly
+        # exact zeros, ties, all zeros, and the small n = 1 and n = 2.
+        rng = np.random.default_rng(0)
+        qs = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0 - 2.0**-53]
+        for case in range(3000):
+            n = case + 1 if case < 3 else int(rng.integers(1, 3000))
+            values = np.where(rng.random(n) < rng.random(), 0.0, rng.exponential(1.0, n))
+            if case % 4 == 1:
+                values = np.round(values, 1)
+            if case % 50 == 2:
+                values[:] = 0.0
+            values.sort()
+            assert _sorted_quantiles(values, qs) == list(np.quantile(values, qs)), case
 
 
 class TestReworkModes:
