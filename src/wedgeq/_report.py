@@ -1,13 +1,25 @@
 """Deterministic report emission.
 
 All floating-point output is rounded to 12 significant digits, formatted
-locale-independently, with '\\n' line endings; non-finite values emit as
-JSON null / empty CSV cells.  Byte-stable output for identical inputs is
-a contract, not an accident.
+locale-independently, with '\\n' line endings.  Byte-stable output for
+identical inputs is a contract, not an accident.
+
+JSON reports keep the layout of ``json.dumps(obj, indent=2)``: each
+member on its own line, indented two spaces per level, members separated
+by ``,``, ``": "`` after keys, ``{}`` and ``[]`` for empty containers,
+and strings with json's ASCII escapes.  A float is written as the
+shortest repr of its 12-significant-digit rounding, and a non-finite one
+as ``null``.  Keys must be str.  One recursive emitter writes that layout
+directly, because json's C encoder does not run when an indent is given.
+CSV reports write floats with ``.12g`` and non-finite values as empty
+cells.
 """
 
-import json
 import math
+# json's own string encoder (its C version); it raises TypeError on a non-str key.
+from json.encoder import encode_basestring_ascii as _quote
+
+_INDENT = "  "
 
 
 def round_sig(value: float) -> float:
@@ -15,26 +27,82 @@ def round_sig(value: float) -> float:
     return float(format(value, ".12g"))
 
 
-def clean(obj):
-    """Recursively convert a payload into JSON-safe emission form."""
-    if obj is None or isinstance(obj, (bool, str, int)):
-        return obj
-    if isinstance(obj, float):
-        if not math.isfinite(obj):
-            return None
-        return round_sig(obj)
-    if isinstance(obj, dict):
-        return {key: clean(value) for key, value in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [clean(value) for value in obj]
-    item = getattr(obj, "item", None)
+def _scalar(value) -> str:
+    """A JSON scalar: rounded float, string, null, boolean, integer or NumPy scalar."""
+    if isinstance(value, float):  # repr(round_sig(value)), or null if non-finite
+        if not math.isfinite(value):
+            return "null"
+        text = format(value, ".12g")
+        if "e" in text:
+            return repr(float(text))
+        # Without an exponent the rounding lies in [1e-4, 1e12), where repr is
+        # positional too and, the double being normal, gives back the same
+        # digits (a decimal of up to 15 digits is the shortest repr of its
+        # nearest double); it only adds ".0" to an integer.  With one, repr
+        # may pick the other notation (exponents 12-15) or fewer digits
+        # (subnormals), so it is asked.
+        return text if "." in text else text + ".0"
+    if isinstance(value, str):
+        return _quote(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    item = getattr(value, "item", None)
     if item is not None:  # NumPy scalars
-        return clean(item())
-    raise TypeError(f"cannot serialize {type(obj).__name__} in a report")
+        return _scalar(item())
+    raise TypeError(f"cannot serialize {type(value).__name__} in a report")
 
 
-def render_json(payload) -> str:
-    return json.dumps(clean(payload), indent=2, allow_nan=False) + "\n"
+def _block(open_: str, members: list[str], close: str, nl: str) -> str:
+    """Members one per line, one indent deeper than the line break nl."""
+    if not members:
+        return open_ + close
+    inner = nl + _INDENT
+    return open_ + inner + ("," + inner).join(members) + nl + close
+
+
+def _members(obj: dict, nl: str) -> list[str]:
+    """The '"key": value' members of a dict whose own line break is nl."""
+    inner = nl + _INDENT
+    return [f"{_quote(k)}: {_emit(v, inner)}" for k, v in obj.items()]
+
+
+def _emit(obj, nl: str) -> str:
+    """obj in the JSON layout; nl is the line break and indent of its own line."""
+    if isinstance(obj, dict):
+        return _block("{", _members(obj, nl), "}", nl)
+    if isinstance(obj, (list, tuple)):
+        inner = nl + _INDENT
+        return _block("[", [_emit(v, inner) for v in obj], "]", nl)
+    return _scalar(obj)
+
+
+def _table(header, rows, nl: str) -> str:
+    """Rows as a list of {header: cell} objects, each filled into one row template."""
+    inner = nl + _INDENT
+    names = [_quote(name).replace("%", "%%") + ": %s" for name in header]
+    template = _block("{", names, "}", inner)
+    return _block("[", [template % tuple(map(_scalar, row)) for row in rows], "]", nl)
+
+
+def render_json(payload, table=None) -> str:
+    """The JSON report of payload.
+
+    table, if given, is (header, rows) of a table command: its rows follow
+    the payload's keys as ``"rows": [{header[0]: row[0], ...}, ...]``.  The
+    payload is then a dict, the header names are distinct and each row
+    holds one scalar per name.
+    """
+    if table is None:
+        return _emit(payload, "\n") + "\n"
+    members = _members(payload, "\n")
+    members.append('"rows": ' + _table(*table, "\n" + _INDENT))
+    return _block("{", members, "}", "\n") + "\n"
 
 
 def format_cell(value) -> str:
@@ -52,5 +120,13 @@ def format_cell(value) -> str:
 def render_csv(header, rows, comments=()) -> str:
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(header))
-    lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
+    lines.extend(
+        ",".join([
+            format(cell, ".12g")
+            if isinstance(cell, float) and math.isfinite(cell)
+            else format_cell(cell)
+            for cell in row
+        ])
+        for row in rows
+    )
     return "\n".join(lines) + "\n"

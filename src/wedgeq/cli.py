@@ -112,7 +112,7 @@ def _parse_list(text: str, name: str, sign: str | None = None) -> list[float]:
 def _emit_table(args, payload: dict, header, rows, comments=()) -> str:
     """A table command's report: payload plus rows as JSON, or CSV with comment lines."""
     if args.format == "json":
-        return render_json({**payload, "rows": [dict(zip(header, row)) for row in rows]})
+        return render_json(payload, table=(header, rows))
     return render_csv(header, rows, comments=comments)
 
 
@@ -309,19 +309,16 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
         "escape_rate": float(escaped.mean()),
     }
     header = ["bin_lo", "bin_hi", "manual_count", "manual_density", "ai_count", "ai_density"]
-    rows = []
     scale = 1.0 / (n * width)
-    for i in range(n_bins):
-        rows.append(
-            [
-                float(edges[i]),
-                float(edges[i + 1]),
-                int(manual_counts[i]),
-                manual_counts[i] * scale,
-                int(ai_counts[i]),
-                ai_counts[i] * scale,
-            ]
-        )
+    bounds = edges.tolist()
+    rows = list(zip(
+        bounds[:-1],
+        bounds[1:],
+        manual_counts.tolist(),
+        (manual_counts * scale).tolist(),
+        ai_counts.tolist(),
+        (ai_counts * scale).tolist(),
+    ))
     comments = tuple(f"{key}={format(value, '.12g') if isinstance(value, float) else value}"
                      for key, value in moments.items())
     return _emit_table(args, {"command": "dist", "moments": moments}, header, rows, comments)

@@ -269,9 +269,12 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         busy += chunk_busy
         walked_before, walked = walked, walked + rework_waits.size
         waits_post[max(lo - k0, 0) : max(hi - k0, 0)] = waits[p:]
-        # A chain still open at the chunk's end is NaN here; its sojourn is in
-        # queue.sojourns after the chunk that closes it, in spawn order.
-        sojourn += float(np.nansum(np.subtract(chain_complete[p:], arrivals[p:])))
+        # A chain still open at the chunk's end is NaN here (feedback only); its
+        # sojourn is in queue.sojourns after the chunk that closes it, in spawn
+        # order.  chain_complete is this call's own array, so it holds the
+        # sojourns; nansum would copy the chunk to sum the same values.
+        sojourns = np.subtract(chain_complete[p:], arrivals[p:], out=chain_complete[p:])
+        sojourn += float(sojourns.sum() if folded else np.nansum(sojourns))
         sojourn += float(queue.sojourns[max(warm_spawns - walked_before, 0) :].sum())
 
     # --- estimation ---------------------------------------------------------

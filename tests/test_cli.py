@@ -727,6 +727,42 @@ class TestOutputPlumbing:
             json.loads(out)
 
 
+def _json_cases():
+    """Every command that writes JSON, on every fixture it accepts."""
+    fixed, policy = ("fig2", "fig3", "fig4"), ("fig5-beta22", "fig5-beta52", "fig6")
+    table = ("--format", "json")
+    cases = [(cmd, fx, ()) for cmd in ("moments", "wait", "wedge", "stabilize") for fx in fixed]
+    cases += [("sweep", fx, ("--grid", "0.1:0.9:0.1", *table)) for fx in fixed]
+    cases += [(cmd, fx, table) for cmd in ("design", "dist") for fx in fixed]
+    cases += [("equilibrium", fx, ()) for fx in policy]
+    cases += [("review-curve", fx, table) for fx in policy]
+    cases += [("simulate", fx, ()) for fx in fixed + policy]
+    return cases
+
+
+class TestJsonLayout:
+    """Reports are laid out as json.dumps(indent=2) lays out what they parse to."""
+
+    @pytest.mark.parametrize(
+        "command, fixture, flags", _json_cases(), ids=[f"{c}-{f}" for c, f, _ in _json_cases()]
+    )
+    def test_report_layout(self, capsys, tmp_path, command, fixture, flags):
+        config = str(fixture_path(f"{fixture}.json"))
+        if command == "simulate":  # the layout does not depend on the run length
+            doc = json.loads(fixture_path(f"{fixture}.json").read_text())
+            doc["sim"]["n_arrivals"] = 20_000
+            config = tmp_path / "short.json"
+            config.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, command, "--config", str(config), *flags)
+        assert code == 0, err
+        assert json.dumps(json.loads(out), indent=2) + "\n" == out
+
+    def test_error_layout(self, capsys):
+        code, out, err = _run(capsys, "moments", "--config", FIG5A)
+        assert code == 2 and out == ""
+        assert json.dumps(json.loads(err), indent=2) + "\n" == err
+
+
 # ---------------------------------------------------------------------------
 # the error contract as a property
 
