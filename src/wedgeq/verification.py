@@ -12,6 +12,12 @@ min(pi(s), pi_star).  Averaging over the signal density gives the
 policy-level route moments; feeding those into the marginal congestion
 cost Phi closes the loop, and an equilibrium is a fixed point
 theta = Phi(theta).
+
+The equilibrium search prices each candidate theta from a table built once
+per solve: the cumulative integrals of pdf, log(pi) * pdf, log(pi)^2 * pdf
+and pi * pdf over uniform panels, to which each price adds two short
+partial rules at its threshold signal.  Every reported root is certified
+by policy_route_moments, the split quadrature with a doubling check.
 """
 
 from __future__ import annotations
@@ -48,9 +54,10 @@ _ROOT_RTOL = 1e-8
 # bracket in well under 20 rounds; the cap only bounds a misbehaving f.
 _BRACKET_ROUNDS = 100
 
-# Prices per block of the batched quadrature: bounds its (prices x nodes)
-# temporaries, so a full grid scan never holds its whole broadcast at once.
-_BLOCK_ROWS = 64
+# Uniform panels of the equilibrium search's moment table, and Gauss-Legendre
+# nodes per whole panel and per partial rule at a threshold signal.
+_TABLE_PANELS = 16
+_TABLE_NODES = 24
 
 # _panels bounds of [0, 0.5] and [0.5, 1], for unit integrals with no threshold
 # to split at: two panels so mild endpoint curvature does not dominate the error.
@@ -159,14 +166,14 @@ class SignalEnvironment:
             )
 
     def signal_pdf(self, s):
-        """Beta(alpha, beta) density, evaluated on interior points of (0, 1)."""
+        """Beta(alpha, beta) density on [0, 1]."""
         s = np.asarray(s, dtype=float)
-        log_pdf = (
-            (self.signal_alpha - 1.0) * np.log(s)
-            + (self.signal_beta - 1.0) * np.log1p(-s)
-            - self._log_norm
-        )
-        return np.exp(log_pdf)
+        # A unit shape's factor is 1 on all of [0, 1], where 0 * log(0) would
+        # make the density NaN at an end.
+        alpha, beta = self.signal_alpha, self.signal_beta
+        head = np.zeros_like(s) if alpha == 1.0 else (alpha - 1.0) * np.log(s)
+        tail = np.zeros_like(s) if beta == 1.0 else (beta - 1.0) * np.log1p(-s)
+        return np.exp(head + tail - self._log_norm)
 
     @property
     def review_scale(self) -> float:
@@ -220,6 +227,14 @@ def review_policy(env: SignalEnvironment, star, pi):
     return effort, np.minimum(pi, star)
 
 
+def _require_unit_interval(values, name: str, field: str) -> np.ndarray:
+    """values as a float array; ValidationError unless every one lies in [0, 1] (NaN does not)."""
+    arr = np.asarray(values, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
+        raise ValidationError(f"{name} must lie in [0, 1]", field=field)
+    return arr
+
+
 def effort_for_risk(env: SignalEnvironment, theta: float, pi):
     """Optimal review effort for a draft of perceived risk pi.
 
@@ -227,9 +242,7 @@ def effort_for_risk(env: SignalEnvironment, theta: float, pi):
     Accepts scalar or array pi.
     """
     star = pi_star(env, theta)
-    pi_arr = np.asarray(pi, dtype=float)
-    if np.any(pi_arr < 0.0) or np.any(pi_arr > 1.0):
-        raise ValidationError("risk pi must lie in [0, 1]", field="pi")
+    pi_arr = _require_unit_interval(pi, "risk pi", "pi")
     effort, _ = review_policy(env, star, pi_arr)
     return float(effort) if np.ndim(pi) == 0 else effort
 
@@ -237,9 +250,7 @@ def effort_for_risk(env: SignalEnvironment, theta: float, pi):
 def _signal_policy(env: SignalEnvironment, theta: float, s):
     """review_policy at price theta for signal(s) s in [0, 1]; floats for a scalar s."""
     star = pi_star(env, theta)
-    s_arr = np.asarray(s, dtype=float)
-    if np.any(s_arr < 0.0) or np.any(s_arr > 1.0):
-        raise ValidationError("signal s must lie in [0, 1]", field="s")
+    s_arr = _require_unit_interval(s, "signal s", "s")
     policy = review_policy(env, star, env.risk_map.value(s_arr))
     return tuple(map(float, policy)) if np.ndim(s) == 0 else policy
 
@@ -296,52 +307,93 @@ def _panels(env: SignalEnvironment, lo, hi, n: int):
     return env.risk_map.value(s), (half * weights) * env.signal_pdf(s)
 
 
-def _panel_moments(env: SignalEnvironment, rework: ReworkModel, star, pi_s, weight):
-    """(tau, q) per price, summed over its panels; star is a (prices, 1, 1) column.
+def _policy_moments(env: SignalEnvironment, theta: float, rework: ReworkModel, n_nodes: int):
+    """Signal-averaged (tau_A, q_A) at price theta, as floats.
 
-    pi_s and weight come from _panels, per price or broadcast over prices.
+    Split Gauss-Legendre quadrature: a threshold signal inside (0, 1) gets
+    two panels of max(8, n_nodes // 2) nodes split there; one that reviews
+    every draft or none gets the unit panel [0, 1] of n_nodes.  theta is
+    not checked here: policy_route_moments checks it.
     """
-    effort, resid = review_policy(env, star, pi_s)
-    tau = _row_dots(weight, effort + rework.mu_R * resid)
-    q = _row_dots(
-        weight, effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid
-    )
-    return tau.sum(axis=1), q.sum(axis=1)
-
-
-def _row_blocks(mask: np.ndarray):
-    """The rows where mask holds, in selections of at most _BLOCK_ROWS."""
-    rows = np.flatnonzero(mask)
-    return [rows[start : start + _BLOCK_ROWS] for start in range(0, rows.size, _BLOCK_ROWS)]
-
-
-def _policy_moments(env: SignalEnvironment, thetas, rework: ReworkModel, n_nodes: int):
-    """Signal-averaged (tau_A, q_A) arrays at every price in thetas.
-
-    Split Gauss-Legendre quadrature: a price whose threshold signal is
-    interior gets two panels of max(8, n_nodes // 2) nodes split there;
-    one that reviews every draft or none gets the unit panel [0, 1] of
-    n_nodes, whose nodes, risks and weights are shared by every such
-    price.  Prices are evaluated _BLOCK_ROWS at a time.  thetas is not
-    checked here: the public entry points check it once, and the solver's
-    grid and bracket points are positive by construction.
-    """
-    stars = np.asarray(thetas, dtype=float) / env.review_scale
-    splits = _signal_at_risk(env.risk_map, stars)
-    interior = (splits > 0.0) & (splits < 1.0)
-    tau, q = np.empty(stars.size), np.empty(stars.size)
-    if not interior.all():
-        unit = _panels(env, 0.0, 1.0, n_nodes)
-        for block in _row_blocks(~interior):
-            tau[block], q[block] = _panel_moments(env, rework, stars[block, None, None], *unit)
-    for block in _row_blocks(interior):
-        # Panels [0, split] and [split, 1] of each price.
-        split = splits[block, None, None]
-        lo, hi = np.zeros((split.shape[0], 2, 1)), np.ones((split.shape[0], 2, 1))
-        lo[:, 1:], hi[:, :1] = split, split
-        tau[block], q[block] = _panel_moments(
-            env, rework, stars[block, None, None], *_panels(env, lo, hi, max(8, n_nodes // 2))
+    star = theta / env.review_scale
+    split = float(_signal_at_risk(env.risk_map, np.array([star]))[0])
+    if 0.0 < split < 1.0:
+        risk, weight = _panels(
+            env, np.array([[0.0], [split]]), np.array([[split], [1.0]]), max(8, n_nodes // 2)
         )
+    else:
+        risk, weight = _panels(env, 0.0, 1.0, n_nodes)
+    effort, resid = review_policy(env, star, risk)
+    tau = _row_dots(weight, effort + rework.mu_R * resid)
+    q = _row_dots(weight, effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid)
+    return float(tau.sum()), float(q.sum())
+
+
+def _moment_table(env: SignalEnvironment):
+    """Cumulative integrals over _TABLE_PANELS uniform panels of [0, 1], for _table_moments.
+
+    With l = log pi(s) and b_j = j / _TABLE_PANELS, returns (upper, lower):
+    upper[j] holds the integrals of pdf, l * pdf and l^2 * pdf over [b_j, 1],
+    and lower[j] the integral of pi * pdf over [0, b_j], for j = 0.._TABLE_PANELS.
+    """
+    edges = np.arange(_TABLE_PANELS + 1) / _TABLE_PANELS
+    risk, weight = _panels(env, edges[:-1, None], edges[1:, None], _TABLE_NODES)
+    log_risk = np.log(risk)
+    panel = _row_dots(
+        weight[:, None, :], np.stack((np.ones_like(risk), log_risk, log_risk**2, risk), axis=1)
+    )
+    # A panel where pi is 0 has a NaN or infinite l-integral.  Summed from the
+    # top, it enters upper[j] only for j at or below its own index, and a
+    # threshold reads upper[j] only for panels above it, where
+    # pi >= pi_star > 0.
+    upper = np.zeros((_TABLE_PANELS + 1, 3))
+    upper[:-1] = np.cumsum(panel[::-1, :3], axis=0)[::-1]
+    lower = np.zeros(_TABLE_PANELS + 1)
+    lower[1:] = np.cumsum(panel[:, 3])
+    return upper, lower
+
+
+# A zero-width partial rule at a threshold signal of 0 or 1 puts its nodes on
+# that end of [0, 1], where the density's log(s) or log1p(-s) is -inf; their
+# weight is 0.
+@np.errstate(divide="ignore")
+def _table_moments(env: SignalEnvironment, table, rework: ReworkModel, stars, splits):
+    """(tau_A, q_A) arrays at the risk thresholds stars, whose threshold signals are splits.
+
+    A threshold t in panel [b_j, b_j+1] gets two partial rules of
+    _TABLE_NODES nodes, on [b_j, t] and [t, b_j+1], added to the table's
+    sums over the whole panels beyond them, so the kink of r*(s) stays a
+    panel end.  That gives F_k, the integral of l^k * pdf over [t, 1]
+    (l = log pi), and G, that of pi * pdf over [0, t].  With l* = log pi_star:
+
+        E1    = (F1 - l* F0) / kappa                      (= E[r*])
+        E2    = (F2 - 2 l* F1 + l*^2 F0) / kappa / kappa  (= E[r*^2])
+        tau_A = E1 + mu_R pi_star F0 + mu_R G
+        q_A   = E2 + 2 mu_R pi_star E1 + mu_R2 pi_star F0 + mu_R2 G
+
+    kappa divides twice: kappa^2 underflows for a tiny kappa.  Every step
+    is per price, so a price's moments do not depend on the prices batched
+    with it.
+    """
+    upper, lower = table
+    panel = np.minimum((splits * _TABLE_PANELS).astype(int), _TABLE_PANELS - 1)
+    # ends[0] and ends[1] are the lower and upper ends of each price's two rules.
+    ends = np.empty((2, splits.size, 2, 1))
+    ends[0, :, 0, 0] = panel / _TABLE_PANELS
+    ends[1, :, 1, 0] = (panel + 1) / _TABLE_PANELS
+    ends[0, :, 1, 0] = ends[1, :, 0, 0] = splits
+    risk, weight = _panels(env, ends[0], ends[1], _TABLE_NODES)
+    head = lower[panel] + _row_dots(weight[:, 0], risk[:, 0])
+    powers = np.empty((splits.size, 3, _TABLE_NODES))
+    powers[:, 0] = 1.0
+    np.log(risk[:, 1], out=powers[:, 1])
+    np.multiply(powers[:, 1], powers[:, 1], out=powers[:, 2])
+    f0, f1, f2 = (upper[panel + 1] + _row_dots(weight[:, 1, None], powers)).T
+    log_star = np.log(stars)
+    e1 = (f1 - log_star * f0) / env.kappa
+    e2 = (f2 - 2.0 * log_star * f1 + log_star**2 * f0) / env.kappa / env.kappa
+    tau = e1 + rework.mu_R * stars * f0 + rework.mu_R * head
+    q = e2 + 2.0 * rework.mu_R * stars * e1 + rework.mu_R2 * stars * f0 + rework.mu_R2 * head
     return tau, q
 
 
@@ -360,8 +412,8 @@ def policy_route_moments(
     rejected with the achieved error estimate.
     """
     require_finite(theta, "theta", "> 0")
-    coarse = [float(value[0]) for value in _policy_moments(env, [theta], rework, QUAD_NODES)]
-    fine = [float(value[0]) for value in _policy_moments(env, [theta], rework, 2 * QUAD_NODES)]
+    coarse = _policy_moments(env, theta, rework, QUAD_NODES)
+    fine = _policy_moments(env, theta, rework, 2 * QUAD_NODES)
     err = max(
         abs(fine[0] - coarse[0]) / max(1.0, abs(fine[0])),
         abs(fine[1] - coarse[1]) / max(1.0, abs(fine[1])),
@@ -488,12 +540,18 @@ def solve_equilibrium(
     """Find all fixed points of theta = Phi(theta) on the feasible domain.
 
     Scans g(theta) = theta - Phi(theta) on a geometric grid over
-    [theta_lo, theta_hi] in one batched quadrature call, narrows every
-    sign change together by Illinois steps, and adds the analytic tail
-    root above theta_hi (where no draft is reviewed and Phi is constant)
-    when g is still negative there.  theta_lo is the smallest price at
-    which the queue is stable: below it review effort inflates tau_A past
-    capacity.  The smallest root is primary.
+    [theta_lo, theta_hi], narrows every sign change together by Illinois
+    steps, and adds the analytic tail root above theta_hi (where no draft
+    is reviewed and Phi is constant) when g is still negative there.
+    theta_lo is the smallest price at which the queue is stable: below it
+    review effort inflates tau_A past capacity.  The smallest root is
+    primary.
+
+    Every search point (the stability anchors and rounds, the scan and the
+    Illinois rounds) is priced by _table_moments from one _moment_table
+    built here; the table is not kept after the call.  Each reported root
+    is then certified by policy_route_moments, an independent quadrature
+    with its doubling check, and by a residual of at most 1e-8 * theta.
     """
     require_finite(lam, "lam", "> 0")
     require_finite(capacity, "capacity", "> 0")
@@ -504,8 +562,14 @@ def solve_equilibrium(
     if env.c_w == 0.0:
         return _degenerate_equilibrium(theta_hi=theta_hi, zero_demand=False)
 
+    table = _moment_table(env)
+
+    def moments_at(thetas: np.ndarray):
+        stars = thetas / env.review_scale
+        return _table_moments(env, table, rework, stars, _signal_at_risk(env.risk_map, stars))
+
     def rho_at(thetas: np.ndarray) -> np.ndarray:
-        return lam * _policy_moments(env, thetas, rework, QUAD_NODES)[0] / capacity
+        return lam * moments_at(thetas)[0] / capacity
 
     def margin(rho: np.ndarray) -> np.ndarray:
         """(1 - EPS_RHO) - rho, positive exactly where is_stable holds; -inf for a NaN load."""
@@ -513,7 +577,7 @@ def solve_equilibrium(
 
     def g_at(thetas: np.ndarray) -> np.ndarray:
         """g = theta - Phi(theta) at each price; NaN where the queue is unstable."""
-        tau, q = _policy_moments(env, thetas, rework, QUAD_NODES)
+        tau, q = moments_at(thetas)
         stable = is_stable(lam, tau, capacity)
         g = np.full(thetas.shape, math.nan)
         g[stable] = thetas[stable] - _phi_value(env.c_w, lam, capacity, tau[stable], q[stable])

@@ -70,6 +70,27 @@ def _mean_risk(env):
     )[0]
 
 
+def _table_at(env, thetas, rework=REWORK):
+    """(tau, q) of the solver's moment table at prices thetas."""
+    stars = np.asarray(thetas, dtype=float) / env.review_scale
+    splits = ver._signal_at_risk(env.risk_map, stars)
+    return ver._table_moments(env, ver._moment_table(env), rework, stars, splits)
+
+
+def _count_calls(monkeypatch):
+    """Count the calls of the moment table's pricing and of the split quadrature."""
+    calls = {"_table_moments": 0, "_policy_moments": 0}
+    for name in calls:
+        kernel = getattr(ver, name)
+
+        def counting(*args, kernel=kernel, name=name):
+            calls[name] += 1
+            return kernel(*args)
+
+        monkeypatch.setattr(ver, name, counting)
+    return calls
+
+
 class TestThresholdPolicy:
     def test_pi_star_scaling(self):
         assert pi_star(ENV, 0.4) == pytest.approx(0.1, rel=1e-15)
@@ -108,6 +129,18 @@ class TestThresholdPolicy:
             review_effort(ENV, 0.5, 1.0 + 1e-9)
         with pytest.raises(ValidationError):
             residual_risk(ENV, 0.5, -1e-9)
+
+    @pytest.mark.parametrize("value", [math.nan, np.array([0.2, math.nan, 0.7])])
+    @pytest.mark.parametrize(
+        "function, field",
+        [(effort_for_risk, "pi"), (review_effort, "s"), (residual_risk, "s")],
+    )
+    def test_nan_rejected(self, function, field, value):
+        # NaN passes both "< 0" and "> 1" tests, so a range check built from
+        # them lets it through.
+        with pytest.raises(ValidationError) as err:
+            function(ENV, 0.5, value)
+        assert err.value.field == field
 
     @given(s=st.floats(0.0, 1.0), theta=st.floats(0.01, 8.0))
     @settings(max_examples=200)
@@ -180,10 +213,10 @@ class TestPolicyRouteMoments:
         assert got.m2 == pytest.approx(q, rel=1e-9)
 
     def test_stable_under_node_count(self):
-        lean_tau, lean_q = ver._policy_moments(ENV, [0.4], REWORK, 32)
-        rich_tau, rich_q = ver._policy_moments(ENV, [0.4], REWORK, 512)
-        assert lean_tau[0] == pytest.approx(rich_tau[0], rel=1e-10)
-        assert lean_q[0] == pytest.approx(rich_q[0], rel=1e-10)
+        lean_tau, lean_q = ver._policy_moments(ENV, 0.4, REWORK, 32)
+        rich_tau, rich_q = ver._policy_moments(ENV, 0.4, REWORK, 512)
+        assert lean_tau == pytest.approx(rich_tau, rel=1e-10)
+        assert lean_q == pytest.approx(rich_q, rel=1e-10)
 
     def test_overflowing_moment_is_rejected_without_warning(self, make_env):
         # At kappa = 1e-300 a tiny price makes r*^2 overflow: the infinite q_A
@@ -195,9 +228,8 @@ class TestPolicyRouteMoments:
                 policy_route_moments(env, 1e-305, REWORK)
 
     def test_divergent_quadrature_is_reported(self, monkeypatch):
-        def drifting(env, thetas, rework, n_nodes):
-            ones = np.ones(len(thetas))
-            return (0.5 + 1.0 / n_nodes) * ones, ones
+        def drifting(env, theta, rework, n_nodes):
+            return 0.5 + 1.0 / n_nodes, 1.0
 
         monkeypatch.setattr(ver, "_policy_moments", drifting)
         with pytest.raises(QuadratureError) as err:
@@ -214,9 +246,10 @@ class TestPolicyRouteMoments:
 
 
 class TestBatchedMoments:
+    """The solver's moment table, priced at many prices in one call."""
+
     # 0.05 reviews every draft (split 0), 5.0 lies above theta_hi = 3.56 and
-    # reviews none (split 1), the rest split inside (0, 1); 70 prices span
-    # two row blocks of the kernel.
+    # reviews none (split 1), the rest split inside (0, 1).
     THETAS = np.concatenate(([0.05, 5.0], np.geomspace(0.1, 3.0, 68)))
 
     def test_prices_cover_every_split(self):
@@ -228,20 +261,54 @@ class TestBatchedMoments:
         # Exactly: a price's moments must not depend on the prices batched
         # with it, or a root would depend on which other brackets were
         # still open when the solver priced its points.
-        tau, q = ver._policy_moments(ENV, self.THETAS, REWORK, ver.QUAD_NODES)
+        tau, q = _table_at(ENV, self.THETAS)
         assert tau.shape == q.shape == self.THETAS.shape
         for theta, tau_row, q_row in zip(self.THETAS, tau, q):
-            one_tau, one_q = ver._policy_moments(ENV, [theta], REWORK, ver.QUAD_NODES)
+            one_tau, one_q = _table_at(ENV, [theta])
             assert tau_row == one_tau[0]
             assert q_row == one_q[0]
 
     def test_rows_match_adaptive_quadrature(self):
         thetas = self.THETAS[::6]
-        tau, q = ver._policy_moments(ENV, thetas, REWORK, ver.QUAD_NODES)
+        tau, q = _table_at(ENV, thetas)
         for theta, tau_row, q_row in zip(thetas, tau, q):
             oracle_tau, oracle_q = _quad_moments(ENV, theta, REWORK)
             assert tau_row == pytest.approx(oracle_tau, rel=1e-10)
             assert q_row == pytest.approx(oracle_q, rel=1e-10)
+
+    @pytest.mark.parametrize("name", ["fig5-beta22", "fig5-beta52", "fig6"])
+    def test_matches_split_quadrature(self, name):
+        # 512 prices from 1e-6 theta_hi, where every draft is reviewed, to
+        # 1.1 theta_hi, where none is, and the thresholds at every panel end
+        # k / 16, each taken with its exact signal.  The split rule at 512
+        # nodes is the reference.
+        spec = load_config(fixture_path(f"{name}.json"))
+        env, rework = spec.env, spec.rework
+        theta_hi = env.review_scale * env.risk_map.value(1.0)
+        stars = np.geomspace(1e-6 * theta_hi, 1.1 * theta_hi, 512) / env.review_scale
+        splits = ver._signal_at_risk(env.risk_map, stars)
+        assert {0.0, 1.0} < set(splits.tolist())
+        ends = np.arange(ver._TABLE_PANELS + 1) / ver._TABLE_PANELS
+        stars = np.concatenate((stars, env.risk_map.value(ends)))
+        splits = np.concatenate((splits, ends))
+        tau, q = ver._table_moments(env, ver._moment_table(env), rework, stars, splits)
+        for star, tau_row, q_row in zip(stars, tau, q):
+            ref_tau, ref_q = ver._policy_moments(env, star * env.review_scale, rework, 512)
+            assert abs(tau_row - ref_tau) <= 1e-13 * ref_tau
+            assert abs(q_row - ref_q) <= 1e-13 * ref_q
+
+    def test_unit_shapes_at_the_ends(self, make_env):
+        # A unit shape's density is 1 / B(alpha, beta) at its end of [0, 1],
+        # where a zero-width partial rule puts its nodes.
+        env = make_env(alpha=1.0, beta=1.0)
+        theta_hi = env.review_scale * RISK.value(1.0)
+        thetas = [1e-3 * theta_hi, 0.5 * theta_hi, 2.0 * theta_hi]
+        assert [threshold_signal(env, theta) for theta in thetas][::2] == [0.0, 1.0]
+        tau, q = _table_at(env, thetas)
+        for theta, tau_row, q_row in zip(thetas, tau, q):
+            ref_tau, ref_q = ver._policy_moments(env, theta, REWORK, 512)
+            assert tau_row == pytest.approx(ref_tau, rel=1e-13)
+            assert q_row == pytest.approx(ref_q, rel=1e-13)
 
 
 class TestIrreducibleStream:
@@ -381,23 +448,17 @@ class TestSolveEquilibrium:
     @pytest.mark.parametrize(
         "name, budget",
         [pytest.param(name, budget, id=name)
-         for name, budget in (("fig5-beta22", 16), ("fig5-beta52", 21), ("fig6", 15))],
+         for name, budget in (("fig5-beta22", 14), ("fig5-beta52", 15), ("fig6", 13))],
     )
     def test_quadrature_call_budget(self, monkeypatch, name, budget):
-        # The counts measured for Illinois steps: one call prices the 64
-        # stability anchors, one the scan, each round one point per open
-        # bracket, and each root takes 2 certification calls.
+        # The counts measured for Illinois steps: one table pricing covers
+        # the 64 stability anchors, one the scan, and each round one point
+        # per open bracket.  Each root then takes 2 split-quadrature calls.
         spec = load_config(fixture_path(f"{name}.json"))
-        calls = []
-        kernel = ver._policy_moments
-
-        def counting(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(ver, "_policy_moments", counting)
-        solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
-        assert len(calls) <= budget
+        calls = _count_calls(monkeypatch)
+        solution = solve_equilibrium(spec.env, spec.rework, spec.lam, spec.capacity)
+        assert calls["_table_moments"] <= budget
+        assert calls["_policy_moments"] <= 2 * len(solution.roots)
 
     @pytest.mark.parametrize("name", ["fig5-beta22", "fig5-beta52", "fig6"])
     def test_roots_match_brentq_oracle(self, name):
@@ -436,15 +497,8 @@ class TestSolveEquilibrium:
         # and the lowest stability anchor are subnormal.  Every tolerance is
         # relative, so no root may move with the scale, and fig5-beta52 at
         # lambda = 0.72 keeps its three roots.
-        calls = []
-        kernel = ver._policy_moments
-
-        def counting(*args):
-            calls.append(1)
-            return kernel(*args)
-
-        monkeypatch.setattr(ver, "_policy_moments", counting)
-        for name, lam, budget in (("fig5-beta22", 0.75, 16), ("fig5-beta52", 0.72, 21)):
+        calls = _count_calls(monkeypatch)
+        for name, lam, budget in (("fig5-beta22", 0.75, 14), ("fig5-beta52", 0.72, 15)):
             spec = load_config(fixture_path(f"{name}.json"))
             reference = solve_equilibrium(spec.env, spec.rework, lam, spec.capacity)
             assert len(reference.roots) == (1 if name == "fig5-beta22" else 3)
@@ -452,9 +506,10 @@ class TestSolveEquilibrium:
                 env = dataclasses.replace(
                     spec.env, K=spec.env.K * scale, c_w=spec.env.c_w * scale
                 )
-                calls.clear()
+                calls.update(dict.fromkeys(calls, 0))
                 solution = solve_equilibrium(env, spec.rework, lam, spec.capacity)
-                assert len(calls) <= budget
+                assert calls["_table_moments"] <= budget
+                assert calls["_policy_moments"] <= 2 * len(solution.roots)
                 assert solution.theta_lo / solution.theta_hi == pytest.approx(
                     reference.theta_lo / reference.theta_hi, rel=1e-9
                 )
