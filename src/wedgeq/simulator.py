@@ -20,6 +20,11 @@ and only the post-warm-up waits are kept, for the batch means and the exact
 quantiles.  A run therefore holds 8 bytes per post-warm-up arrival (6.4 per
 arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded) to
 3 MB (feedback) for the chunk in hand.
+
+This module owns the chunk size.  The queue kernel walks each chunk as one
+walk, continued from the queue state the chunk before left, so the waits
+round at the scale of a chunk; a direct whole-array call of the kernel is
+one walk of the run, which rounds at the scale of the run.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import _CHUNK, IMPL, QueueState, simulate_fifo
+from ._kernels import IMPL, QueueState, simulate_fifo
 from ._special import t_quantile
 from .config import SimSettings, WorkflowSpec
 from .errors import InfeasibleError
@@ -46,6 +51,9 @@ from .verification import pi_star, policy_route_moments, review_policy, solve_eq
 
 # Two-sided confidence level of every reported wait interval.
 CI_LEVEL = 0.99
+
+# Arrivals per chunk of a run's stream, and so per call of the queue kernel.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True, kw_only=True)

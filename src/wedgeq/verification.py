@@ -480,9 +480,11 @@ def _bracket_roots(f, lo, hi, f_lo, f_hi, rtol):
     f call prices the secant point of every open bracket, and the end whose
     f has that point's sign moves to it.  When the same end is kept twice in
     a row its f value is halved, so the secant point cannot creep up on the
-    root from one side.  A bracket closes once hi - lo <= rtol * hi, or at a
-    point where f is 0 (lo = hi there), and is dropped where f is NaN (the
-    queue is unstable there).  At most _BRACKET_ROUNDS rounds are run.
+    root from one side.  A bracket closes once hi - lo <= max(rtol * hi,
+    ulp(hi)), so also once its ends are adjacent floats (a subnormal
+    rtol * hi is below the float spacing), or at a point where f is 0
+    (lo = hi there), and is dropped where f is NaN (the queue is unstable
+    there).  At most _BRACKET_ROUNDS rounds are run.
     """
     lo, hi = np.asarray(lo, dtype=float).tolist(), np.asarray(hi, dtype=float).tolist()
     f_lo, f_hi = np.asarray(f_lo, dtype=float).tolist(), np.asarray(f_hi, dtype=float).tolist()
@@ -491,7 +493,7 @@ def _bracket_roots(f, lo, hi, f_lo, f_hi, rtol):
     # Which end each bracket kept last round: -1 lo, +1 hi, 0 none yet.
     kept = [0] * len(lo)
     dropped = [False] * len(lo)
-    open_ = [i for i in range(len(lo)) if hi[i] - lo[i] > rtol * hi[i]]
+    open_ = [i for i in range(len(lo)) if hi[i] - lo[i] > max(rtol * hi[i], math.ulp(hi[i]))]
     for _ in range(_BRACKET_ROUNDS):
         if not open_:
             break
@@ -526,7 +528,7 @@ def _bracket_roots(f, lo, hi, f_lo, f_hi, rtol):
                 if kept[i] == -1:
                     f_lo[i] *= 0.5
                 kept[i] = -1
-            if hi[i] - lo[i] > rtol * hi[i]:
+            if hi[i] - lo[i] > max(rtol * hi[i], math.ulp(hi[i])):
                 still_open.append(i)
         open_ = still_open
     return lo, hi, dropped

@@ -1,5 +1,6 @@
 import dataclasses
 import heapq
+import itertools
 
 import numpy as np
 import pytest
@@ -119,100 +120,57 @@ class TestAgainstHeapOracle:
         assert a[4] == pytest.approx(b[4], rel=1e-12)
 
 
-class TestChunkBoundaries:
-    """The walk runs in chunks of ``_kernels._CHUNK`` arrivals, with or without
-    rework to merge; on the dyadic grid every chunking must reproduce the
-    oracle bit for bit."""
+def _play(args, sizes):
+    """simulate_fifo over consecutive calls of ``sizes`` arrivals (cycled)
+    that carry one QueueState, as the simulator streams a run; the calls'
+    outputs joined into one run's.
 
-    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
-    @pytest.mark.parametrize("seed", range(30))
-    def test_any_chunk_size_is_bitwise_exact(self, monkeypatch, chunk, seed):
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-        case = _as_kernel_args(_random_case(seed))
-        # The same arrivals once more with no rework, as in folded runs.
-        for args in (case, case[:2] + (np.zeros_like(case[2]), np.zeros(0))):
-            got = simulate_fifo(*args)
-            want = _heap_oracle(*args)
-            for x, y in zip(got[:3], want[:3]):
-                np.testing.assert_array_equal(x, y)
-            assert got[3] == want[3]
-
-    @pytest.mark.parametrize("chunk", [2, 1 << 14])
-    def test_rework_carried_into_next_chunk(self, monkeypatch, chunk):
-        # Job 0 departs at 2 and spawns; with chunks of two arrivals that is
-        # after its chunk's last arrival (1), so the rework joins the next
-        # chunk ahead of job 2 (arrives 2.5): job 1 (2-3), rework (3-4),
-        # job 2 (4-5), job 3 (5-6).
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-        case = _as_kernel_args(
-            ([0.0, 1.0, 2.5, 4.0], [2.0, 1.0, 1.0, 1.0], [1, 0, 0, 0], [1.0, 0.0, 0.0, 0.0])
+    A chain that its call leaves open (NaN) is closed at its arrival plus
+    the sojourn that a later call reports in ``state.sojourns``, in spawn
+    order: exactly its departure on the half-integer grid, and to one
+    rounding at the scale of the horizon elsewhere.
+    """
+    arrivals, services, spawn_mask, rework_services = args
+    n = arrivals.size
+    spawned = np.concatenate(([0], np.cumsum(spawn_mask, dtype=np.intp)))
+    state = _kernels.QueueState()
+    calls, sojourns, busy, lo = [], [], 0.0, 0
+    for size in itertools.cycle(sizes):
+        hi = min(lo + size, n)
+        got = simulate_fifo(
+            arrivals[lo:hi], services[lo:hi], spawn_mask[lo:hi],
+            rework_services[spawned[lo] : spawned[hi]], state=state, last=hi == n,
         )
-        waits, chain, rework_waits, end, busy = simulate_fifo(*case)
-        np.testing.assert_array_equal(waits, [0.0, 1.0, 1.5, 1.0])
-        np.testing.assert_array_equal(chain, [4.0, 3.0, 5.0, 6.0])
-        np.testing.assert_array_equal(rework_waits, [1.0])
-        assert end == 6.0
-        assert busy == 6.0
+        calls.append(got[:3])
+        sojourns.append(state.sojourns)
+        end, busy, lo = got[3], busy + got[4], hi
+        if hi == n:
+            break
+    assert state.entries.size == state.services.size == state.origins.size == 0
+    waits, chain, rework_waits = (np.concatenate(parts) for parts in zip(*calls))
+    open_ = np.isnan(chain)
+    chain[open_] = arrivals[open_] + np.concatenate(sojourns)
+    return waits, chain, rework_waits, end, busy
 
-    @pytest.mark.parametrize("chunk", [2, 1 << 14])
-    def test_busy_period_straddles_chunks(self, monkeypatch, chunk):
-        # No rework, as in folded runs.  Job 0 (0-2.5) keeps the server busy
-        # past every arrival: job 1 (2.5-3.5) ends the first chunk of two,
-        # and the second continues from its wait: job 2 (3.5-4.5), job 3
-        # (4.5-5.5).
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-        waits, chain, rework_waits, end, busy = simulate_fifo(
-            np.array([0.0, 1.0, 2.0, 3.5]), np.array([2.5, 1.0, 1.0, 1.0]),
-            np.zeros(0, dtype=bool), np.zeros(0),
-        )
-        np.testing.assert_array_equal(waits, [0.0, 1.5, 1.5, 1.0])
-        np.testing.assert_array_equal(chain, [2.5, 3.5, 4.5, 5.5])
-        assert rework_waits.shape == (0,)
-        assert end == 5.5
-        assert busy == 5.5
+
+def _assert_bitwise(got, want):
+    for x, y in zip(got[:4], want[:4]):
+        np.testing.assert_array_equal(x, y)
 
 
 class TestQueueState:
     """A run split into calls that carry a ``QueueState`` is the same run."""
 
-    @pytest.mark.parametrize("chunk", [2, 64])
+    @pytest.mark.parametrize("then", [2, 64])
     @pytest.mark.parametrize("piece", [1, 3, 10])
     @pytest.mark.parametrize("seed", range(10))
-    def test_calls_continue_one_run(self, monkeypatch, chunk, piece, seed):
-        monkeypatch.setattr(_kernels, "_CHUNK", chunk)
-        arrivals, services, spawn_mask, rework_services = _as_kernel_args(
-            _random_case(seed, n_max=200)
-        )
-        want = _heap_oracle(arrivals, services, spawn_mask, rework_services)
-        n = arrivals.size
-        spawned = np.concatenate(([0], np.cumsum(spawn_mask, dtype=np.intp)))
-        state = _kernels.QueueState()
-        waits, chain, rework_waits, sojourns, busy, end = [], [], [], [], 0.0, 0.0
-        for lo in range(0, n, piece):
-            hi = min(lo + piece, n)
-            got = simulate_fifo(
-                arrivals[lo:hi], services[lo:hi], spawn_mask[lo:hi],
-                rework_services[spawned[lo] : spawned[hi]], state=state, last=hi == n,
-            )
-            waits.append(got[0])
-            chain.append(got[1])
-            rework_waits.append(got[2])
-            sojourns.append(state.sojourns)
-            end, busy = got[3], busy + got[4]
-        if not n:
-            return
-        waits, chain = np.concatenate(waits), np.concatenate(chain)
-        np.testing.assert_array_equal(waits, want[0])
-        np.testing.assert_array_equal(np.concatenate(rework_waits), want[2])
-        assert end == want[3]
-        assert busy == want[4]
-        # A chain left open by its call closes in a later one, in spawn order.
-        open_ = np.isnan(chain)
-        np.testing.assert_array_equal(chain[~open_], want[1][~open_])
-        np.testing.assert_array_equal(
-            np.concatenate(sojourns), (want[1] - arrivals)[open_]
-        )
-        assert state.entries.size == state.services.size == state.origins.size == 0
+    def test_calls_continue_one_run(self, then, piece, seed):
+        # Calls of piece and then arrivals in turn, on longer runs.
+        case = _as_kernel_args(_random_case(seed, n_max=200))
+        got = _play(case, (piece, then))
+        want = _heap_oracle(*case)
+        _assert_bitwise(got, want)
+        assert got[4] == want[4]
 
     def test_rework_carried_to_the_next_call(self):
         # Job 0 departs at 2 and spawns, after its call's last arrival (1):
@@ -242,16 +200,66 @@ class TestQueueState:
         assert state.entries.size == 0
 
 
+class TestChunkBoundaries:
+    """The simulator streams a run in chunks, one call each; on the dyadic
+    grid every split into calls, with or without rework to merge, must
+    reproduce the oracle bit for bit."""
+
+    @pytest.mark.parametrize("piece", [1, 2, 3, 7, 64])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_any_chunk_size_is_bitwise_exact(self, piece, seed):
+        case = _as_kernel_args(_random_case(seed))
+        # The same arrivals once more with no rework, as in folded runs.
+        for args in (case, case[:2] + (np.zeros_like(case[2]), np.zeros(0))):
+            _assert_bitwise(_play(args, (piece,)), _heap_oracle(*args))
+
+    @pytest.mark.parametrize("piece", [2, simulator._CHUNK])
+    def test_rework_carried_into_next_chunk(self, piece):
+        # Job 0 departs at 2 and spawns; with calls of two arrivals that is
+        # after its call's last arrival (1), so the rework joins the next
+        # call ahead of job 2 (arrives 2.5): job 1 (2-3), rework (3-4),
+        # job 2 (4-5), job 3 (5-6).
+        case = _as_kernel_args(
+            ([0.0, 1.0, 2.5, 4.0], [2.0, 1.0, 1.0, 1.0], [1, 0, 0, 0], [1.0, 0.0, 0.0, 0.0])
+        )
+        waits, chain, rework_waits, end, busy = _play(case, (piece,))
+        np.testing.assert_array_equal(waits, [0.0, 1.0, 1.5, 1.0])
+        np.testing.assert_array_equal(chain, [4.0, 3.0, 5.0, 6.0])
+        np.testing.assert_array_equal(rework_waits, [1.0])
+        assert end == 6.0
+        assert busy == 6.0
+
+    @pytest.mark.parametrize("piece", [2, simulator._CHUNK])
+    def test_busy_period_straddles_chunks(self, piece):
+        # No rework, as in folded runs.  Job 0 (0-2.5) keeps the server busy
+        # past every arrival: job 1 (2.5-3.5) ends the first call of two,
+        # and the second continues from its wait: job 2 (3.5-4.5), job 3
+        # (4.5-5.5).
+        waits, chain, rework_waits, end, busy = _play(
+            (np.array([0.0, 1.0, 2.0, 3.5]), np.array([2.5, 1.0, 1.0, 1.0]),
+             np.zeros(4, dtype=bool), np.zeros(0)),
+            (piece,),
+        )
+        np.testing.assert_array_equal(waits, [0.0, 1.5, 1.5, 1.0])
+        np.testing.assert_array_equal(chain, [2.5, 3.5, 4.5, 5.5])
+        assert rework_waits.shape == (0,)
+        assert end == 5.5
+        assert busy == 5.5
+
+
 class TestPrecision:
     def test_waits_match_lindley_recursion(self):
-        # Each chunk's walk starts from a wait, so rounding stays at the scale
-        # of one chunk; a walk of the whole run's drift path is off by about
-        # 6e-11 here, and this loop agrees with np.longdouble to about 1e-13.
+        # Each call's walk starts from a wait, so rounding stays at the scale
+        # of the simulator's chunk; one walk of the whole run's drift path is
+        # off by about 6e-11 here, and this loop agrees with np.longdouble to
+        # about 1e-13.
         rng = np.random.default_rng(5)
         n = 200_000
         arrivals = np.cumsum(rng.exponential(1.0, n))
         services = rng.exponential(0.9, n)
-        waits = simulate_fifo(arrivals, services, np.zeros(0, dtype=bool), np.zeros(0))[0]
+        waits = _play(
+            (arrivals, services, np.zeros(n, dtype=bool), np.zeros(0)), (simulator._CHUNK,)
+        )[0]
         a, s = arrivals.tolist(), services.tolist()
         want, w = [0.0], 0.0
         for i in range(1, n):
@@ -263,8 +271,8 @@ class TestPrecision:
 class TestRealisticRegime:
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
     def test_feedback_run_matches_oracle(self, monkeypatch, name):
-        # The arguments simulator.run builds at 1e5 arrivals, one call per
-        # chunk: about 15% (fig2) and 30% (fig5-beta52) of arrivals spawn rework.
+        # The calls simulator.run makes at 1e5 arrivals, one per chunk: about
+        # 15% (fig2) and 30% (fig5-beta52) of arrivals spawn rework.
         config = dataclasses.replace(
             SimConfig.from_workflow(load_config(fixture_path(f"{name}.json"))),
             n_arrivals=100_000, rework_mode="feedback",
@@ -282,7 +290,7 @@ class TestRealisticRegime:
         arrivals, _, spawn_mask, _ = args
         assert arrivals.size == config.n_arrivals
         assert 0.1 < spawn_mask.mean() < 0.4
-        got = simulate_fifo(*args)
+        got = _play(args, [call[0].size for call in calls])
         want = _heap_oracle(*args)
         # The walk's path and the oracle's clock both round at the scale of
         # the horizon, so they agree to a few of its ulps, not bitwise.

@@ -29,9 +29,9 @@ from wedgeq import (
     solve_equilibrium,
     wq_pk,
 )
-from wedgeq._kernels import _CHUNK, simulate_fifo
+from wedgeq._kernels import QueueState, simulate_fifo
 from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
-from wedgeq.simulator import _draw_interarrivals, _sorted_quantiles
+from wedgeq.simulator import _CHUNK, _draw_interarrivals, _sorted_quantiles
 
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
 ENV = SignalEnvironment(
@@ -210,15 +210,16 @@ class TestStreaming:
     @pytest.mark.parametrize("mode", ["folded", "feedback"])
     @pytest.mark.parametrize("n", [5 * _CHUNK, 70_001], ids=["k0-on-boundary", "k0-inside"])
     def test_running_sums_match_the_whole_run(self, monkeypatch, mode, n):
-        # The chunk calls, concatenated and played as one run, give the same
-        # statistics: the waits-derived ones bit for bit, the running sums to
-        # rounding.  At n = 5 chunks the warm-up ends on a chunk boundary, and
-        # a warm-up parent's rework is carried into the first measured chunk.
+        # The chunk calls, replayed through a fresh queue state and joined,
+        # give the same statistics: the waits-derived ones bit for bit, the
+        # running sums to rounding.  At n = 5 chunks the warm-up ends on a
+        # chunk boundary, and a warm-up parent's rework is carried into the
+        # first measured chunk.
         workflow = _fixed_workflow(lam=0.6, x=0.5)
         calls, carried = [], []
 
         def capture(*args, **kwargs):
-            calls.append([np.copy(a) for a in args])
+            calls.append(([np.copy(a) for a in args], kwargs["last"]))
             result = simulate_fifo(*args, **kwargs)
             carried.append(kwargs["state"].entries.size)
             return result
@@ -226,14 +227,22 @@ class TestStreaming:
         monkeypatch.setattr(simulator, "simulate_fifo", capture)
         stats = run(_config(workflow, n=n, seed=9, rework_mode=mode))
         arrivals, services, spawn_mask, rework_services = (
-            np.concatenate(chunks) for chunks in zip(*calls)
+            np.concatenate(chunks) for chunks in zip(*(args for args, _ in calls))
         )
         k0 = stats.warmup_skipped
         if n == 5 * _CHUNK and mode == "feedback":
             assert carried[0] > 0
-        waits, chain, rework_waits, end, busy = simulate_fifo(
-            arrivals, services, spawn_mask, rework_services
-        )
+        state, outputs, sojourns, busy = QueueState(), [], [], 0.0
+        for args, last in calls:
+            *output, end, call_busy = simulate_fifo(*args, state=state, last=last)
+            outputs.append(output)
+            sojourns.append(state.sojourns)
+            busy += call_busy
+        waits, chain, rework_waits = (np.concatenate(parts) for parts in zip(*outputs))
+        # A chain left open by its call has its sojourn in state.sojourns of
+        # the call that closes it, in spawn order.
+        sojourn = chain - arrivals
+        sojourn[np.isnan(chain)] = np.concatenate(sojourns)
         post = waits[k0:]
         assert stats.n_rework_jobs == rework_waits.size
         assert [stats.wq_p50, stats.wq_p90, stats.wq_p99] == list(
@@ -249,7 +258,7 @@ class TestStreaming:
         )
         assert stats.service_m2 == pytest.approx(np.square(chain_attention[k0:]).mean(), rel=1e-13)
         assert stats.busy_fraction == pytest.approx(busy / end, rel=1e-13)
-        assert stats.sojourn_mean == pytest.approx((chain[k0:] - arrivals[k0:]).mean(), rel=1e-13)
+        assert stats.sojourn_mean == pytest.approx(sojourn[k0:].mean(), rel=1e-13)
 
     @pytest.mark.parametrize("mode", ["folded", "feedback"])
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])

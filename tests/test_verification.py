@@ -496,12 +496,17 @@ class TestSolveEquilibrium:
         # 1e-300 products of two prices underflow, and at 1e-310 theta_hi
         # and the lowest stability anchor are subnormal.  Every tolerance is
         # relative, so no root may move with the scale, and fig5-beta52 at
-        # lambda = 0.72 keeps its three roots.
+        # lambda = 0.72 keeps its three roots.  At 1e-310 the low-lambda
+        # cases narrow subnormal brackets down to adjacent floats.
         calls = _count_calls(monkeypatch)
-        for name, lam, budget in (("fig5-beta22", 0.75, 14), ("fig5-beta52", 0.72, 15)):
+        for name, lam, n_roots, budget in (
+            ("fig5-beta22", 0.75, 1, 14), ("fig5-beta52", 0.72, 3, 15),
+            ("fig5-beta22", 0.3, 1, 15), ("fig5-beta22", 0.5, 1, 13),
+            ("fig5-beta52", 0.3, 1, 14), ("fig6", 0.3, 1, 18),
+        ):
             spec = load_config(fixture_path(f"{name}.json"))
             reference = solve_equilibrium(spec.env, spec.rework, lam, spec.capacity)
-            assert len(reference.roots) == (1 if name == "fig5-beta22" else 3)
+            assert len(reference.roots) == n_roots
             for scale in (1e-20, 1e-300, 1e-310):
                 env = dataclasses.replace(
                     spec.env, K=spec.env.K * scale, c_w=spec.env.c_w * scale
@@ -619,12 +624,27 @@ class TestBracketRoots:
         assert calls == [1]
         assert (lo[0], hi[0]) == (0.5, 0.5)
 
-    def test_round_cap(self):
-        # A tolerance no bracket can reach around a root between two floats:
-        # the search stops after _BRACKET_ROUNDS rounds, at adjacent floats.
+    def test_adjacent_floats_close_a_bracket(self):
+        # A tolerance no bracket can reach, around a root between two floats:
+        # the search stops once the ends are adjacent floats.
         (lo, hi, _), calls = _run_bracket_roots(lambda x: (x - 0.7) - 2e-17, [0.0], [1.0], 0.0)
-        assert len(calls) == ver._BRACKET_ROUNDS
+        assert len(calls) == 4
         assert (lo[0], hi[0]) == (0.7, np.nextafter(0.7, 1.0))
+        # A bracket that starts at adjacent floats is closed without a call.
+        _, calls = _run_bracket_roots(
+            lambda x: (x - 0.7) - 2e-17, [0.7], [np.nextafter(0.7, 1.0)], 0.0
+        )
+        assert calls == []
+
+    def test_round_cap(self):
+        # An f with no secant anywhere (-1 below 1e-200, +inf above) leaves
+        # only bisection, which would need over 1600 rounds to close
+        # [0, 1e300]: the search stops after _BRACKET_ROUNDS of them.
+        (lo, hi, _), calls = _run_bracket_roots(
+            lambda x: np.where(x < 1e-200, -1.0, math.inf), [0.0], [1e300], 1e-13
+        )
+        assert len(calls) == ver._BRACKET_ROUNDS
+        assert (lo[0], hi[0]) == (0.0, 1e300 * 0.5**ver._BRACKET_ROUNDS)
 
 
 class TestEnvironmentValidation:
