@@ -13,6 +13,11 @@ as ``null``.  Keys must be str.  One recursive emitter writes that layout
 directly, because json's C encoder does not run when an indent is given.
 CSV reports write floats with ``.12g`` and non-finite values as empty
 cells.
+
+Table rows, in either format, are formatted a column at a time: a column
+of finite floats by one ``%.12g`` call (the digits of ``.12g``), a column
+of ints or of bools by one map, and any other column cell by cell, so
+the text is the same as formatting each cell alone.
 """
 
 import math
@@ -82,12 +87,43 @@ def _emit(obj, nl: str) -> str:
     return _scalar(obj)
 
 
+def _column(cells: tuple, scalar) -> list[str]:
+    """The texts of one table column: scalar (_scalar or format_cell) of each cell.
+
+    A column whose cells are all of one type among float, int and bool is
+    formatted in one pass; any other column goes cell by cell.
+    """
+    kinds = set(map(type, cells))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is float:
+        # '%' formats a float with the digits of format(x, '.12g'); a
+        # non-finite cell shows as the 'n' of inf or nan.
+        joined = ("%.12g\n" * len(cells))[:-1] % cells
+        if "n" not in joined:
+            texts = joined.split("\n")
+            if scalar is format_cell:
+                return texts
+            # JSON: the .12g text is _scalar's unless it has an exponent or no point.
+            return [text if "." in text and "e" not in text else scalar(cell)
+                    for text, cell in zip(texts, cells)]
+    elif kind is int:
+        return list(map(int.__repr__, cells))
+    elif kind is bool:
+        return ["true" if cell else "false" for cell in cells]
+    return list(map(scalar, cells))
+
+
+def _formatted_rows(rows, scalar):
+    """Each row's cell texts, formatted a column at a time."""
+    return zip(*[_column(cells, scalar) for cells in zip(*rows, strict=True)])
+
+
 def _table(header, rows, nl: str) -> str:
     """Rows as a list of {header: cell} objects, each filled into one row template."""
     inner = nl + _INDENT
     names = [_quote(name).replace("%", "%%") + ": %s" for name in header]
     template = _block("{", names, "}", inner)
-    return _block("[", [template % tuple(map(_scalar, row)) for row in rows], "]", nl)
+    return _block("[", [template % row for row in _formatted_rows(rows, _scalar)], "]", nl)
 
 
 def render_json(payload, table=None) -> str:
@@ -120,13 +156,5 @@ def format_cell(value) -> str:
 def render_csv(header, rows, comments=()) -> str:
     lines = [f"# {comment}" for comment in comments]
     lines.append(",".join(header))
-    lines.extend(
-        ",".join([
-            format(cell, ".12g")
-            if isinstance(cell, float) and math.isfinite(cell)
-            else format_cell(cell)
-            for cell in row
-        ])
-        for row in rows
-    )
+    lines.extend(map(",".join, _formatted_rows(rows, format_cell)))
     return "\n".join(lines) + "\n"

@@ -283,7 +283,15 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
     n_bins = max(1, math.ceil(span + 1e-12))
     edges = np.arange(n_bins + 1) * width
     manual_counts, _ = np.histogram(manual_samples, bins=edges)
-    ai_counts, _ = np.histogram(ai_samples, bins=edges)
+    # A caught draft takes exactly review_r, so only the escaped ones are
+    # binned and the caught count is added to review_r's bin.  Counts add
+    # over disjoint samples, so numpy's edge rules still decide every bin.
+    escaped_samples = ai_samples[np.flatnonzero(escaped)]  # faster than a mask gather
+    escapes = escaped_samples.size
+    ai_counts, _ = np.histogram(escaped_samples, bins=edges)
+    if escapes < n:
+        review_bin, _ = np.histogram([float(spec.review_r)], bins=edges)
+        ai_counts += (n - escapes) * review_bin
 
     def _moments(samples) -> tuple[float, float, float]:
         mean = float(samples.mean())
@@ -306,7 +314,7 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
         "ai_mean": a_mean,
         "ai_m2": a_m2,
         "ai_c2": a_c2,
-        "escape_rate": float(escaped.mean()),
+        "escape_rate": escapes / n,
     }
     header = ["bin_lo", "bin_hi", "manual_count", "manual_density", "ai_count", "ai_density"]
     scale = 1.0 / (n * width)

@@ -250,12 +250,13 @@ def sample_ai(
     """Draw ``size`` AI-route total times at review effort ``r``.
 
     Returns the arrays ``(time, escaped)``.  Escaped tasks pay the review
-    time plus an independent rework draw, caught ones only ``r``.
+    time plus an independent rework draw, caught ones only ``r``: the k-th
+    rework draw goes to the k-th escaped task.
     """
     p = residual_error(curve, float(r))
     escaped = rng.random(size) < p
     times = np.full(size, float(r))
-    n_escaped = int(escaped.sum())
-    if n_escaped:
-        times[escaped] += sample_rework(rework, rng, size=n_escaped)
+    slots = np.flatnonzero(escaped)
+    if slots.size:
+        times[slots] += sample_rework(rework, rng, size=slots.size)
     return times, escaped

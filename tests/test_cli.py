@@ -9,14 +9,18 @@ import tempfile
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import wedgeq
 import wedgeq.verification as ver
 from wedgeq import cli, fixture_path
+from wedgeq._report import round_sig
 from wedgeq.cli import MAX_TABLE_ROWS, _parse_grid, _parse_list, main
+from wedgeq.config import load_config
 from wedgeq.errors import ValidationError
+from wedgeq.service_model import sample_ai, sample_manual
 
 FIG2 = str(fixture_path("fig2.json"))
 FIG4 = str(fixture_path("fig4.json"))
@@ -302,6 +306,44 @@ class TestDist:
         )["moments"]
         assert moments["ai_mean"] == pytest.approx(1e-300, rel=1e-12)
         assert moments["ai_c2"] == pytest.approx(0.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "edits, width",
+        [
+            ((), "0.05"),  # review_r = 0.5 is exactly edge 10
+            (("review_r", "0.0"), "0.05"),
+            (("error_curve.p0", "1.0", "error_curve.p_inf", "1.0"), "0.05"),  # all escape
+            (("error_curve.p0", "1.0", "error_curve.p_inf", "1.0"), "0.013"),
+            # None escapes, and review_r is the top sample: the last edge, in
+            # the right-inclusive last bin.
+            (("error_curve.p0", "0.0", "error_curve.p_inf", "0.0", "review_r", "1000.0"),
+             "0.05"),
+        ],
+    )
+    def test_counts_are_histograms_of_the_samples(self, capsys, tmp_path, edits, width):
+        path = _edited(tmp_path, "fig2", *edits)
+        n, seed = 3000, 11
+        doc = _run_json(capsys, "dist", "--config", path, "--n-samples", str(n),
+                        "--bin-width", width, "--seed", str(seed), "--format", "json")
+        spec = load_config(path)
+        rng_manual, rng_ai = (
+            np.random.default_rng(child) for child in np.random.SeedSequence(seed).spawn(2)
+        )
+        manual = sample_manual(spec.manual, rng_manual, size=n)
+        ai, escaped = sample_ai(spec.curve, spec.rework, spec.review_r, rng_ai, size=n)
+        rows = doc["rows"]
+        edges = np.arange(len(rows) + 1) * float(width)
+        assert [row["bin_lo"] for row in rows] == [round_sig(x) for x in edges[:-1].tolist()]
+        assert [row["manual_count"] for row in rows] == np.histogram(manual, edges)[0].tolist()
+        assert [row["ai_count"] for row in rows] == np.histogram(ai, edges)[0].tolist()
+        assert sum(row["ai_count"] for row in rows) == n
+        assert doc["moments"]["escape_rate"] == round_sig(float(escaped.mean()))
+        if spec.review_r == 1000.0:
+            assert edges[-1] == 1000.0
+            assert rows[-1]["ai_count"] == n
+        elif spec.curve.p0 < 1.0:
+            spike = next(row for row in rows if row["bin_lo"] == round_sig(spec.review_r))
+            assert spike["ai_count"] >= n - escaped.sum()
 
     def test_bad_sample_count(self, capsys):
         code, _, err = _run(capsys, "dist", "--config", FIG2, "--n-samples", "0")

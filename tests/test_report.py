@@ -85,6 +85,75 @@ def _tables(draw):
     return payload, header, rows
 
 
+# Tables whose columns each hold one type, the case formatted a column at a time.
+_column_floats = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([x for x in _SPECIAL_FLOATS if math.isfinite(x)]),
+    st.floats(1e12, 1e16),
+    st.floats(-1e16, -1e12),
+    st.floats(-1e-300, 1e-300),  # subnormals among them
+)
+_column_ints = st.one_of(
+    st.integers(), st.integers(2**63, 2**80), st.integers(-(2**80), -(2**63) - 1)
+)
+_column_cells = {"float": _column_floats, "int": _column_ints, "bool": st.booleans()}
+
+
+@st.composite
+def _homogeneous_tables(draw):
+    header = draw(st.lists(_text, min_size=1, max_size=5, unique=True))
+    n_rows = draw(st.integers(0, 40))
+    columns = [
+        draw(st.lists(_column_cells[draw(st.sampled_from(sorted(_column_cells)))],
+                      min_size=n_rows, max_size=n_rows))
+        for _ in header
+    ]
+    return header, [list(row) for row in zip(*columns)]
+
+
+def _every_magnitude() -> list[float]:
+    """Random bit patterns, decades 1e-330 to 1e20 and values just below a power of ten."""
+    rng = np.random.default_rng(15)
+    bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
+    spread = rng.uniform(-1, 1, 20_000) * 10.0 ** rng.uniform(-330, 20, 20_000)
+    near = 10.0 ** np.arange(-6, 18) * (1 - 5e-13)
+    return np.concatenate((bits, spread, near, -near)).tolist()
+
+
+def _both_renderers_match(header, rows):
+    payload = {"command": "t"}
+    expected = {**payload, "rows": [dict(zip(header, row)) for row in rows]}
+    assert render_json(payload, table=(header, rows)) == _oracle_json(expected)
+    assert render_csv(header, rows, ("c",)) == _oracle_csv(header, rows, ("c",))
+
+
+class TestColumnTables:
+    """Tables through both renderers, against formatting each cell alone."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(_homogeneous_tables())
+    @example((["x"], [[1e12], [0.0], [-0.0], [5e-324], [123456789012345.6], [1.0]]))
+    @example((["n", "b"], [[2**64, True], [-(2**63) - 1, False]]))
+    def test_homogeneous_columns(self, table):
+        _both_renderers_match(*table)
+
+    @pytest.mark.parametrize("odd", [math.nan, None, math.inf, np.float64(0.25), 3])
+    def test_one_odd_cell_in_a_float_column(self, odd):
+        rows = [[0.1 * k, k] for k in range(30)]
+        rows[17][0] = odd
+        _both_renderers_match(["f", "k"], rows)
+
+    def test_floats_of_every_magnitude_in_one_column(self):
+        finite = [x for x in _every_magnitude() if math.isfinite(x)]
+        rows = [[x] for x in finite[::2]]
+        assert len(rows) > 19_000
+        _both_renderers_match(["x"], rows)
+
+    def test_ragged_rows_raise(self):
+        with pytest.raises(ValueError):
+            render_csv(["a", "b"], [[1.0, 2.0], [3.0]])
+
+
 class TestRenderJson:
     @settings(max_examples=150, deadline=None)
     @given(_payloads)
@@ -105,12 +174,7 @@ class TestRenderJson:
         assert render_json(payload, table=(header, rows)) == _oracle_json(expected)
 
     def test_floats_of_every_magnitude(self):
-        rng = np.random.default_rng(15)
-        bits = rng.integers(0, 2**64, size=20_000, dtype=np.uint64).view(np.float64)
-        # Decades 1e-330 to 1e20, with values just below a power of ten.
-        spread = rng.uniform(-1, 1, 20_000) * 10.0 ** rng.uniform(-330, 20, 20_000)
-        near = 10.0 ** np.arange(-6, 18) * (1 - 5e-13)
-        values = np.concatenate((bits, spread, near, -near)).tolist()
+        values = _every_magnitude()
         assert render_json(values) == _oracle_json(values)
 
     @pytest.mark.parametrize(

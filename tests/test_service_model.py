@@ -189,6 +189,23 @@ class TestSampling:
         assert np.all(times[~escaped] == 0.5)
         assert np.all(times[escaped] > 0.5)
 
+    @pytest.mark.parametrize("p, size", [(0.15, 5000), (1.0, 300), (0.0, 300), (0.5, 1)])
+    def test_kth_rework_draw_lands_on_kth_escaped_task(self, rework, p, size):
+        curve = ErrorCurve(p0=p, p_inf=p, kappa=2.0)
+        times, escaped = sample_ai(curve, rework, 0.5, np.random.default_rng(7), size=size)
+        # The same draws made by hand: flags first, then one rework per escape.
+        rng = np.random.default_rng(7)
+        flags = rng.random(size) < p
+        draws = rng.gamma(rework.gamma_shape, rework.gamma_scale, int(flags.sum()))
+        expected = [0.5] * size
+        k = 0
+        for slot in range(size):
+            if flags[slot]:
+                expected[slot] = 0.5 + float(draws[k])
+                k += 1
+        assert np.array_equal(escaped, flags)
+        assert times.tobytes() == np.array(expected).tobytes()
+
     def test_same_seed_same_draws(self, manual, curve, rework):
         a = sample_ai(curve, rework, 0.5, np.random.default_rng(99), size=100)
         b = sample_ai(curve, rework, 0.5, np.random.default_rng(99), size=100)
