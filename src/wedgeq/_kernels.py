@@ -28,16 +28,13 @@ def _fifo_reflect(arrivals, services, carry):
     closed form w[i] = path[i] - min(0, path[..i]) for the cumulative drift
     path, which starts at the first job's unreflected wait.  ``carry`` is
     (arrival, service, wait) of the job before, and the walk returns its
-    own last job's.  The departures buffer holds the path until the waits
-    are known, so the walk allocates nothing else.  An empty walk leaves
-    ``carry`` as it was.
+    own last job's.  An empty walk leaves ``carry`` as it was.
     """
     a_prev, s_prev, w_prev = carry
     n = arrivals.shape[0]
-    waits, departures = np.empty(n), np.empty(n)
+    waits, path = np.empty(n), np.empty(n)
     if not n:
-        return waits, departures, carry
-    path = departures
+        return waits, carry
     path[0] = w_prev + (s_prev - (arrivals[0] - a_prev))
     np.subtract(arrivals[1:], arrivals[:-1], out=path[1:])
     np.subtract(services[:-1], path[1:], out=path[1:])
@@ -47,9 +44,7 @@ def _fifo_reflect(arrivals, services, carry):
     np.minimum.accumulate(path, out=waits)
     path[0] = first
     np.subtract(path, waits, out=waits)
-    np.add(arrivals, waits, out=departures)
-    departures += services
-    return waits, departures, (arrivals[-1], services[-1], waits[-1])
+    return waits, (arrivals[-1], services[-1], waits[-1])
 
 
 class QueueState:
@@ -57,46 +52,43 @@ class QueueState:
 
     carry     (arrival, service, wait) of the last job walked
     entries   entry times of the reworks still to be walked (their parents'
-              departures), in spawn order
+              departures), in spawn order, as offsets from the carry's arrival
     services  their services
-    origins   their parents' arrival times
-    sojourns  rework departure - parent arrival of each rework that the last
-              call walked and an earlier call spawned, in spawn order
     """
 
     def __init__(self):
         self.carry = (0.0, 0.0, 0.0)  # the queue starts empty at time 0
-        self.entries = self.services = self.origins = self.sojourns = np.zeros(0)
+        self.entries = self.services = np.zeros(0)
 
 
 def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, last=True):
-    """Run the queue; returns (waits, chain_complete, rework_waits, end, busy).
+    """Run the queue; returns (waits, rework_waits, end, busy).
 
     spawn_mask[i]      true if external job i spawns a rework job
     rework_services[k] service of the k-th spawned job: one per flagged
                        arrival, in arrival order, which is spawn order
 
     waits[i]           queue wait of external job i (service start - arrival)
-    chain_complete[i]  when job i's chain ends: its own departure, or its
-                       rework job's departure if it spawned one
-    rework_waits[k]    queue wait of the k-th rework job walked
+    rework_waits[k]    queue wait of the k-th rework job walked, in spawn order
     end                calendar time of the last departure (0 when empty)
     busy               server busy time of these jobs and their reworks
 
     spawn_mask and rework_services may both be empty arrays when no job
-    spawns rework.
+    spawns rework.  A rework enters as its parent departs, so a chain's
+    sojourn is its waits plus its services.
 
     Without ``state`` the arrays are a whole run from an empty queue.  With a
     ``QueueState`` they are the next arrivals of a longer run: the queue
     starts where the state was left and is left there again.  Unless
     ``last``, a rework that enters at or after the last of these arrivals
-    stays pending in the state for the next call; its parent's
-    chain_complete is NaN, and the chain's sojourn lands in
-    ``state.sojourns`` of the call that walks the rework.
+    stays pending in the state, and the call that walks it reports its wait.
 
     A call is one walk, so it rounds at the scale of the call.  The simulator
     owns the chunk size and streams a run in calls of ``simulator._CHUNK``
     arrivals; a direct whole-array call is one walk of the run, at its scale.
+    A call with rework in it is walked in time relative to its first arrival
+    (the state keeps pending entries relative to the carry's arrival), so its
+    rework entries, its parents' departures, round at that scale too.
     """
     n = arrivals.shape[0]
     queue = QueueState() if state is None else state
@@ -104,15 +96,19 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, l
     carried = queue.entries.size
     busy = float(services.sum()) + float(rework_services.sum())
     if not (parents.size or carried):
-        waits, chain, queue.carry = _fifo_reflect(arrivals, services, queue.carry)
-        rework_waits = queue.sojourns = np.zeros(0)
+        waits, queue.carry = _fifo_reflect(arrivals, services, queue.carry)
+        rework_waits = np.zeros(0)
     else:
+        t0 = arrivals[0] if n else 0.0
+        arrivals = arrivals - t0
+        a_prev, s_prev, w_prev = queue.carry
+        a_prev -= t0
         # Reworks in spawn order: those carried in from earlier calls, then
         # this call's, the j-th of which belongs to its j-th flagged arrival.
         # Carried entries are final; a new one starts as its parent's a + s.
         works = np.concatenate((queue.services, rework_services))
-        origins = np.concatenate((queue.origins, arrivals[parents]))
-        pending = np.concatenate((queue.entries, arrivals[parents] + services[parents]))
+        a_own, s_own = arrivals[parents], services[parents]
+        pending = np.concatenate((queue.entries + a_prev, a_own + s_own))
         # Only reworks spawned before a parent can sit ahead of it, so each
         # pass makes one more own entry final (pass p the first p), and pass
         # parents.size + 1 changes none: the passes always reach the fixed point.
@@ -130,19 +126,16 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, l
             entries, work = np.empty(external.size), np.empty(external.size)
             entries[slots], entries[at] = arrivals, pending[:take]
             work[slots], work[at] = services, works[:take]
-            w, d, carry = _fifo_reflect(entries, work, queue.carry)
-            departed = d[slots[parents]]
+            w, walked = _fifo_reflect(entries, work, (a_prev, s_prev, w_prev))
+            # Each parent's departure, a + w + s in that order.
+            departed = a_own + w[slots[parents]]
+            departed += s_own
             if np.array_equal(departed, pending[carried:]):
                 break
             pending[carried:] = departed
-        waits, chain, rework_waits = w[slots], d[slots], w[at]
-        # The first ``closed`` taken were carried in; the rest close chains
-        # of this call's arrivals, and the chains after them stay open.
-        closed = min(carried, take)
-        queue.sojourns = d[at[:closed]] - origins[:closed]
-        chain[parents[: take - closed]] = d[at[closed:]]
-        chain[parents[take - closed :]] = np.nan
-        queue.carry, queue.entries = carry, pending[take:]
-        queue.services, queue.origins = works[take:], origins[take:]
+        waits, rework_waits = w[slots], w[at]
+        a_end, s_end, w_end = walked
+        queue.carry = (a_end + t0, s_end, w_end)
+        queue.entries, queue.services = pending[take:] - a_end, works[take:]
     a_end, s_end, w_end = queue.carry
-    return waits, chain, rework_waits, float(a_end + w_end + s_end), busy
+    return waits, rework_waits, float(a_end + w_end + s_end), busy

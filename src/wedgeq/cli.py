@@ -274,13 +274,15 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
 
     top = float(max(manual_samples.max(), ai_samples.max()))
     span = top / width  # inf when the width underflows the division
-    if not span < MAX_TABLE_ROWS:
+    n_bins = max(1, math.ceil(span + 1e-12)) if span < MAX_TABLE_ROWS else MAX_TABLE_ROWS + 1
+    if n_bins * width < top:  # the 1e-12 is lost once the span is about 4500 or more
+        n_bins += 1
+    if n_bins > MAX_TABLE_ROWS:
         raise ValidationError(
             f"--bin-width {width} needs more than {MAX_TABLE_ROWS} bins to cover the "
             f"largest sample ({top:.6g}); use a wider bin",
             field="--bin-width",
         )
-    n_bins = max(1, math.ceil(span + 1e-12))
     edges = np.arange(n_bins + 1) * width
     manual_counts, _ = np.histogram(manual_samples, bins=edges)
     # A caught draft takes exactly review_r, so only the escaped ones are

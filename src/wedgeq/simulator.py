@@ -6,7 +6,9 @@ or AI route by an independent coin, and occupy the server for their
 attention requirement divided by capacity.  Rework is either folded into
 the originating task's service time (matching the analytic model) or, in
 the exploratory feedback mode, re-enters the tail of the queue as a
-separate job, in which case reported waits are first-pass only.
+separate job, in which case reported waits are first-pass only.  A task's
+sojourn, to the end of its chain, is its waits plus its services: a rework
+enters exactly when its parent departs.
 
 Randomness is split into six independent substreams (interarrivals, route
 choice, manual service, escape flags, rework draws, signals) so changing
@@ -22,9 +24,10 @@ arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded) to
 3 MB (feedback) for the chunk in hand.
 
 This module owns the chunk size.  The queue kernel walks each chunk as one
-walk, continued from the queue state the chunk before left, so the waits
-round at the scale of a chunk; a direct whole-array call of the kernel is
-one walk of the run, which rounds at the scale of the run.
+walk, continued from the queue state the chunk before left, and a feedback
+chunk in time relative to its first arrival, so the waits and the rework
+entries round at the scale of a chunk; a direct whole-array call of the
+kernel is one walk of the run, which rounds at the scale of the run.
 """
 
 from __future__ import annotations
@@ -206,7 +209,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
     waits_post = np.empty(n_post)
     queue = QueueState()
     last_arrival = window_start = 0.0
-    chain_sum = chain_m2 = sojourn = busy = 0.0
+    chain_sum = chain_m2 = rework_wait_sum = busy = 0.0
     n_ai_post = n_escaped_post = 0
     warm_spawns = walked = 0  # reworks spawned by warm-up arrivals; reworks walked
     for lo in range(0, n, _CHUNK):
@@ -271,19 +274,15 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
             services = np.divide(chain_attention, capacity, out=chain_attention)
             spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
 
-        waits, chain_complete, rework_waits, end_time, chunk_busy = simulate_fifo(
+        waits, rework_waits, end_time, chunk_busy = simulate_fifo(
             arrivals, services, spawn_mask, rework_services, state=queue, last=hi == n
         )
         busy += chunk_busy
-        walked_before, walked = walked, walked + rework_waits.size
         waits_post[max(lo - k0, 0) : max(hi - k0, 0)] = waits[p:]
-        # A chain still open at the chunk's end is NaN here (feedback only); its
-        # sojourn is in queue.sojourns after the chunk that closes it, in spawn
-        # order.  chain_complete is this call's own array, so it holds the
-        # sojourns; nansum would copy the chunk to sum the same values.
-        sojourns = np.subtract(chain_complete[p:], arrivals[p:], out=chain_complete[p:])
-        sojourn += float(sojourns.sum() if folded else np.nansum(sojourns))
-        sojourn += float(queue.sojourns[max(warm_spawns - walked_before, 0) :].sum())
+        # Reworks are walked in spawn order, and the first warm_spawns of
+        # them belong to warm-up tasks.
+        rework_wait_sum += float(rework_waits[max(warm_spawns - walked, 0) :].sum())
+        walked += rework_waits.size
 
     # --- estimation ---------------------------------------------------------
     n_batches = config.n_batches
@@ -291,6 +290,8 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
     batch_means = waits_post[: per_batch * n_batches].reshape(n_batches, per_batch).mean(axis=1)
     wq_mean = float(batch_means.mean())
     half_width = _t_half_width(batch_means)
+    # The sojourns, from waits and chain services (see the module docstring).
+    sojourn_sum = float(waits_post.sum()) + rework_wait_sum + chain_sum / capacity
     # The quantiles are order statistics of the waits (not needed again).
     waits_post.sort()
     p50, p90, p99 = _sorted_quantiles(waits_post, (0.5, 0.9, 0.99))
@@ -312,7 +313,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         service_mean=chain_sum / n_post,
         service_m2=chain_m2 / n_post,
         escape_rate=n_escaped_post / n_ai_post if n_ai_post else None,
-        sojourn_mean=sojourn / n_post,
+        sojourn_mean=sojourn_sum / n_post,
         batch_means=tuple(float(b) for b in batch_means),
         unstable=unstable,
         theta_star=theta,

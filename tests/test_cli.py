@@ -345,6 +345,17 @@ class TestDist:
             spike = next(row for row in rows if row["bin_lo"] == round_sig(spec.review_r))
             assert spike["ai_count"] >= n - escaped.sum()
 
+    def test_top_sample_above_the_rounded_span_is_counted(self, capsys, tmp_path):
+        # No draft escapes, so every AI sample is review_r, the top sample.
+        # top / width rounds down to 38617.0, where ceil's 1e-12 is lost, and
+        # 38617 bins end at 38.617, below it: one more bin holds it.
+        path = _edited(tmp_path, "fig2", "error_curve.p0", "0.0", "error_curve.p_inf", "0.0",
+                       "review_r", "38.617000000000004")
+        rows = _run_json(capsys, "dist", "--config", path, "--bin-width", "0.001",
+                         "--n-samples", "100", "--format", "json")["rows"]
+        assert len(rows) == 38618
+        assert sum(row["ai_count"] for row in rows) == rows[-1]["ai_count"] == 100
+
     def test_bad_sample_count(self, capsys):
         code, _, err = _run(capsys, "dist", "--config", FIG2, "--n-samples", "0")
         assert code == 2

@@ -33,6 +33,8 @@ from wedgeq._kernels import QueueState, simulate_fifo
 from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
 from wedgeq.simulator import _CHUNK, _draw_interarrivals, _sorted_quantiles
 
+from test_kernels import _heap_oracle
+
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
 ENV = SignalEnvironment(
     risk_map=RISK, signal_alpha=2.0, signal_beta=2.0, K=2.0, kappa=2.0, c_w=0.5
@@ -212,7 +214,8 @@ class TestStreaming:
     def test_running_sums_match_the_whole_run(self, monkeypatch, mode, n):
         # The chunk calls, replayed through a fresh queue state and joined,
         # give the same statistics: the waits-derived ones bit for bit, the
-        # running sums to rounding.  At n = 5 chunks the warm-up ends on a
+        # running sums to rounding, and the mean sojourn that of an event-heap
+        # replay of the whole run.  At n = 5 chunks the warm-up ends on a
         # chunk boundary, and a warm-up parent's rework is carried into the
         # first measured chunk.
         workflow = _fixed_workflow(lam=0.6, x=0.5)
@@ -232,17 +235,12 @@ class TestStreaming:
         k0 = stats.warmup_skipped
         if n == 5 * _CHUNK and mode == "feedback":
             assert carried[0] > 0
-        state, outputs, sojourns, busy = QueueState(), [], [], 0.0
+        state, outputs, busy = QueueState(), [], 0.0
         for args, last in calls:
             *output, end, call_busy = simulate_fifo(*args, state=state, last=last)
             outputs.append(output)
-            sojourns.append(state.sojourns)
             busy += call_busy
-        waits, chain, rework_waits = (np.concatenate(parts) for parts in zip(*outputs))
-        # A chain left open by its call has its sojourn in state.sojourns of
-        # the call that closes it, in spawn order.
-        sojourn = chain - arrivals
-        sojourn[np.isnan(chain)] = np.concatenate(sojourns)
+        waits, rework_waits = (np.concatenate(parts) for parts in zip(*outputs))
         post = waits[k0:]
         assert stats.n_rework_jobs == rework_waits.size
         assert [stats.wq_p50, stats.wq_p90, stats.wq_p99] == list(
@@ -258,7 +256,10 @@ class TestStreaming:
         )
         assert stats.service_m2 == pytest.approx(np.square(chain_attention[k0:]).mean(), rel=1e-13)
         assert stats.busy_fraction == pytest.approx(busy / end, rel=1e-13)
-        assert stats.sojourn_mean == pytest.approx(sojourn[k0:].mean(), rel=1e-13)
+        if mode == "folded":  # folded calls pass an empty spawn mask
+            spawn_mask = np.zeros(arrivals.size, dtype=bool)
+        chain = _heap_oracle(arrivals, services, spawn_mask, rework_services)[4]
+        assert stats.sojourn_mean == pytest.approx((chain - arrivals)[k0:].mean(), rel=1e-12)
 
     @pytest.mark.parametrize("mode", ["folded", "feedback"])
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
