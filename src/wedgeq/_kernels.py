@@ -1,19 +1,23 @@
 """The simulator's FIFO queue kernel, in NumPy.
 
-``simulate_fifo`` consumes pre-drawn arrival and service arrays (calendar
-time units) and plays them through a single-server FIFO queue.  A flagged
+``simulate_fifo`` consumes pre-drawn interarrival gaps and services (time
+units) and plays them through a single-server FIFO queue.  A flagged
 arrival spawns one rework job at its own departure instant; the rework job
 joins the tail of the queue with its own service time.  The queue has one
 implementation, the reflected random walk of Lindley's recursion, which
-NumPy evaluates without a Python loop.  Rework makes the walk's input
-depend on its output (a rework enters when its parent departs), so a call
-with rework in it is walked to its fixed point.
+needs only the gaps and which NumPy evaluates without a Python loop.
+Rework makes the walk's input depend on its output (a rework enters when
+its parent departs), so a call with rework in it is walked to its fixed
+point.
 
-A call walks the arrivals it is given as one walk, which starts from the
-previous job's wait, so its rounding is at the scale of that call.  A run
-can be played in consecutive calls that pass a ``QueueState`` from one to
-the next; the simulator owns the chunk size and streams its runs that way,
-one chunk per call.  A direct whole-array call is one walk of the run.
+A call walks the gaps it is given as one walk, whose drift path starts at
+its first job's wait, so its waits round at the scale of that path over
+the call; no calendar time enters them.  A call with rework in it places
+the reworks among its arrivals timed from the previous job's arrival, so
+its rework entries round at the scale of the call.  A run can be played
+in consecutive calls that pass a ``QueueState`` from one to the next; the
+simulator owns the chunk size and streams its runs that way, one chunk
+per call.  A direct whole-array call is one walk of the run.
 """
 
 import numpy as np
@@ -21,49 +25,55 @@ import numpy as np
 IMPL = "python"
 
 
-def _fifo_reflect(arrivals, services, carry):
+def _fifo_reflect(gaps, services, carry):
     """One pass of the reflected random walk, continued from ``carry``.
 
     The FIFO wait recursion w[i] = max(0, w[i-1] + s[i-1] - gap[i]) has the
-    closed form w[i] = path[i] - min(0, path[..i]) for the cumulative drift
-    path, which starts at the first job's unreflected wait.  ``carry`` is
-    (arrival, service, wait) of the job before, and the walk returns its
-    own last job's.  An empty walk leaves ``carry`` as it was.
+    closed form w[i] = path[i] - min(0, path[1..i]) for the cumulative drift
+    path, which starts at the first job's wait.  ``carry`` is (service,
+    wait) of the job before, and the walk returns its own last job's.  An
+    empty walk leaves ``carry`` as it was.
     """
-    a_prev, s_prev, w_prev = carry
-    n = arrivals.shape[0]
+    s_prev, w_prev = carry
+    n = gaps.shape[0]
     waits, path = np.empty(n), np.empty(n)
     if not n:
         return waits, carry
-    path[0] = w_prev + (s_prev - (arrivals[0] - a_prev))
-    np.subtract(arrivals[1:], arrivals[:-1], out=path[1:])
-    np.subtract(services[:-1], path[1:], out=path[1:])
+    path[0] = max(w_prev + (s_prev - gaps[0]), 0.0)
+    np.subtract(services[:-1], gaps[1:], out=path[1:])
     np.cumsum(path, out=path)
     first = path[0]
-    path[0] = min(first, 0.0)
-    np.minimum.accumulate(path, out=waits)
+    path[0] = 0.0
+    # fmin, not minimum: equal on NaN-free input up to a signed zero's tie,
+    # and the path holds no -0.0; fmin is the faster of the two.
+    np.fmin.accumulate(path, out=waits)
     path[0] = first
     np.subtract(path, waits, out=waits)
-    return waits, (arrivals[-1], services[-1], waits[-1])
+    return waits, (services[-1], waits[-1])
 
 
 class QueueState:
     """The queue between calls of ``simulate_fifo`` on consecutive arrivals.
 
-    carry     (arrival, service, wait) of the last job walked
+    carry     (service, wait) of the last job walked
+    arrival   its calendar arrival (its entry, if a rework)
     entries   entry times of the reworks still to be walked (their parents'
               departures), in spawn order, as offsets from the carry's arrival
     services  their services
     """
 
     def __init__(self):
-        self.carry = (0.0, 0.0, 0.0)  # the queue starts empty at time 0
+        self.carry = (0.0, 0.0)  # the queue starts empty at time 0
+        self.arrival = 0.0
         self.entries = self.services = np.zeros(0)
 
 
-def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, last=True):
+def simulate_fifo(gaps, services, spawn_mask, rework_services, state=None, last=True):
     """Run the queue; returns (waits, rework_waits, end, busy).
 
+    gaps[i]            time from the external arrival before job i to job i
+                       (for the first, from the previous call's last arrival,
+                       or from time 0 when the queue starts empty)
     spawn_mask[i]      true if external job i spawns a rework job
     rework_services[k] service of the k-th spawned job: one per flagged
                        arrival, in arrival order, which is spawn order
@@ -83,32 +93,31 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, l
     ``last``, a rework that enters at or after the last of these arrivals
     stays pending in the state, and the call that walks it reports its wait.
 
-    A call is one walk, so it rounds at the scale of the call.  The simulator
-    owns the chunk size and streams a run in calls of ``simulator._CHUNK``
-    arrivals; a direct whole-array call is one walk of the run, at its scale.
-    A call with rework in it is walked in time relative to its first arrival
-    (the state keeps pending entries relative to the carry's arrival), so its
-    rework entries, its parents' departures, round at that scale too.
+    A call is one walk of the gaps, whose drift path starts from the first
+    job's wait, so the waits round at the scale of that path over the call.
+    The simulator owns the chunk size and streams a run in calls of
+    ``simulator._CHUNK`` arrivals.  A call with rework in it places the
+    reworks among arrivals timed from the carry's arrival (the state keeps
+    pending entries as offsets from it), so its rework entries, its
+    parents' departures, round at the scale of the call too.
     """
-    n = arrivals.shape[0]
+    n = gaps.shape[0]
     queue = QueueState() if state is None else state
     parents = np.flatnonzero(spawn_mask)
     carried = queue.entries.size
     busy = float(services.sum()) + float(rework_services.sum())
     if not (parents.size or carried):
-        waits, queue.carry = _fifo_reflect(arrivals, services, queue.carry)
+        waits, queue.carry = _fifo_reflect(gaps, services, queue.carry)
+        queue.arrival += float(gaps.sum())
         rework_waits = np.zeros(0)
     else:
-        t0 = arrivals[0] if n else 0.0
-        arrivals = arrivals - t0
-        a_prev, s_prev, w_prev = queue.carry
-        a_prev -= t0
+        arrivals = np.cumsum(gaps)  # from the carry's arrival
         # Reworks in spawn order: those carried in from earlier calls, then
         # this call's, the j-th of which belongs to its j-th flagged arrival.
         # Carried entries are final; a new one starts as its parent's a + s.
         works = np.concatenate((queue.services, rework_services))
         a_own, s_own = arrivals[parents], services[parents]
-        pending = np.concatenate((queue.entries + a_prev, a_own + s_own))
+        pending = np.concatenate((queue.entries, a_own + s_own))
         # Only reworks spawned before a parent can sit ahead of it, so each
         # pass makes one more own entry final (pass p the first p), and pass
         # parents.size + 1 changes none: the passes always reach the fixed point.
@@ -123,10 +132,12 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, l
             external = np.ones(n + take, dtype=bool)
             external[at] = False
             slots = np.flatnonzero(external)
-            entries, work = np.empty(external.size), np.empty(external.size)
-            entries[slots], entries[at] = arrivals, pending[:take]
+            # Entry times after the carry's arrival, times[0] = 0, so that
+            # their differences are the walk's gaps.
+            times, work = np.zeros(external.size + 1), np.empty(external.size)
+            times[1:][slots], times[1:][at] = arrivals, pending[:take]
             work[slots], work[at] = services, works[:take]
-            w, walked = _fifo_reflect(entries, work, (a_prev, s_prev, w_prev))
+            w, walked = _fifo_reflect(np.diff(times), work, queue.carry)
             # Each parent's departure, a + w + s in that order.
             departed = a_own + w[slots[parents]]
             departed += s_own
@@ -134,8 +145,8 @@ def simulate_fifo(arrivals, services, spawn_mask, rework_services, state=None, l
                 break
             pending[carried:] = departed
         waits, rework_waits = w[slots], w[at]
-        a_end, s_end, w_end = walked
-        queue.carry = (a_end + t0, s_end, w_end)
-        queue.entries, queue.services = pending[take:] - a_end, works[take:]
-    a_end, s_end, w_end = queue.carry
-    return waits, rework_waits, float(a_end + w_end + s_end), busy
+        shift = float(times[-1])  # the new carry's arrival
+        queue.carry, queue.arrival = walked, queue.arrival + shift
+        queue.entries, queue.services = pending[take:] - shift, works[take:]
+    s_end, w_end = queue.carry
+    return waits, rework_waits, float(queue.arrival + w_end + s_end), busy

@@ -23,11 +23,12 @@ quantiles.  A run therefore holds 8 bytes per post-warm-up arrival (6.4 per
 arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded) to
 3 MB (feedback) for the chunk in hand.
 
-This module owns the chunk size.  The queue kernel walks each chunk as one
-walk, continued from the queue state the chunk before left, and a feedback
-chunk in time relative to its first arrival, so the waits and the rework
-entries round at the scale of a chunk; a direct whole-array call of the
-kernel is one walk of the run, which rounds at the scale of the run.
+This module owns the chunk size.  The queue kernel walks each chunk's drawn
+interarrival gaps as one walk, continued from the queue state the chunk
+before left, and places a feedback chunk's reworks in time relative to the
+job before the chunk, so the waits and the rework entries round at the
+scale of a chunk.  No calendar time is formed for the walk; the span of the
+post-warm-up arrivals, for rho_hat, is a running sum of their gaps.
 """
 
 from __future__ import annotations
@@ -208,7 +209,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
     n_post = n - k0
     waits_post = np.empty(n_post)
     queue = QueueState()
-    last_arrival = window_start = 0.0
+    window = 0.0  # the post-warm-up arrivals' span, for rho_hat
     chain_sum = chain_m2 = rework_wait_sum = busy = 0.0
     n_ai_post = n_escaped_post = 0
     warm_spawns = walked = 0  # reworks spawned by warm-up arrivals; reworks walked
@@ -217,12 +218,8 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         m = hi - lo
         p = min(max(k0 - lo, 0), m)  # the chunk's first post-warm-up arrival
 
-        arrivals = _draw_interarrivals(workflow, rng_arrival, m)
-        arrivals[0] += last_arrival  # the same left fold as one whole-run cumsum
-        np.cumsum(arrivals, out=arrivals)
-        last_arrival = float(arrivals[-1])
-        if lo < k0 <= hi:
-            window_start = float(arrivals[k0 - 1 - lo])
+        gaps = _draw_interarrivals(workflow, rng_arrival, m)
+        window += float(gaps[p:].sum())
 
         # Routing.  is_ai is None when every task takes the same route, so
         # the common x = 1 and x = 0 cases skip the mask scatters.
@@ -275,7 +272,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
             spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
 
         waits, rework_waits, end_time, chunk_busy = simulate_fifo(
-            arrivals, services, spawn_mask, rework_services, state=queue, last=hi == n
+            gaps, services, spawn_mask, rework_services, state=queue, last=hi == n
         )
         busy += chunk_busy
         waits_post[max(lo - k0, 0) : max(hi - k0, 0)] = waits[p:]
@@ -308,7 +305,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         wq_p50=p50,
         wq_p90=p90,
         wq_p99=p99,
-        rho_hat=chain_sum / capacity / (last_arrival - window_start),
+        rho_hat=chain_sum / capacity / window,
         busy_fraction=busy / end_time,
         service_mean=chain_sum / n_post,
         service_m2=chain_m2 / n_post,

@@ -64,8 +64,9 @@ def _random_case(seed, n_max=60):
 
 
 def _as_kernel_args(case):
-    """The kernel's arguments from per-arrival arrays: the rework services of
-    the flagged arrivals only, in spawn order."""
+    """The oracle's arguments from per-arrival arrays: the rework services of
+    the flagged arrivals only, in spawn order.  Arrivals stay calendar times;
+    ``_gapped`` turns them into the kernel's gaps."""
     arrivals, services, spawn_mask, rework_services = case
     spawn_mask = np.ascontiguousarray(spawn_mask, dtype=np.uint8)
     return (
@@ -76,11 +77,17 @@ def _as_kernel_args(case):
     )
 
 
+def _gapped(args):
+    """The kernel's arguments from the oracle's: each arrival's gap from the
+    one before (from 0 for the first), exact on the dyadic grid."""
+    return (np.diff(args[0], prepend=0.0),) + tuple(args[1:])
+
+
 class TestAgainstHeapOracle:
     @pytest.mark.parametrize("seed", range(30))
     def test_pure_merge_is_bitwise_exact(self, seed):
         case = _as_kernel_args(_random_case(seed))
-        got = simulate_fifo(*case)
+        got = simulate_fifo(*_gapped(case))
         want = _heap_oracle(*case)
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
@@ -98,7 +105,7 @@ class TestAgainstHeapOracle:
         rework_services = rng.exponential(1.2, n)
         case = _as_kernel_args((arrivals, services, spawn_mask, rework_services))
         a = _heap_oracle(*case)
-        b = simulate_fifo(*case)
+        b = simulate_fifo(*_gapped(case))
         for x, y in zip(a[:2], b[:2]):
             np.testing.assert_allclose(x, y, rtol=1e-12, atol=1e-12)
         assert a[2] == pytest.approx(b[2], rel=1e-12)
@@ -109,15 +116,15 @@ def _play(args, sizes):
     """simulate_fifo over consecutive calls of ``sizes`` arrivals (cycled)
     that carry one QueueState, as the simulator streams a run; the calls'
     outputs joined into one run's."""
-    arrivals, services, spawn_mask, rework_services = args
-    n = arrivals.size
+    gaps, services, spawn_mask, rework_services = args
+    n = gaps.size
     spawned = np.concatenate(([0], np.cumsum(spawn_mask, dtype=np.intp)))
     state = _kernels.QueueState()
     calls, busy, lo = [], 0.0, 0
     for size in itertools.cycle(sizes):
         hi = min(lo + size, n)
         waits, rework_waits, end, call_busy = simulate_fifo(
-            arrivals[lo:hi], services[lo:hi], spawn_mask[lo:hi],
+            gaps[lo:hi], services[lo:hi], spawn_mask[lo:hi],
             rework_services[spawned[lo] : spawned[hi]], state=state, last=hi == n,
         )
         calls.append((waits, rework_waits))
@@ -143,7 +150,7 @@ class TestQueueState:
     def test_calls_continue_one_run(self, then, piece, seed):
         # Calls of piece and then arrivals in turn, on longer runs.
         case = _as_kernel_args(_random_case(seed, n_max=200))
-        got = _play(case, (piece, then))
+        got = _play(_gapped(case), (piece, then))
         want = _heap_oracle(*case)
         _assert_bitwise(got, want)
         assert got[3] == want[3]
@@ -161,11 +168,12 @@ class TestQueueState:
         np.testing.assert_array_equal(waits, [0.0, 1.0])
         assert rework_waits.shape == (0,)
         assert (end, busy) == (3.0, 4.0)  # busy counts a call's reworks too
-        assert state.carry[0] == 1.0
+        assert state.carry == (1.0, 1.0)
+        assert state.arrival == 1.0
         np.testing.assert_array_equal(state.entries, [1.0])  # after the carry's arrival
         np.testing.assert_array_equal(state.services, [1.0])
         waits, rework_waits, end, busy = simulate_fifo(
-            np.array([2.5]), np.array([1.0]), np.zeros(1, dtype=bool), np.zeros(0),
+            np.array([1.5]), np.array([1.0]), np.zeros(1, dtype=bool), np.zeros(0),
             state=state,
         )
         np.testing.assert_array_equal(waits, [1.5])
@@ -173,25 +181,24 @@ class TestQueueState:
         assert (end, busy) == (5.0, 1.0)
         assert state.entries.size == 0
 
-
     def test_carried_entry_keeps_its_low_bits_far_from_time_zero(self):
         # Near t0 = 2^20 a float64 time resolves only 2^-32.  After a job at
         # t0 - 1, job 0 departs at t0 + 1 + 2^-40 and spawns, after its
         # call's last arrival; job 1 waits until then.  Next call: job 2
         # (t0 + 1) waits until t0 + 1.75 + 2^-40, and the rework then waits
-        # exactly 0.75; a pending entry kept as a calendar time rounds to
-        # t0 + 1, and the rework's wait to 0.75 + 2^-40.
+        # exactly 0.75; a pending entry kept as a calendar time would round
+        # to t0 + 1, and the rework's wait to 0.75 + 2^-40.
         t0, tiny = 2.0**20, 2.0**-40
         state = _kernels.QueueState()
         simulate_fifo(np.array([t0 - 1.0]), np.array([0.5]), np.zeros(1, dtype=bool),
                       np.zeros(0), state=state, last=False)
         waits, _, _, _ = simulate_fifo(
-            t0 + np.array([0.0, 0.5]), np.array([1.0 + tiny, 0.25]),
+            np.array([1.0, 0.5]), np.array([1.0 + tiny, 0.25]),
             np.array([True, False]), np.array([1.0]), state=state, last=False,
         )
         np.testing.assert_array_equal(waits, [0.0, 0.5 + tiny])
         waits, rework_waits, _, _ = simulate_fifo(
-            t0 + np.array([1.0, 2.0]), np.array([0.5, 1.0]),
+            np.array([0.5, 1.0]), np.array([0.5, 1.0]),
             np.zeros(2, dtype=bool), np.zeros(0), state=state,
         )
         np.testing.assert_array_equal(waits, [0.25 + tiny, 0.75 + tiny])
@@ -209,7 +216,7 @@ class TestChunkBoundaries:
         case = _as_kernel_args(_random_case(seed))
         # The same arrivals once more with no rework, as in folded runs.
         for args in (case, case[:2] + (np.zeros_like(case[2]), np.zeros(0))):
-            _assert_bitwise(_play(args, (piece,)), _heap_oracle(*args))
+            _assert_bitwise(_play(_gapped(args), (piece,)), _heap_oracle(*args))
 
     @pytest.mark.parametrize("piece", [2, simulator._CHUNK])
     def test_rework_carried_into_next_chunk(self, piece):
@@ -220,7 +227,7 @@ class TestChunkBoundaries:
         case = _as_kernel_args(
             ([0.0, 1.0, 2.5, 4.0], [2.0, 1.0, 1.0, 1.0], [1, 0, 0, 0], [1.0, 0.0, 0.0, 0.0])
         )
-        waits, rework_waits, end, busy = _play(case, (piece,))
+        waits, rework_waits, end, busy = _play(_gapped(case), (piece,))
         np.testing.assert_array_equal(waits, [0.0, 1.0, 1.5, 1.0])
         np.testing.assert_array_equal(rework_waits, [1.0])
         assert end == 6.0
@@ -233,8 +240,8 @@ class TestChunkBoundaries:
         # and the second continues from its wait: job 2 (3.5-4.5), job 3
         # (4.5-5.5).
         waits, rework_waits, end, busy = _play(
-            (np.array([0.0, 1.0, 2.0, 3.5]), np.array([2.5, 1.0, 1.0, 1.0]),
-             np.zeros(4, dtype=bool), np.zeros(0)),
+            _gapped((np.array([0.0, 1.0, 2.0, 3.5]), np.array([2.5, 1.0, 1.0, 1.0]),
+                     np.zeros(4, dtype=bool), np.zeros(0))),
             (piece,),
         )
         np.testing.assert_array_equal(waits, [0.0, 1.5, 1.5, 1.0])
@@ -245,7 +252,8 @@ class TestChunkBoundaries:
 
 def _feedback_calls(monkeypatch, name):
     """The arguments of the calls simulator.run makes on fixture ``name`` at
-    1e5 arrivals in feedback mode, one call per chunk, joined; and the
+    1e5 arrivals in feedback mode, one call per chunk, joined, with the
+    gaps summed into float64 calendar arrivals (the oracle's form); and the
     calls' sizes.  About 15% (fig2) and 30% (fig5-beta52) of arrivals spawn
     rework."""
     config = dataclasses.replace(
@@ -262,6 +270,7 @@ def _feedback_calls(monkeypatch, name):
     simulator.run(config)
     assert len(calls) > 4
     args = [np.concatenate(chunks) for chunks in zip(*calls)]
+    args[0] = np.cumsum(args[0])  # calendar arrivals, for the oracle
     assert args[0].size == config.n_arrivals
     assert 0.1 < args[2].mean() < 0.4
     return args, [call[0].size for call in calls]
@@ -269,33 +278,40 @@ def _feedback_calls(monkeypatch, name):
 
 class TestPrecision:
     def test_waits_match_lindley_recursion(self):
-        # Each call's walk starts from a wait, so rounding stays at the scale
-        # of the simulator's chunk; one walk of the whole run's drift path is
-        # off by about 6e-11 here, and this loop agrees with np.longdouble to
-        # about 1e-13.
+        # The kernel walks the drawn gaps, and each call's drift path starts
+        # from a wait, so rounding stays at the scale of the simulator's
+        # chunk: 3.6e-12 here.  One walk of the whole run's drift path is off
+        # by 5.3e-11, and this loop agrees with np.longdouble to 1.2e-13.
         rng = np.random.default_rng(5)
         n = 200_000
-        arrivals = np.cumsum(rng.exponential(1.0, n))
+        gaps = rng.exponential(1.0, n)
         services = rng.exponential(0.9, n)
         waits = _play(
-            (arrivals, services, np.zeros(n, dtype=bool), np.zeros(0)), (simulator._CHUNK,)
+            (gaps, services, np.zeros(n, dtype=bool), np.zeros(0)), (simulator._CHUNK,)
         )[0]
-        a, s = arrivals.tolist(), services.tolist()
+        g, s = gaps.tolist(), services.tolist()
         want, w = [0.0], 0.0
         for i in range(1, n):
-            w = max(0.0, w + s[i - 1] - (a[i] - a[i - 1]))
+            w = max(0.0, w + s[i - 1] - g[i])
             want.append(w)
         assert np.max(np.abs(waits - want)) <= 1e-11
 
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
     def test_feedback_waits_match_longdouble_replay(self, monkeypatch, name):
-        # A call with rework is walked in time relative to its first
-        # arrival, so a rework's entry (its parent's departure) rounds at the
-        # scale of a chunk, as the folded waits above do: about 5e-12 and
-        # 8e-12 here.  Entries kept in calendar time round at the scale of
-        # the run, 2.6e-11 and 3.0e-11 here.
+        # A call with rework places it among arrivals timed from the job
+        # before the call, so a rework's entry (its parent's departure)
+        # rounds at the scale of a chunk, as the folded waits above do:
+        # 5.4e-12 and 7.7e-12 here.  Entries kept in calendar time round at
+        # the scale of the run, 2.6e-11 and 3.0e-11 here.  The oracle replays
+        # float64 calendar arrivals, the cumsum of the drawn gaps, and the
+        # kernel is fed their exact differences.  Against a replay of the
+        # drawn gaps themselves the simulator's own waits read 1.5e-11 and
+        # 2.1e-11 (8.8e-11 and 7.4e-11 when the kernel took calendar
+        # arrivals): the rest is the float64 drift path's rounding over a
+        # chunk, about 1e-11 for one 2^14 chunk at rho = 0.43, where the path
+        # reaches -1.9e4.
         args, sizes = _feedback_calls(monkeypatch, name)
-        waits, rework_waits = _play(args, sizes)[:2]
+        waits, rework_waits = _play(_gapped(args), sizes)[:2]
         want = _heap_oracle(*args, time=np.longdouble)
         assert np.max(np.abs(waits - want[0])) <= 1.5e-11
         assert np.max(np.abs(rework_waits - want[1])) <= 1.5e-11
@@ -305,7 +321,7 @@ class TestRealisticRegime:
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
     def test_feedback_run_matches_oracle(self, monkeypatch, name):
         args, sizes = _feedback_calls(monkeypatch, name)
-        got = _play(args, sizes)
+        got = _play(_gapped(args), sizes)
         want = _heap_oracle(*args)
         # The oracle's clock rounds at the scale of the horizon, so the two
         # agree to a few of its ulps, not bitwise.
@@ -319,7 +335,7 @@ class TestRealisticRegime:
 class TestHandWorkedCases:
     def test_empty(self):
         case = _as_kernel_args((np.zeros(0), np.zeros(0), np.zeros(0), np.zeros(0)))
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         assert waits.shape == (0,)
         assert rework_waits.shape == (0,)
         assert end == 0.0
@@ -327,7 +343,7 @@ class TestHandWorkedCases:
 
     def test_single_job(self):
         case = _as_kernel_args(([2.0], [3.0], [0], [0.0]))
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         assert waits[0] == 0.0
         assert rework_waits.shape == (0,)
         assert end == 5.0
@@ -338,7 +354,7 @@ class TestHandWorkedCases:
         # first, so the rework waits from 2 to 4 and job 0's chain ends last,
         # at 5.
         case = _as_kernel_args(([0.0, 1.0], [2.0, 2.0], [1, 0], [1.0, 0.0]))
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         np.testing.assert_array_equal(waits, [0.0, 1.0])
         np.testing.assert_array_equal(rework_waits, [2.0])
         assert end == 5.0
@@ -348,22 +364,34 @@ class TestHandWorkedCases:
         # Rework enters at t=2, exactly when job 1 arrives; job 1 is served
         # first, so the rework waits one unit.
         case = _as_kernel_args(([0.0, 2.0], [2.0, 1.0], [1, 0], [1.0, 0.0]))
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         np.testing.assert_array_equal(waits, [0.0, 0.0])
         np.testing.assert_array_equal(rework_waits, [1.0])
         assert end == 4.0
         assert busy == 4.0
 
+    def test_long_idle_gap_keeps_the_low_bits(self):
+        # The queue is empty until job 0 arrives 2^20 after time 0.  Job 1
+        # arrives 0.5 later and waits until job 0 departs, exactly
+        # 0.5 + 2^-40: the walk starts at job 0's wait, not at minus the idle
+        # gap, where a float64 resolves only 2^-32.
+        tiny = 2.0**-40
+        waits, _, _, _ = simulate_fifo(
+            np.array([2.0**20, 0.5]), np.array([1.0 + tiny, 0.25]), np.zeros(2, dtype=bool),
+            np.zeros(0),
+        )
+        np.testing.assert_array_equal(waits, [0.0, 0.5 + tiny])
+
     def test_idle_gaps_leave_no_waits(self):
         case = _as_kernel_args(([0.0, 10.0, 20.0], [1.0, 1.0, 1.0], [0, 0, 0], [0.0] * 3))
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         np.testing.assert_array_equal(waits, [0.0, 0.0, 0.0])
         assert end == 21.0
         assert busy == 3.0
 
     def test_every_job_spawns(self):
         case = _as_kernel_args(([0.0, 0.0], [1.0, 1.0], [1, 1], [0.5, 0.5]))
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         # Serve order: job 0 (0-1), job 1 (1-2), rework 0 (2-2.5), rework 1.
         np.testing.assert_array_equal(waits, [0.0, 1.0])
         np.testing.assert_array_equal(rework_waits, [1.0, 0.5])
@@ -376,7 +404,7 @@ class TestInvariants:
     def test_work_conservation_and_nonnegative_waits(self, seed):
         case = _as_kernel_args(_random_case(seed, n_max=200))
         arrivals, services, spawn_mask, rework_services = case
-        waits, rework_waits, end, busy = simulate_fifo(*case)
+        waits, rework_waits, end, busy = simulate_fifo(*_gapped(case))
         assert np.all(waits >= 0.0)
         assert np.all(rework_waits >= 0.0)
         total_work = services.sum() + rework_services.sum()
@@ -388,7 +416,7 @@ class TestInvariants:
 
     def test_rework_count_matches_mask(self):
         case = _as_kernel_args(_random_case(3, n_max=200))
-        _, rework_waits, _, _ = simulate_fifo(*case)
+        _, rework_waits, _, _ = simulate_fifo(*_gapped(case))
         assert rework_waits.shape[0] == int(case[2].sum())
 
 

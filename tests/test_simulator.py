@@ -229,7 +229,7 @@ class TestStreaming:
 
         monkeypatch.setattr(simulator, "simulate_fifo", capture)
         stats = run(_config(workflow, n=n, seed=9, rework_mode=mode))
-        arrivals, services, spawn_mask, rework_services = (
+        gaps, services, spawn_mask, rework_services = (
             np.concatenate(chunks) for chunks in zip(*(args for args, _ in calls))
         )
         k0 = stats.warmup_skipped
@@ -252,12 +252,13 @@ class TestStreaming:
         chain_attention = services.copy()
         chain_attention[spawn_mask.astype(bool)] += rework_services
         assert stats.rho_hat == pytest.approx(
-            chain_attention[k0:].sum() / (arrivals[-1] - arrivals[k0 - 1]), rel=1e-13
+            chain_attention[k0:].sum() / gaps[k0:].sum(), rel=1e-13
         )
         assert stats.service_m2 == pytest.approx(np.square(chain_attention[k0:]).mean(), rel=1e-13)
         assert stats.busy_fraction == pytest.approx(busy / end, rel=1e-13)
         if mode == "folded":  # folded calls pass an empty spawn mask
-            spawn_mask = np.zeros(arrivals.size, dtype=bool)
+            spawn_mask = np.zeros(gaps.size, dtype=bool)
+        arrivals = np.cumsum(gaps)
         chain = _heap_oracle(arrivals, services, spawn_mask, rework_services)[4]
         assert stats.sojourn_mean == pytest.approx((chain - arrivals)[k0:].mean(), rel=1e-12)
 
@@ -278,6 +279,51 @@ class TestStreaming:
         finally:
             tracemalloc.stop()
         assert peak <= 8 * (stats.n_arrivals - stats.warmup_skipped) + 32 * 8 * _CHUNK
+
+
+def _longdouble_lindley(gaps, services):
+    """Lindley's recursion in np.longdouble, one job at a time, from an
+    empty queue."""
+    gaps, services = gaps.astype(np.longdouble), services.astype(np.longdouble)
+    waits = np.zeros(gaps.size, dtype=np.longdouble)
+    w = zero = np.longdouble(0.0)
+    for i in range(1, gaps.size):
+        w = w + services[i - 1] - gaps[i]
+        if w < zero:
+            w = zero
+        waits[i] = w
+    return waits
+
+
+class TestPrecision:
+    @pytest.mark.parametrize("name", ["fig2", "fig4"])
+    def test_folded_waits_match_a_longdouble_walk_of_the_draws(self, monkeypatch, name):
+        # The kernel walks the drawn gaps, so a wait rounds at the scale of
+        # its chunk's drift path: 1.3e-11 and 1.2e-11 here.  Walking calendar
+        # arrivals instead, whose differences round at the scale of the run,
+        # reads 2.2e-10 and 3.0e-10.
+        config = dataclasses.replace(
+            SimConfig.from_workflow(load_config(fixture_path(f"{name}.json"))),
+            n_arrivals=200_000,
+        )
+        assert config.rework_mode == "folded"
+        services, waits = [], []
+
+        def capture(*args, **kwargs):
+            result = simulate_fifo(*args, **kwargs)
+            services.append(np.copy(args[1]))
+            waits.append(result[0])
+            return result
+
+        monkeypatch.setattr(simulator, "simulate_fifo", capture)
+        stats = run(config)
+        # The arrival substream is the first of replication 0's six.
+        arrival_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)).spawn(6)[0]
+        gaps = _draw_interarrivals(config.workflow, np.random.default_rng(arrival_seed),
+                                   config.n_arrivals)
+        want = _longdouble_lindley(gaps, np.concatenate(services))
+        k0 = stats.warmup_skipped
+        assert np.max(np.abs(np.concatenate(waits)[k0:] - want[k0:])) <= 2.5e-11
 
 
 class TestSortedQuantiles:
