@@ -13,11 +13,16 @@ policy-level route moments; feeding those into the marginal congestion
 cost Phi closes the loop, and an equilibrium is a fixed point
 theta = Phi(theta).
 
-The equilibrium search prices each candidate theta from a table built once
-per solve: the cumulative integrals of pdf, log(pi) * pdf, log(pi)^2 * pdf
-and pi * pdf over uniform panels, to which each price adds two short
-partial rules at its threshold signal.  Every reported root is certified
-by policy_route_moments, the split quadrature with a doubling check.
+Every integral over the signal density uses one set of panel edges, which
+the environment computes when it is validated: 16 uniform panels, graded
+toward an end whose Beta shape is not an integer, around a steep risk
+map's midpoint and around a narrow density's mean.  The equilibrium
+search prices each candidate theta from a table built once per solve:
+the cumulative integrals of pdf, log(pi) * pdf, log(pi)^2 * pdf and
+pi * pdf over those panels, to which each price adds two short partial
+rules at its threshold signal.  Every reported root is certified by
+policy_route_moments, a direct quadrature over the same panels split at
+the threshold, with a doubling check.
 """
 
 from __future__ import annotations
@@ -40,8 +45,10 @@ from .errors import (
 from .queueing import EPS_RHO, QueueInputs, is_stable, require_stable, wq_pk
 from .service_model import ReworkModel, RouteMoments, require_finite, require_no_overflow
 
-# Gauss-Legendre nodes per quadrature panel, and prices in the equilibrium scan.
-QUAD_NODES = 256
+# Gauss-Legendre nodes per panel of the certifier's rule, and prices in the
+# equilibrium scan.  The certifier's count differs from _TABLE_NODES, so a
+# root is not certified by the rule that found it.
+QUAD_NODES = 12
 SCAN_POINTS = 512
 
 # Relative agreement required between n-node and 2n-node quadrature.
@@ -54,14 +61,13 @@ _ROOT_RTOL = 1e-8
 # bracket in well under 20 rounds; the cap only bounds a misbehaving f.
 _BRACKET_ROUNDS = 100
 
-# Uniform panels of the equilibrium search's moment table, and Gauss-Legendre
-# nodes per whole panel and per partial rule at a threshold signal.
-_TABLE_PANELS = 16
+# Uniform panels of every signal integral, and the Gauss-Legendre nodes per
+# panel of the unit integrals, the moment table and its partial rules.
+_UNIFORM_PANELS = 16
 _TABLE_NODES = 24
 
-# _panels bounds of [0, 0.5] and [0.5, 1], for unit integrals with no threshold
-# to split at: two panels so mild endpoint curvature does not dominate the error.
-_HALF_PANELS = (np.array([[0.0], [0.5]]), np.array([[0.5], [1.0]]))
+# Halvings of the end panel toward an end whose Beta shape is not an integer.
+_END_HALVINGS = 40
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,35 @@ class RiskMap:
         return out
 
 
+def _signal_edges(alpha: float, beta: float, rm: RiskMap) -> np.ndarray:
+    """Sorted panel edges on [0, 1] of every integral over the Beta(alpha, beta) density.
+
+    _UNIFORM_PANELS uniform panels, with the end panel halved _END_HALVINGS
+    times toward an end whose shape is not an integer, where the density's
+    derivatives blow up.  A feature of width w narrower than a uniform
+    panel adds its centre c and c +- 2^j w for every j >= 0 with 2^j w
+    below a uniform panel's width: the logistic (c = s0, w = 1 / g) and the
+    density's bulk (c its mean, w its standard deviation).
+    """
+    edges = [np.arange(_UNIFORM_PANELS + 1) / _UNIFORM_PANELS]
+    graded = 2.0 ** -np.arange(1.0, _END_HALVINGS + 1) / _UNIFORM_PANELS
+    if not float(alpha).is_integer():
+        edges.append(graded)
+    if not float(beta).is_integer():
+        edges.append(1.0 - graded)
+    mean = alpha / (alpha + beta)
+    sd = math.sqrt(mean * (1.0 - mean) / (alpha + beta + 1.0))
+    for centre, width in ((rm.s0, 1.0 / rm.g), (mean, sd)):
+        # A zero width (a mean that rounds to 0 or 1) or an infinite one (a
+        # subnormal g) adds nothing.
+        if 0.0 < width < 1.0 / _UNIFORM_PANELS:
+            count = math.ceil(math.log2(1.0 / (_UNIFORM_PANELS * width)))
+            steps = width * 2.0 ** np.arange(count)
+            edges.append(centre + np.concatenate(([0.0], steps, -steps)))
+    edges = np.unique(np.concatenate(edges))
+    return edges[(edges >= 0.0) & (edges <= 1.0)]
+
+
 @dataclass(frozen=True)
 class SignalEnvironment:
     """Signal distribution, risk perception, and the cost parameters.
@@ -117,12 +152,23 @@ class SignalEnvironment:
     kappa: float
     c_w: float
     p_inf: float = 0.0
-    # log B(alpha, beta), the signal density's log-normaliser, set once below.
+    # log B(alpha, beta), the signal density's log-normaliser, and the panel
+    # edges of every signal integral (_signal_edges), set once below.
     _log_norm: float = field(init=False, repr=False, compare=False)
+    _edges: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_finite(self.signal_alpha, "signal_alpha", "> 0")
-        require_finite(self.signal_beta, "signal_beta", "> 0")
+        # Below 1 the density is infinite at its end of [0, 1], where a
+        # threshold signal of 0 or 1 puts a zero-width partial rule's nodes.
+        shapes = (("signal_alpha", self.signal_alpha), ("signal_beta", self.signal_beta))
+        for name, shape in shapes:
+            require_finite(shape, name)
+            if shape < 1.0:
+                raise ValidationError(
+                    f"{name} must be >= 1, got {shape}: below 1 the signal density "
+                    "is infinite at an end of [0, 1]",
+                    field=name,
+                )
         require_finite(self.K, "K", "> 0")
         require_finite(self.kappa, "kappa", "> 0")
         # The solver's price scan starts 12 decades below a price scale
@@ -153,15 +199,17 @@ class SignalEnvironment:
         require_no_overflow(
             lambda: self._log_norm, "signal_alpha", "log B(signal_alpha, signal_beta)"
         )
+        object.__setattr__(
+            self, "_edges", _signal_edges(self.signal_alpha, self.signal_beta, self.risk_map)
+        )
         # Extreme shapes overflow the log-density to -inf: a density of 0,
         # which the check below rejects.
         with np.errstate(over="ignore"):
-            total = float(_panels(self, *_HALF_PANELS, QUAD_NODES)[1].sum())
+            total = float(_panels(self, self._edges, _TABLE_NODES)[1].sum())
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(
                 "signal density does not integrate to 1 within 1e-10 "
-                f"(got {total!r}); shapes with endpoint singularities "
-                "(alpha < 1 or beta < 1) are not resolvable by this quadrature",
+                f"(got {total!r}): its mass is too concentrated for the quadrature panels",
                 field="signal_alpha",
             )
 
@@ -295,13 +343,15 @@ def _row_dots(a, b):
     return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
 
-def _panels(env: SignalEnvironment, lo, hi, n: int):
-    """pi(s) and quadrature weights at the n Gauss-Legendre nodes of panels [lo, hi].
+def _panels(env: SignalEnvironment, edges: np.ndarray, n: int):
+    """pi(s) and quadrature weights at the n Gauss-Legendre nodes of each panel.
 
-    lo and hi are (..., panels, 1) arrays, every panel its own affine map
-    of the shared nodes, or the floats 0 and 1 for the unit panel.
+    The panels lie between consecutive edges along the last axis of edges,
+    so (..., k + 1) edges give (..., k, n) arrays, every panel its own
+    affine map of the shared nodes.
     """
     nodes, weights = _gauss_nodes(n)
+    lo, hi = edges[..., :-1, None], edges[..., 1:, None]
     half = 0.5 * (hi - lo)
     s = lo + half * (nodes + 1.0)
     return env.risk_map.value(s), (half * weights) * env.signal_pdf(s)
@@ -310,19 +360,13 @@ def _panels(env: SignalEnvironment, lo, hi, n: int):
 def _policy_moments(env: SignalEnvironment, theta: float, rework: ReworkModel, n_nodes: int):
     """Signal-averaged (tau_A, q_A) at price theta, as floats.
 
-    Split Gauss-Legendre quadrature: a threshold signal inside (0, 1) gets
-    two panels of max(8, n_nodes // 2) nodes split there; one that reviews
-    every draft or none gets the unit panel [0, 1] of n_nodes.  theta is
-    not checked here: policy_route_moments checks it.
+    Gauss-Legendre quadrature of n_nodes per panel over the environment's
+    edges with the threshold signal inserted, so the kink of r*(s) is a
+    panel end.  theta is not checked here: policy_route_moments checks it.
     """
     star = theta / env.review_scale
-    split = float(_signal_at_risk(env.risk_map, np.array([star]))[0])
-    if 0.0 < split < 1.0:
-        risk, weight = _panels(
-            env, np.array([[0.0], [split]]), np.array([[split], [1.0]]), max(8, n_nodes // 2)
-        )
-    else:
-        risk, weight = _panels(env, 0.0, 1.0, n_nodes)
+    edges = np.union1d(env._edges, _signal_at_risk(env.risk_map, np.array([star])))
+    risk, weight = _panels(env, edges, n_nodes)
     effort, resid = review_policy(env, star, risk)
     tau = _row_dots(weight, effort + rework.mu_R * resid)
     q = _row_dots(weight, effort**2 + (2.0 * rework.mu_R) * effort * resid + rework.mu_R2 * resid)
@@ -330,14 +374,13 @@ def _policy_moments(env: SignalEnvironment, theta: float, rework: ReworkModel, n
 
 
 def _moment_table(env: SignalEnvironment):
-    """Cumulative integrals over _TABLE_PANELS uniform panels of [0, 1], for _table_moments.
+    """Cumulative integrals over the environment's panels, for _table_moments.
 
-    With l = log pi(s) and b_j = j / _TABLE_PANELS, returns (upper, lower):
+    With l = log pi(s) and b_j = env._edges[j], returns (upper, lower):
     upper[j] holds the integrals of pdf, l * pdf and l^2 * pdf over [b_j, 1],
-    and lower[j] the integral of pi * pdf over [0, b_j], for j = 0.._TABLE_PANELS.
+    and lower[j] the integral of pi * pdf over [0, b_j], for every edge.
     """
-    edges = np.arange(_TABLE_PANELS + 1) / _TABLE_PANELS
-    risk, weight = _panels(env, edges[:-1, None], edges[1:, None], _TABLE_NODES)
+    risk, weight = _panels(env, env._edges, _TABLE_NODES)
     log_risk = np.log(risk)
     panel = _row_dots(
         weight[:, None, :], np.stack((np.ones_like(risk), log_risk, log_risk**2, risk), axis=1)
@@ -346,9 +389,9 @@ def _moment_table(env: SignalEnvironment):
     # top, it enters upper[j] only for j at or below its own index, and a
     # threshold reads upper[j] only for panels above it, where
     # pi >= pi_star > 0.
-    upper = np.zeros((_TABLE_PANELS + 1, 3))
+    upper = np.zeros((env._edges.size, 3))
     upper[:-1] = np.cumsum(panel[::-1, :3], axis=0)[::-1]
-    lower = np.zeros(_TABLE_PANELS + 1)
+    lower = np.zeros(env._edges.size)
     lower[1:] = np.cumsum(panel[:, 3])
     return upper, lower
 
@@ -360,11 +403,12 @@ def _moment_table(env: SignalEnvironment):
 def _table_moments(env: SignalEnvironment, table, rework: ReworkModel, stars, splits):
     """(tau_A, q_A) arrays at the risk thresholds stars, whose threshold signals are splits.
 
-    A threshold t in panel [b_j, b_j+1] gets two partial rules of
-    _TABLE_NODES nodes, on [b_j, t] and [t, b_j+1], added to the table's
-    sums over the whole panels beyond them, so the kink of r*(s) stays a
-    panel end.  That gives F_k, the integral of l^k * pdf over [t, 1]
-    (l = log pi), and G, that of pi * pdf over [0, t].  With l* = log pi_star:
+    A threshold t in the panel [b_j, b_j+1] of the environment's edges gets
+    two partial rules of _TABLE_NODES nodes, on [b_j, t] and [t, b_j+1],
+    added to the table's sums over the whole panels beyond them, so the
+    kink of r*(s) stays a panel end.  That gives F_k, the integral of
+    l^k * pdf over [t, 1] (l = log pi), and G, that of pi * pdf over
+    [0, t].  With l* = log pi_star:
 
         E1    = (F1 - l* F0) / kappa                      (= E[r*])
         E2    = (F2 - 2 l* F1 + l*^2 F0) / kappa / kappa  (= E[r*^2])
@@ -376,13 +420,11 @@ def _table_moments(env: SignalEnvironment, table, rework: ReworkModel, stars, sp
     with it.
     """
     upper, lower = table
-    panel = np.minimum((splits * _TABLE_PANELS).astype(int), _TABLE_PANELS - 1)
-    # ends[0] and ends[1] are the lower and upper ends of each price's two rules.
-    ends = np.empty((2, splits.size, 2, 1))
-    ends[0, :, 0, 0] = panel / _TABLE_PANELS
-    ends[1, :, 1, 0] = (panel + 1) / _TABLE_PANELS
-    ends[0, :, 1, 0] = ends[1, :, 0, 0] = splits
-    risk, weight = _panels(env, ends[0], ends[1], _TABLE_NODES)
+    edges = env._edges
+    panel = np.minimum(np.searchsorted(edges, splits, side="right") - 1, edges.size - 2)
+    risk, weight = _panels(
+        env, np.stack((edges[panel], splits, edges[panel + 1]), axis=-1), _TABLE_NODES
+    )
     head = lower[panel] + _row_dots(weight[:, 0], risk[:, 0])
     powers = np.empty((splits.size, 3, _TABLE_NODES))
     powers[:, 0] = 1.0
@@ -420,7 +462,7 @@ def policy_route_moments(
     )
     if err > _QUAD_RTOL:
         raise QuadratureError(
-            f"policy-moment quadrature did not converge at {QUAD_NODES} nodes: "
+            f"policy-moment quadrature did not converge at {QUAD_NODES} nodes per panel: "
             f"doubling changed the result by {err:.3e} (tolerance {_QUAD_RTOL:.0e})",
             error_estimate=err,
         )
@@ -433,7 +475,7 @@ def irreducible_escape_rate(env: SignalEnvironment) -> float:
     This share of errors is uncatchable by review and is reported
     separately; it does not enter the policy route moments.
     """
-    risk, weight = _panels(env, *_HALF_PANELS, QUAD_NODES)
+    risk, weight = _panels(env, env._edges, _TABLE_NODES)
     return env.p_inf * float(_row_dots(weight, risk).sum())
 
 

@@ -577,6 +577,22 @@ class TestErrorContract:
                 )
                 for command in commands
             ],
+            # A steep risk map and a fractional shape solve: the panel edges
+            # are refined around s0 and toward the fractional end.
+            *[
+                pytest.param(["equilibrium"], edit, 0, id=name)
+                for name, edit in (
+                    ("fig6-g300", ("fig6", "signal_env.risk_map.g", "300")),
+                    ("fig5-beta52-g300", ("fig5-beta52", "signal_env.risk_map.g", "300")),
+                    ("fig5-beta22-g1e4", ("fig5-beta22", "signal_env.risk_map.g", "1e4")),
+                    ("fig5-beta22-beta7-2.5",
+                     ("fig5-beta22", "signal_env.signal", '{"alpha": 7, "beta": 2.5}')),
+                )
+            ],
+            pytest.param(
+                ["equilibrium"], ("fig5-beta22", "signal_env.signal.beta", "0.9"), 2,
+                id="beta-below-1",
+            ),
             pytest.param(
                 ["equilibrium"], ("fig5-beta22", "signal_env.signal.alpha", "1e308"), 2,
                 id="alpha",

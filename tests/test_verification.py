@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import betaln, expit
 from scipy.stats import beta as beta_dist
 
 import wedgeq.verification as ver
@@ -31,7 +32,7 @@ from wedgeq import (
     threshold_signal,
 )
 from wedgeq.config import load_config
-from wedgeq.queueing import is_stable
+from wedgeq.queueing import EPS_RHO, is_stable
 
 RISK = RiskMap(a=0.02, b=0.88, g=10.0, s0=0.55)
 ENV = SignalEnvironment(
@@ -41,25 +42,48 @@ REWORK = ReworkModel(mu_R=1.5, mu_R2=4.0)
 
 
 def _quad_moments(env, theta, rework):
-    """Adaptive-quadrature oracle for the policy route moments."""
+    """Adaptive-quadrature oracle for the policy route moments.
+
+    Scalar scipy forms of the risk map and the Beta density, with breaks at
+    the threshold signal, the risk map's midpoint s0, and the density's
+    mean and 4 standard deviations either side.  The moments are divided
+    by the density's own integral: betaln loses about 1e-12 at shapes near
+    1000.
+    """
     star = pi_star(env, theta)
-    split = threshold_signal(env, theta)
-    dist = beta_dist(env.signal_alpha, env.signal_beta)
+    rm, alpha, beta = env.risk_map, env.signal_alpha, env.signal_beta
+    log_norm = betaln(alpha, beta)
+    mean = alpha / (alpha + beta)
+    sd = math.sqrt(mean * (1.0 - mean) / (alpha + beta + 1.0))
+
+    def policy(s):
+        p = rm.a + rm.b * expit(rm.g * (s - rm.s0))
+        pdf = math.exp((alpha - 1.0) * math.log(s) + (beta - 1.0) * math.log1p(-s) - log_norm)
+        return math.log(max(p / star, 1.0)) / env.kappa, min(p, star), pdf
 
     def f_tau(s):
-        p = env.risk_map.value(s)
-        r = math.log(max(p / star, 1.0)) / env.kappa
-        return (r + rework.mu_R * min(p, star)) * dist.pdf(s)
+        r, m, pdf = policy(s)
+        return (r + rework.mu_R * m) * pdf
 
     def f_q(s):
-        p = env.risk_map.value(s)
-        r = math.log(max(p / star, 1.0)) / env.kappa
-        m = min(p, star)
-        return (r * r + 2.0 * rework.mu_R * r * m + rework.mu_R2 * m) * dist.pdf(s)
+        r, m, pdf = policy(s)
+        return (r * r + 2.0 * rework.mu_R * r * m + rework.mu_R2 * m) * pdf
 
-    pts = [split] if 0.0 < split < 1.0 else None
-    opts = dict(points=pts, limit=200, epsabs=1e-13, epsrel=1e-13)
-    return quad(f_tau, 0.0, 1.0, **opts)[0], quad(f_q, 0.0, 1.0, **opts)[0]
+    breaks = (threshold_signal(env, theta), rm.s0, mean - 4.0 * sd, mean, mean + 4.0 * sd)
+    opts = dict(points=sorted({x for x in breaks if 0.0 < x < 1.0}), limit=200,
+                epsabs=1e-13, epsrel=1e-13)
+    total = quad(lambda s: policy(s)[2], 0.0, 1.0, **opts)[0]
+    return quad(f_tau, 0.0, 1.0, **opts)[0] / total, quad(f_q, 0.0, 1.0, **opts)[0] / total
+
+
+def _oracle_root(env, rework, lam, capacity, theta):
+    """brentq on theta - Phi(theta) with _quad_moments, within 1e-6 of theta."""
+
+    def gap(t):
+        tau, q = _quad_moments(env, t, rework)
+        return t - env.c_w * lam**3 * q / (2.0 * capacity * (capacity - lam * tau) ** 2)
+
+    return brentq(gap, theta * (1.0 - 1e-6), theta * (1.0 + 1e-6), xtol=1e-300)
 
 
 def _mean_risk(env):
@@ -214,7 +238,7 @@ class TestPolicyRouteMoments:
 
     def test_stable_under_node_count(self):
         lean_tau, lean_q = ver._policy_moments(ENV, 0.4, REWORK, 32)
-        rich_tau, rich_q = ver._policy_moments(ENV, 0.4, REWORK, 512)
+        rich_tau, rich_q = ver._policy_moments(ENV, 0.4, REWORK, 256)
         assert lean_tau == pytest.approx(rich_tau, rel=1e-10)
         assert lean_q == pytest.approx(rich_q, rel=1e-10)
 
@@ -279,21 +303,20 @@ class TestBatchedMoments:
     @pytest.mark.parametrize("name", ["fig5-beta22", "fig5-beta52", "fig6"])
     def test_matches_split_quadrature(self, name):
         # 512 prices from 1e-6 theta_hi, where every draft is reviewed, to
-        # 1.1 theta_hi, where none is, and the thresholds at every panel end
-        # k / 16, each taken with its exact signal.  The split rule at 512
-        # nodes is the reference.
+        # 1.1 theta_hi, where none is, and the thresholds at every shared
+        # panel edge, each taken with its exact signal.  The split rule at
+        # 256 nodes per panel is the reference.
         spec = load_config(fixture_path(f"{name}.json"))
         env, rework = spec.env, spec.rework
         theta_hi = env.review_scale * env.risk_map.value(1.0)
         stars = np.geomspace(1e-6 * theta_hi, 1.1 * theta_hi, 512) / env.review_scale
         splits = ver._signal_at_risk(env.risk_map, stars)
         assert {0.0, 1.0} < set(splits.tolist())
-        ends = np.arange(ver._TABLE_PANELS + 1) / ver._TABLE_PANELS
-        stars = np.concatenate((stars, env.risk_map.value(ends)))
-        splits = np.concatenate((splits, ends))
+        stars = np.concatenate((stars, env.risk_map.value(env._edges)))
+        splits = np.concatenate((splits, env._edges))
         tau, q = ver._table_moments(env, ver._moment_table(env), rework, stars, splits)
         for star, tau_row, q_row in zip(stars, tau, q):
-            ref_tau, ref_q = ver._policy_moments(env, star * env.review_scale, rework, 512)
+            ref_tau, ref_q = ver._policy_moments(env, star * env.review_scale, rework, 256)
             assert abs(tau_row - ref_tau) <= 1e-13 * ref_tau
             assert abs(q_row - ref_q) <= 1e-13 * ref_q
 
@@ -306,20 +329,59 @@ class TestBatchedMoments:
         assert [threshold_signal(env, theta) for theta in thetas][::2] == [0.0, 1.0]
         tau, q = _table_at(env, thetas)
         for theta, tau_row, q_row in zip(thetas, tau, q):
-            ref_tau, ref_q = ver._policy_moments(env, theta, REWORK, 512)
+            ref_tau, ref_q = ver._policy_moments(env, theta, REWORK, 256)
             assert tau_row == pytest.approx(ref_tau, rel=1e-13)
             assert q_row == pytest.approx(ref_q, rel=1e-13)
+
+
+class TestSignalEdges:
+    """The panel edges every integral over the signal density shares."""
+
+    @pytest.mark.parametrize("g", [10.0, 16.0])
+    def test_integer_shapes_and_mild_map_keep_uniform_panels(self, g):
+        # So the shipped fixtures' moment table is the 16 uniform panels.
+        env = dataclasses.replace(ENV, signal_alpha=5.0, risk_map=dataclasses.replace(RISK, g=g))
+        np.testing.assert_array_equal(env._edges, np.arange(17) / 16)
+
+    def test_fractional_shape_grades_its_end(self, make_env):
+        # 1/16 halved 40 times toward 0; beta = 5 leaves the other end alone.
+        edges = make_env(alpha=2.25, beta=5.0)._edges
+        assert edges[0] == 0.0
+        np.testing.assert_array_equal(edges[1:41], 2.0 ** -np.arange(44.0, 4.0, -1.0))
+        np.testing.assert_array_equal(edges[41:], np.arange(1, 17) / 16)
+
+    def test_narrow_density_adds_graded_points_around_its_mean(self, make_env):
+        # Beta(2, 1000): mean 2 / 1002, standard deviation 1.4e-3, and
+        # 2^j sd stays below 1/16 for j = 0..5; points below 0 are dropped.
+        env = make_env(alpha=2.0, beta=1000.0)
+        mean = 2.0 / 1002.0
+        steps = math.sqrt(mean * (1.0 - mean) / 1003.0) * 2.0 ** np.arange(6)
+        expected = np.union1d(np.arange(17) / 16, mean + np.concatenate(([0.0], steps, -steps)))
+        np.testing.assert_array_equal(env._edges, expected[expected >= 0.0])
+
+    def test_steep_map_adds_graded_points_around_its_midpoint(self):
+        # At g = 300, 2^j / g stays below 1/16 for j = 0..4.
+        env = dataclasses.replace(ENV, risk_map=dataclasses.replace(RISK, g=300.0))
+        steps = 2.0 ** np.arange(5) / 300.0
+        np.testing.assert_array_equal(
+            env._edges,
+            np.union1d(np.arange(17) / 16, 0.55 + np.concatenate(([0.0], steps, -steps))),
+        )
 
 
 class TestIrreducibleStream:
     def test_zero_without_irreducible_share(self):
         assert irreducible_escape_rate(ENV) == 0.0
 
-    def test_matches_quadrature(self, make_env):
-        env = make_env(p_inf=0.3)
-        assert irreducible_escape_rate(env) == pytest.approx(
-            0.3 * _mean_risk(env), rel=1e-9
-        )
+    def test_matches_quadrature(self):
+        # Also for a steep risk map, whose midpoint the panel edges resolve.
+        for g, s0 in ((10.0, 0.55), (1e4, 0.3)):
+            env = dataclasses.replace(
+                ENV, p_inf=0.3, risk_map=dataclasses.replace(RISK, g=g, s0=s0)
+            )
+            assert irreducible_escape_rate(env) == pytest.approx(
+                0.3 * _mean_risk(env), rel=1e-13
+            )
 
     def test_irreducible_share_only_rescales_price(self, make_env):
         # p_inf enters the policy solely through the review scale, so the
@@ -362,13 +424,49 @@ class TestSolveEquilibrium:
     def test_agrees_with_quadrature_bisection(self):
         solution = solve_equilibrium(ENV, REWORK, 0.75, 1.0)
         star = solution.primary.theta_star
+        assert star == pytest.approx(_oracle_root(ENV, REWORK, 0.75, 1.0, star), rel=1e-8)
 
-        def gap(theta):
-            tau, q = _quad_moments(ENV, theta, REWORK)
-            return theta - ENV.c_w * 0.75**3 * q / (2.0 * (1.0 - 0.75 * tau) ** 2)
+    @pytest.mark.parametrize("name", ["fig5-beta22", "fig5-beta52", "fig6"])
+    @pytest.mark.parametrize(
+        "change",
+        [*(dict(g=g) for g in (300.0, 1e3, 1e4)),
+         *(dict(signal_alpha=a, signal_beta=b)
+           for a, b in ((2.25, 2.0), (2.25, 5.0), (7.0, 2.5), (1.5, 1.0), (2.0, 1000.0)))],
+        ids=["g300", "g1e3", "g1e4", "beta2.25-2", "beta2.25-5", "beta7-2.5", "beta1.5-1",
+             "beta2-1000"],
+    )
+    def test_steep_maps_and_fractional_shapes_match_oracle(self, name, change):
+        # A steep logistic needs panel edges at s0, a shape that is not an
+        # integer the end panel graded toward its end, and a density
+        # narrower than a uniform panel edges around its mean.
+        spec = load_config(fixture_path(f"{name}.json"))
+        env = spec.env
+        if "g" in change:
+            env = dataclasses.replace(env, risk_map=dataclasses.replace(env.risk_map, **change))
+        else:
+            env = dataclasses.replace(env, **change)
+        solution = solve_equilibrium(env, spec.rework, spec.lam, spec.capacity)
+        for eq in solution.roots:
+            oracle = _oracle_root(env, spec.rework, spec.lam, spec.capacity, eq.theta_star)
+            assert eq.theta_star == pytest.approx(oracle, rel=1e-12)
 
-        oracle = brentq(gap, 0.9 * star, 1.1 * star, xtol=1e-13)
-        assert star == pytest.approx(oracle, rel=1e-8)
+    @pytest.mark.parametrize("name, g", [("fig5-beta22", 1e4), ("fig5-beta22", 1e308),
+                                         ("fig6", 1e308)])
+    def test_stability_boundary_of_steep_map(self, name, g):
+        # theta_lo is the price where lam tau_A / C reaches 1 - EPS_RHO,
+        # inflated by 1e-6.  At g = 1e308 the risk map is a step at s0.
+        spec = load_config(fixture_path(f"{name}.json"))
+        env = dataclasses.replace(
+            spec.env, risk_map=dataclasses.replace(spec.env.risk_map, g=g)
+        )
+        solution = solve_equilibrium(env, spec.rework, spec.lam, spec.capacity)
+        boundary = solution.theta_lo / (1.0 + 1e-6)
+        oracle = brentq(
+            lambda t: spec.lam * _quad_moments(env, t, spec.rework)[0] / spec.capacity
+            - (1.0 - EPS_RHO),
+            boundary * (1.0 - 1e-6), boundary * (1.0 + 1e-6), xtol=1e-300,
+        )
+        assert boundary == pytest.approx(oracle, rel=1e-11)
 
     def test_multiple_roots_sorted_and_certified(self):
         env = SignalEnvironment(
@@ -700,10 +798,20 @@ class TestEnvironmentValidation:
             assert err.value.field == "signal_alpha"
 
     def test_singular_density_shapes_rejected(self, make_env):
-        with pytest.raises(ValidationError):
-            make_env(alpha=0.5)
-        with pytest.raises(ValidationError):
-            make_env(beta=0.5)
+        # Below 1 the density is infinite at an end of [0, 1].
+        for field, shape in (("signal_alpha", 0.5), ("signal_beta", 0.999)):
+            with pytest.raises(ValidationError, match="must be >= 1") as err:
+                make_env(**{field.removeprefix("signal_"): shape})
+            assert err.value.field == field
+
+    def test_shapes_with_a_flat_or_fractional_end_validate(self, make_env):
+        # The end panel graded toward a fractional shape integrates these to
+        # within the 1e-10 the check allows.
+        for alpha, beta in ((1.0, 1.3), (1.5, 1.0)):
+            assert make_env(alpha=alpha, beta=beta)._edges.size > 17
+        # A density too concentrated for the panels is still rejected.
+        with pytest.raises(ValidationError, match="does not integrate to 1"):
+            make_env(alpha=1e30, beta=1.0)
 
     def test_zero_waiting_cost_is_admitted(self, make_env):
         assert make_env(c_w=0.0).c_w == 0.0
