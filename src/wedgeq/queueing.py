@@ -4,7 +4,7 @@ A server of capacity ``C`` works through attention-hours at rate C per hour,
 so a task needing T attention-hours occupies it for T / C wall-clock hours.
 With Poisson arrivals at rate lambda the mean queueing delay is exact:
 
-    Wq = lambda * q / (2 C (C - lambda m))
+    Wq = (lambda / C) q / (2 (C - lambda m))
 
 where (m, q) are the first two raw moments of the attention requirement.
 For renewal arrivals with squared CV ``c2_a`` the same quantity is
@@ -13,6 +13,7 @@ approximated by scaling the exact result by (c2_a + c2_s) / (1 + c2_s).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import StabilityError, ValidationError
@@ -75,15 +76,28 @@ def require_stable(lam: float, mean: float, capacity: float, label: str = "the q
 
 
 def wq_pk(inputs: QueueInputs) -> WaitResult:
-    """Exact mean delay for Poisson arrivals (raw-moment form)."""
-    rho = require_stable(inputs.lam, inputs.service.mean, inputs.capacity)
+    """Exact mean delay for Poisson arrivals (raw-moment form).
+
+    Evaluated as (lambda / C) * q / (2 (C - lambda m)): the textbook
+    denominator 2 C (C - lambda m) underflows to 0 for a small but stable
+    capacity.  At C = 1 both forms round alike.
+    """
+    lam, capacity = inputs.lam, inputs.capacity
+    rho = require_stable(lam, inputs.service.mean, capacity)
     m = inputs.service.mean
     q = inputs.service.m2
-    wq = inputs.lam * q / (2.0 * inputs.capacity * (inputs.capacity - inputs.lam * m))
+    wq = lam / capacity * q / (2.0 * (capacity - lam * m))
+    total_sojourn = wq + m / capacity
+    if not math.isfinite(total_sojourn):
+        raise ValidationError(
+            f"capacity_C = {capacity:.6g} is too small: the mean wait or service time "
+            "overflows",
+            field="capacity_C",
+        )
     return WaitResult(
         rho=rho,
         wq=wq,
-        total_sojourn=wq + m / inputs.capacity,
+        total_sojourn=total_sojourn,
         method="pollaczek-khinchine",
         approximate=False,
     )

@@ -6,8 +6,11 @@ of variation follows as ``m2 / mean**2 - 1``.  The AI route spends a fixed
 review effort ``r`` up front and, with the residual error probability left
 after that review, pays an independent random rework cost on top.
 
-Sampling uses gamma families matched to the requested first two moments, so
-simulated moments agree with the analytic ones by construction.
+Every sampled time, here and in the simulator's interarrival gaps, comes
+from one sampler, ``sample_gamma``: the gamma matched to the time's mean
+and squared CV c2 (shape 1/c2), so simulated moments agree with the
+analytic ones by construction.  At c2 = 0 it is the point mass at the
+mean, and at c2 = 1 the exponential.
 """
 
 from __future__ import annotations
@@ -141,8 +144,8 @@ class ErrorCurve:
 class ReworkModel:
     """Rework cost paid when an error escapes review.
 
-    Specified by its first two raw moments; draws come from the gamma
-    distribution matching them (a point mass when mu_R2 == mu_R^2).
+    Specified by its first two raw moments; ``sample_rework`` draws from the
+    gamma matching them (a point mass when mu_R2 == mu_R^2).
     """
 
     mu_R: float
@@ -163,25 +166,6 @@ class ReworkModel:
                 f"unsupported rework family {self.family!r}; only 'gamma' is implemented",
                 field="family",
             )
-
-    @property
-    def variance(self) -> float:
-        return max(0.0, self.mu_R2 - self.mu_R**2)
-
-    @property
-    def gamma_shape(self) -> float | None:
-        """Shape of the moment-matched gamma; None for a point mass."""
-        var = self.variance
-        if var == 0.0:
-            return None
-        return self.mu_R**2 / var
-
-    @property
-    def gamma_scale(self) -> float:
-        var = self.variance
-        if var == 0.0:
-            return 0.0
-        return var / self.mu_R
 
     @property
     def moments(self) -> RouteMoments:
@@ -227,21 +211,40 @@ def mixed_moments(manual: ManualRoute, ai: RouteMoments, x: float) -> RouteMomen
     return RouteMoments(mean=mean, m2=m2)
 
 
-def sample_manual(route: ManualRoute, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` manual completion times (gamma matched to tau_H, c2_H)."""
-    if route.c2_H == 0.0:
-        return np.full(size, route.tau_H)
-    shape = 1.0 / route.c2_H
-    scale = route.tau_H * route.c2_H
+def sample_gamma(
+    rng: np.random.Generator, mean: float, shape: float | None, scale: float, size: int
+) -> np.ndarray:
+    """Draw ``size`` times from the gamma with ``shape`` and ``scale``, of mean ``mean``.
+
+    ``shape`` None is the point mass at ``mean`` (c2 = 0) and draws nothing.  Shape 1
+    is the exponential, drawn by numpy's exponential fill: the same bits,
+    and the same stream position after, as ``rng.gamma(1.0, scale, size)``.
+    """
+    if shape is None:
+        return np.full(size, mean)
+    if shape == 1.0:
+        draws = rng.standard_exponential(size)
+        draws *= scale
+        return draws
     return rng.gamma(shape, scale, size)
 
 
+def sample_manual(route: ManualRoute, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Draw ``size`` manual completion times (gamma matched to tau_H, c2_H)."""
+    c2 = route.c2_H
+    return sample_gamma(rng, route.tau_H, 1.0 / c2 if c2 else None, route.tau_H * c2, size)
+
+
 def sample_rework(rework: ReworkModel, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Draw ``size`` rework costs from the moment-matched gamma (or point mass)."""
-    shape = rework.gamma_shape
-    if shape is None:
-        return np.full(size, rework.mu_R)
-    return rng.gamma(shape, rework.gamma_scale, size)
+    """Draw ``size`` rework costs from the gamma matched to mu_R and mu_R2."""
+    mu = rework.mu_R
+    var = max(0.0, rework.mu_R2 - mu**2)
+    return sample_gamma(rng, mu, mu**2 / var if var else None, var / mu, size)
+
+
+def fixed_first_pass(curve: ErrorCurve, r: float, rng: np.random.Generator, size: int):
+    """Review times and escape flags of ``size`` AI drafts reviewed for ``r`` hours each."""
+    return np.full(size, float(r)), rng.random(size) < residual_error(curve, float(r))
 
 
 def sample_ai(
@@ -253,9 +256,7 @@ def sample_ai(
     time plus an independent rework draw, caught ones only ``r``: the k-th
     rework draw goes to the k-th escaped task.
     """
-    p = residual_error(curve, float(r))
-    escaped = rng.random(size) < p
-    times = np.full(size, float(r))
+    times, escaped = fixed_first_pass(curve, r, rng, size)
     slots = np.flatnonzero(escaped)
     if slots.size:
         times[slots] += sample_rework(rework, rng, size=slots.size)

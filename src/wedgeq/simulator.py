@@ -1,7 +1,9 @@
 """Discrete-event single-server FIFO queue for validating the analytics.
 
-Tasks arrive by a renewal process (exponential gaps by default, gamma
-gaps for general c2_a, constant gaps at c2_a=0), are routed to the manual
+Tasks arrive by a renewal process whose gaps come from the package's one
+sampler, ``service_model.sample_gamma``, matched to mean 1/lambda and
+squared CV c2_a (exponential at the default c2_a = 1, constant at
+c2_a = 0).  They are routed to the manual
 or AI route by an independent coin, and occupy the server for their
 attention requirement divided by capacity.  Rework is either folded into
 the originating task's service time (matching the analytic model) or, in
@@ -42,12 +44,13 @@ import numpy as np
 from ._kernels import IMPL, QueueState, simulate_fifo
 from ._special import t_quantile
 from .config import SimSettings, WorkflowSpec
-from .errors import InfeasibleError
+from .errors import InfeasibleError, ValidationError
 from .queueing import is_stable
 from .service_model import (
     ai_route_moments,
+    fixed_first_pass,
     mixed_moments,
-    residual_error,
+    sample_gamma,
     sample_manual,
     sample_rework,
 )
@@ -65,6 +68,20 @@ class SimConfig(SimSettings):
     """One simulation: a workflow and its SimSettings."""
 
     workflow: WorkflowSpec
+
+    def __post_init__(self):
+        super().__post_init__()
+        # The gap sampler's mean, shape and scale, checked before anything is drawn.
+        lam, c2 = self.workflow.lam, self.workflow.c2_a
+        for field, value, what in (
+            ("lambda", 1.0 / lam, "lambda is too small: the mean gap 1 / lambda"),
+            ("c2_a", 1.0 / c2 if c2 else 0.0, "c2_a is too small: the gap shape 1 / c2_a"),
+            ("c2_a", 1.0 / lam * c2, "c2_a is too large: the gap scale c2_a / lambda"),
+        ):
+            if not math.isfinite(value):
+                raise ValidationError(
+                    f"{what} overflows (lambda = {lam:.6g}, c2_a = {c2:.6g})", field=field
+                )
 
     @classmethod
     def from_workflow(cls, workflow: WorkflowSpec, seed: int | None = None) -> "SimConfig":
@@ -111,13 +128,8 @@ class SimStats:
 
 
 def _draw_interarrivals(workflow: WorkflowSpec, rng: np.random.Generator, n: int):
-    mean_gap = 1.0 / workflow.lam
-    c2 = workflow.c2_a
-    if c2 == 0.0:
-        return np.full(n, mean_gap)
-    if c2 == 1.0:
-        return rng.exponential(mean_gap, n)
-    return rng.gamma(1.0 / c2, mean_gap * c2, n)
+    mean_gap, c2 = 1.0 / workflow.lam, workflow.c2_a
+    return sample_gamma(rng, mean_gap, 1.0 / c2 if c2 else None, mean_gap * c2, n)
 
 
 def _analytic_stable(workflow: WorkflowSpec, theta: float | None) -> bool:
@@ -159,20 +171,20 @@ def _t_half_width(means) -> float:
     """Half-width of the two-sided Student-t interval at CI_LEVEL from iid means."""
     n = means.size
     t_mult = t_quantile(0.5 + CI_LEVEL / 2.0, n - 1)
-    return t_mult * float(means.std(ddof=1)) / math.sqrt(n)
+    # Means past 1e150 (a tiny capacity) are scaled to at most 1 first, so
+    # their squared deviations cannot overflow.
+    top = float(np.abs(means).max())
+    sd = float(means.std(ddof=1)) if top < 1e150 else top * float((means / top).std(ddof=1))
+    return t_mult * sd / math.sqrt(n)
 
 
 def _draw_ai_first_pass(workflow: WorkflowSpec, theta, n_ai: int, rng_escape, rng_signal):
     """Review times and escape flags of n_ai AI drafts."""
     if workflow.mode == "fixed":
-        review_times = np.full(n_ai, float(workflow.review_r))
-        p_escape = residual_error(workflow.curve, workflow.review_r)
-    else:
-        env = workflow.env
-        signals = rng_signal.beta(env.signal_alpha, env.signal_beta, n_ai)
-        review_times, p_escape = review_policy(
-            env, pi_star(env, theta), env.risk_map.value(signals)
-        )
+        return fixed_first_pass(workflow.curve, workflow.review_r, rng_escape, n_ai)
+    env = workflow.env
+    signals = rng_signal.beta(env.signal_alpha, env.signal_beta, n_ai)
+    review_times, p_escape = review_policy(env, pi_star(env, theta), env.risk_map.value(signals))
     return review_times, rng_escape.random(n_ai) < p_escape
 
 
@@ -280,6 +292,13 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         # them belong to warm-up tasks.
         rework_wait_sum += float(rework_waits[max(warm_spawns - walked, 0) :].sum())
         walked += rework_waits.size
+
+    if window == 0.0:
+        raise ValidationError(
+            f"c2_a = {workflow.c2_a:.6g} is too large to simulate at lambda = "
+            f"{workflow.lam:.6g}: every post-warm-up interarrival gap drew 0",
+            field="c2_a",
+        )
 
     # --- estimation ---------------------------------------------------------
     n_batches = config.n_batches

@@ -589,6 +589,31 @@ class TestErrorContract:
                      ("fig5-beta22", "signal_env.signal", '{"alpha": 7, "beta": 2.5}')),
                 )
             ],
+            # A tiny but stable capacity: 2 C (C - lambda m) underflows to 0.
+            *[
+                pytest.param(argv, ("fig2", "capacity_C", "1e-300", "lambda", "1e-301"), 0,
+                             id=f"{argv[0]}-tiny-capacity")
+                for argv in (["moments"], ["wait"], ["wedge"], ["sweep", "--grid", "1e-301"],
+                             ["simulate"])
+            ],
+            # Arrival gaps the sampler cannot draw: a mean, shape or scale that
+            # overflows, or gaps that all draw 0 and leave no time window.
+            *[
+                pytest.param(["simulate"], (fixture, *edits), 2, id=f"simulate-{name}")
+                for fixture, name, edits in (
+                    ("fig2", "subnormal-lambda", ("lambda", "5e-324")),
+                    ("fig2", "subnormal-c2_a", ("c2_a", "5e-324")),
+                    ("fig2", "gap-scale-overflows", ("lambda", "1e-10", "c2_a", "1e300")),
+                    *[
+                        (fixture, f"{fixture}-{mode}-c2_a-{c2_a}",
+                         ("c2_a", c2_a, "sim.rework_mode", f'"{mode}"'))
+                        for c2_a in ("1e12", "1e150", "1e300")
+                        for fixture, mode in (
+                            ("fig2", "folded"), ("fig2", "feedback"), ("fig5-beta22", "folded")
+                        )
+                    ],
+                )
+            ],
             pytest.param(
                 ["equilibrium"], ("fig5-beta22", "signal_env.signal.beta", "0.9"), 2,
                 id="beta-below-1",
@@ -631,6 +656,22 @@ class TestErrorContract:
         else:
             assert out == ""
             assert isinstance(json.loads(err), dict)
+
+    def test_tiny_capacity_wait_is_the_unit_wait_over_c(self, capsys, tmp_path):
+        tiny = _run_json(capsys, "moments", "--config", _edited(
+            tmp_path, "fig2", "capacity_C", "1e-300", "lambda", "1e-301"))
+        unit = _run_json(capsys, "moments", "--config", _edited(tmp_path, "fig2", "lambda", "0.1"))
+        assert tiny["queue"]["wq_pk"] == pytest.approx(unit["queue"]["wq_pk"] / 1e-300, rel=1e-11)
+
+    @pytest.mark.parametrize("edits, field", [
+        (("lambda", "5e-324"), "lambda"),
+        (("c2_a", "5e-324"), "c2_a"),
+        (("c2_a", "1e300"), "c2_a"),
+    ])
+    def test_degenerate_arrivals_name_their_field(self, capsys, tmp_path, edits, field):
+        code, _, err = _run(capsys, "simulate", "--config", _edited(tmp_path, "fig2", *edits))
+        assert code == 2
+        assert json.loads(err)["field"] == field
 
 
 class TestReentrantMain:

@@ -52,6 +52,22 @@ class TestExactDelay:
         assert fast.wq == pytest.approx(unit.wq, rel=1e-12)
         assert fast.rho == pytest.approx(unit.rho, rel=1e-12)
 
+    @pytest.mark.parametrize("capacity", [1e-300, 1e-150, 1e-10, 0.3, 1.0, 7.0, 1e100])
+    def test_wait_at_capacity_c_is_the_unit_wait_of_lam_over_c_over_c(self, capacity):
+        # Time scales by 1/C: wq(C, lam) = wq(1, lam / C) / C, down to a
+        # capacity whose 2 C (C - lam m) underflows to 0.
+        lam = 0.1 * capacity
+        got = wq_pk(_inputs(lam, 0.85, 1.25, capacity=capacity))
+        unit = wq_pk(_inputs(lam / capacity, 0.85, 1.25))
+        assert got.wq == pytest.approx(unit.wq / capacity, rel=1e-12)
+        assert got.total_sojourn == pytest.approx(unit.total_sojourn / capacity, rel=1e-12)
+        assert got.rho == pytest.approx(unit.rho, rel=1e-12)
+
+    def test_overflowing_wait_names_capacity(self):
+        with pytest.raises(ValidationError, match="capacity_C") as err:
+            wq_pk(_inputs(1e-301, 1.0, 1e10, capacity=1e-300))
+        assert err.value.field == "capacity_C"
+
     @given(
         lam=st.floats(0.05, 0.9),
         mean=st.floats(0.1, 1.0),

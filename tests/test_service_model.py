@@ -17,6 +17,7 @@ from wedgeq import (
     sample_manual,
     sample_rework,
 )
+from wedgeq.service_model import sample_gamma
 
 
 class TestResidualError:
@@ -101,9 +102,11 @@ class TestValidation:
             ReworkModel(mu_R=1.0, mu_R2=2.0, family="lognormal")
 
     def test_deterministic_rework_permitted(self):
+        # mu_R2 == mu_R^2 is a point mass: every draw is mu_R and none is made.
         rw = ReworkModel(mu_R=2.0, mu_R2=4.0)
-        assert rw.gamma_shape is None
-        assert rw.variance == 0.0
+        rng = np.random.default_rng(5)
+        assert sample_rework(rw, rng, size=3).tobytes() == np.full(3, 2.0).tobytes()
+        assert rng.random() == np.random.default_rng(5).random()
 
 
 class TestAiRouteMoments:
@@ -196,7 +199,8 @@ class TestSampling:
         # The same draws made by hand: flags first, then one rework per escape.
         rng = np.random.default_rng(7)
         flags = rng.random(size) < p
-        draws = rng.gamma(rework.gamma_shape, rework.gamma_scale, int(flags.sum()))
+        var = rework.mu_R2 - rework.mu_R**2
+        draws = rng.gamma(rework.mu_R**2 / var, var / rework.mu_R, int(flags.sum()))
         expected = [0.5] * size
         k = 0
         for slot in range(size):
@@ -211,3 +215,64 @@ class TestSampling:
         b = sample_ai(curve, rework, 0.5, np.random.default_rng(99), size=100)
         assert np.array_equal(a[0], b[0])
         assert np.array_equal(a[1], b[1])
+
+
+class TestSampleGamma:
+    """The one sampler behind every arrival and service draw."""
+
+    @staticmethod
+    def _same_draws(draw, raw, seed=11):
+        """draw(rng) equals raw(rng) bit for bit, and leaves the stream where raw does."""
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        got, want = draw(rng), raw(ref)
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == ref.random()
+
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_point_mass_draws_nothing(self, size):
+        self._same_draws(
+            lambda rng: sample_gamma(rng, 1.75, None, 0.0, size), lambda rng: np.full(size, 1.75)
+        )
+
+    @pytest.mark.parametrize("size", [0, 1, 1000])
+    def test_shape_one_is_the_exponential(self, size):
+        def draw(rng):
+            return sample_gamma(rng, 2.5, 1.0, 2.5, size)
+
+        self._same_draws(draw, lambda rng: rng.exponential(2.5, size))
+        self._same_draws(draw, lambda rng: rng.gamma(1.0, 2.5, size))
+
+    @pytest.mark.parametrize("shape", [1e-3, 0.3, 0.999, 1.001, 4.2, 1e6])
+    def test_other_shapes_are_numpy_gamma(self, shape):
+        self._same_draws(
+            lambda rng: sample_gamma(rng, shape * 0.5, shape, 0.5, 1000),
+            lambda rng: rng.gamma(shape, 0.5, 1000),
+        )
+
+    def test_manual_at_unit_c2_takes_the_exponential_path(self):
+        route = ManualRoute(tau_H=2.0, c2_H=1.0)
+        self._same_draws(
+            lambda rng: sample_manual(route, rng, size=1000),
+            lambda rng: rng.standard_exponential(1000) * 2.0,
+        )
+        draws = sample_manual(route, np.random.default_rng(3), size=300_000)
+        assert draws.mean() == pytest.approx(2.0, rel=0.01)
+        assert draws.var() / draws.mean() ** 2 == pytest.approx(1.0, rel=0.03)
+
+    def test_rework_at_unit_c2_takes_the_exponential_path(self):
+        # mu_R2 = 2 mu_R^2: the matched shape mu_R^2 / var is exactly 1.
+        rw = ReworkModel(mu_R=1.5, mu_R2=4.5)
+        self._same_draws(
+            lambda rng: sample_rework(rw, rng, size=1000),
+            lambda rng: rng.standard_exponential(1000) * 1.5,
+        )
+        draws = sample_rework(rw, np.random.default_rng(3), size=300_000)
+        assert draws.mean() == pytest.approx(1.5, rel=0.01)
+        assert (draws**2).mean() == pytest.approx(4.5, rel=0.02)
+
+    def test_rework_draws_the_matched_gamma(self, rework):
+        var = rework.mu_R2 - rework.mu_R**2
+        self._same_draws(
+            lambda rng: sample_rework(rework, rng, size=1000),
+            lambda rng: rng.gamma(rework.mu_R**2 / var, var / rework.mu_R, 1000),
+        )

@@ -190,9 +190,11 @@ class TestEstimatorInternals:
 class TestStreaming:
     """simulator.run draws, walks and reduces one chunk of arrivals at a time."""
 
-    # Every Generator call the simulator makes, as (name, draw(rng, size)).
+    # Every Generator call the simulator makes, as (name, draw(rng, size)), and
+    # the exponential and shape-1 gamma calls whose bits its shape-1 draws equal.
     DRAWS = [
         ("exponential", lambda rng, k: rng.exponential(2.0, k)),
+        ("standard_exponential", lambda rng, k: rng.standard_exponential(k)),
         ("gamma shape < 1", lambda rng, k: rng.gamma(0.3, 1.5, k)),
         ("gamma shape = 1", lambda rng, k: rng.gamma(1.0, 1.5, k)),
         ("gamma shape > 1", lambda rng, k: rng.gamma(4.2, 0.5, k)),
