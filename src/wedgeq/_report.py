@@ -12,7 +12,7 @@ shortest repr of its 12-significant-digit rounding, and a non-finite one
 as ``null``.  Keys must be str.  One recursive emitter writes that layout
 directly, because json's C encoder does not run when an indent is given.
 CSV reports write floats with ``.12g`` and non-finite values as empty
-cells.
+cells, in the table and in the ``# key=value`` comment lines alike.
 
 Table rows, in either format, are formatted a column at a time: a column
 of finite floats by one ``%.12g`` call (the digits of ``.12g``), a column
@@ -154,7 +154,9 @@ def format_cell(value) -> str:
 
 
 def render_csv(header, rows, comments=()) -> str:
-    lines = [f"# {comment}" for comment in comments]
+    """The CSV report: a '# key=value' line per (key, value) pair of comments,
+    the value formatted as a cell, then the header and the rows."""
+    lines = [f"# {key}={format_cell(value)}" for key, value in comments]
     lines.append(",".join(header))
     lines.extend(map(",".join, _formatted_rows(rows, format_cell)))
     return "\n".join(lines) + "\n"

@@ -27,20 +27,14 @@ from ._report import render_csv, render_json, round_sig
 from .config import MAX_SEED, WorkflowSpec, load_config, require_count
 from .errors import StabilityError, ValidationError, WedgeqError
 from .service_model import (
-    ai_route_moments,
     mixed_moments,
     require_finite,
     residual_error,
     sample_ai,
     sample_manual,
 )
-from .simulator import SimConfig, replicate
-from .verification import (
-    effort_for_risk,
-    irreducible_escape_rate,
-    policy_route_moments,
-    solve_equilibrium,
-)
+from .simulator import SimConfig, replicate, route_moments
+from .verification import effort_for_risk, irreducible_escape_rate, solve_equilibrium
 
 
 # Size limits: samples drawn per route by dist, and the rows of every table
@@ -110,7 +104,8 @@ def _parse_list(text: str, name: str, sign: str | None = None) -> list[float]:
 
 
 def _emit_table(args, payload: dict, header, rows, comments=()) -> str:
-    """A table command's report: payload plus rows as JSON, or CSV with comment lines."""
+    """A table command's report: payload plus rows as JSON, or CSV with a comment line
+    per (key, value) pair of comments."""
     if args.format == "json":
         return render_json(payload, table=(header, rows))
     return render_csv(header, rows, comments=comments)
@@ -127,15 +122,6 @@ def _inputs_block(spec: WorkflowSpec) -> dict:
     if spec.mode == "fixed":
         block["review_r"] = spec.review_r
     return block
-
-
-def _routes(spec: WorkflowSpec, theta: float | None = None):
-    """AI and mixed route moments: at the fixed effort, or under the review policy at theta."""
-    if theta is None:
-        ai = ai_route_moments(spec.curve, spec.rework, spec.review_r)
-    else:
-        ai = policy_route_moments(spec.env, theta, spec.rework)
-    return ai, mixed_moments(spec.manual, ai, spec.x)
 
 
 def _header(command: str, spec: WorkflowSpec, ai, mixed=None, p_r: bool = True) -> dict:
@@ -171,7 +157,7 @@ def _queue_block(spec: WorkflowSpec, mixed) -> dict:
 # command handlers
 
 def _handle_moments(spec: WorkflowSpec, args) -> str:
-    ai, mixed = _routes(spec)
+    ai, mixed = route_moments(spec)
     queue = _queue_block(spec, mixed)
     queue.setdefault("wq_pk", None)
     queue.setdefault("wq_kingman", None)
@@ -179,7 +165,7 @@ def _handle_moments(spec: WorkflowSpec, args) -> str:
 
 
 def _handle_wait(spec: WorkflowSpec, args) -> str:
-    ai, mixed = _routes(spec)
+    ai, mixed = route_moments(spec)
     payload = _header("wait", spec, ai, mixed)
     waits = payload["waits"] = {}
     for name, moments in (("manual", spec.manual.moments), ("ai", ai), ("mixed", mixed)):
@@ -199,13 +185,13 @@ def _handle_wait(spec: WorkflowSpec, args) -> str:
 
 
 def _handle_wedge(spec: WorkflowSpec, args) -> str:
-    ai, _ = _routes(spec)
+    ai, _ = route_moments(spec)
     report = diagnostics.wedge_test(spec.manual, ai, spec.lam, spec.capacity)
     return render_json({**_header("wedge", spec, ai), "wedge": asdict(report)})
 
 
 def _handle_stabilize(spec: WorkflowSpec, args) -> str:
-    ai, _ = _routes(spec)
+    ai, _ = route_moments(spec)
     result = diagnostics.stabilization(spec.manual, ai, spec.lam, spec.capacity)
     payload = _header("stabilize", spec, ai, p_r=False)
     payload.update(
@@ -223,7 +209,7 @@ def _handle_stabilize(spec: WorkflowSpec, args) -> str:
 
 def _handle_sweep(spec: WorkflowSpec, args) -> str:
     grid = _parse_grid(args.grid, "--grid", "> 0")
-    ai, _ = _routes(spec)
+    ai, _ = route_moments(spec)
     header = ["lambda", "w_manual", "w_ai", "rho_H", "rho_A", "stable_H", "stable_A"]
     routes = (spec.manual.moments, ai)
     rows = []
@@ -254,9 +240,8 @@ def _handle_design(spec: WorkflowSpec, args) -> str:
             except StabilityError:
                 budget = None  # AI route unstable at this (s, rho_H) cell
             rows.append([s, rho_h, budget])
-    comments = (f"c2_H={round_sig(spec.manual.c2_H):.12g}",)
     payload = {"command": "design", "c2_H": spec.manual.c2_H}
-    return _emit_table(args, payload, header, rows, comments)
+    return _emit_table(args, payload, header, rows, (("c2_H", spec.manual.c2_H),))
 
 
 def _handle_dist(spec: WorkflowSpec, args) -> str:
@@ -329,9 +314,8 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
         ai_counts.tolist(),
         (ai_counts * scale).tolist(),
     ))
-    comments = tuple(f"{key}={format(value, '.12g') if isinstance(value, float) else value}"
-                     for key, value in moments.items())
-    return _emit_table(args, {"command": "dist", "moments": moments}, header, rows, comments)
+    payload = {"command": "dist", "moments": moments}
+    return _emit_table(args, payload, header, rows, moments.items())
 
 
 def _handle_equilibrium(spec: WorkflowSpec, args) -> str:
@@ -367,11 +351,7 @@ def _handle_review_curve(spec: WorkflowSpec, args) -> str:
     for theta in thetas:
         efforts = effort_for_risk(spec.env, theta, pi_grid).tolist()
         rows.extend([pi, theta, effort] for pi, effort in zip(pi_grid, efforts))
-    comments = (
-        f"K={format(spec.env.K, '.12g')}",
-        f"kappa={format(spec.env.kappa, '.12g')}",
-        f"p_inf={format(spec.env.p_inf, '.12g')}",
-    )
+    comments = (("K", spec.env.K), ("kappa", spec.env.kappa), ("p_inf", spec.env.p_inf))
     return _emit_table(args, {"command": "review-curve"}, header, rows, comments)
 
 
@@ -380,7 +360,7 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
         require_count(args.seed, "--seed", 0, MAX_SEED)
     config = SimConfig.from_workflow(spec, seed=args.seed)
     stats = replicate(config)
-    ai, mixed = _routes(spec, stats.theta_star)
+    ai, mixed = route_moments(spec, stats.theta_star)
     analytic = _queue_block(spec, mixed)
     deltas = {}
     if analytic["stable"]:

@@ -108,15 +108,22 @@ def wq_kingman(inputs: QueueInputs) -> WaitResult:
 
     Computed as the exact Poisson-arrival delay rescaled by
     (c2_a + c2_s) / (1 + c2_s), so c2_a == 1 reproduces ``wq_pk`` bit for
-    bit and c2_a == c2_s == 0 gives exactly zero delay.
+    bit and c2_a == c2_s == 0 gives exactly zero delay.  The factor is at
+    most max(1, c2_a), so only a large c2_a can make the wait overflow.
     """
     base = wq_pk(inputs)
     c2_s = inputs.service.c2
     wq = base.wq * (inputs.c2_a + c2_s) / (1.0 + c2_s)
+    total_sojourn = wq + inputs.service.mean / inputs.capacity
+    if not math.isfinite(total_sojourn):
+        raise ValidationError(
+            f"c2_a = {inputs.c2_a:.6g} is too large: the Kingman wait overflows",
+            field="c2_a",
+        )
     return WaitResult(
         rho=base.rho,
         wq=wq,
-        total_sojourn=wq + inputs.service.mean / inputs.capacity,
+        total_sojourn=total_sojourn,
         method="kingman",
         approximate=True,
     )

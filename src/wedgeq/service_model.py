@@ -167,10 +167,6 @@ class ReworkModel:
                 field="family",
             )
 
-    @property
-    def moments(self) -> RouteMoments:
-        return RouteMoments(mean=self.mu_R, m2=self.mu_R2)
-
 
 def residual_error(curve: ErrorCurve, r: float) -> float:
     """Error probability remaining after ``r`` hours of review.
@@ -229,10 +225,28 @@ def sample_gamma(
     return rng.gamma(shape, scale, size)
 
 
+def manual_shape(route: ManualRoute) -> float | None:
+    """The gamma shape 1 / c2_H of the manual times (None, the point mass, at c2_H = 0).
+
+    Raises ValidationError on ``manual.c2_H`` when the shape overflows (a
+    positive c2_H below about 5.6e-309), whose gamma would draw inf.  The
+    analytic moments need no shape, so only the samplers check it.
+    """
+    c2 = route.c2_H
+    if not c2:
+        return None
+    if not math.isfinite(1.0 / c2):
+        raise ValidationError(
+            f"c2_H is too small to sample: the gamma shape 1 / c2_H of the manual "
+            f"times overflows (c2_H = {c2:.6g})",
+            field="manual.c2_H",
+        )
+    return 1.0 / c2
+
+
 def sample_manual(route: ManualRoute, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` manual completion times (gamma matched to tau_H, c2_H)."""
-    c2 = route.c2_H
-    return sample_gamma(rng, route.tau_H, 1.0 / c2 if c2 else None, route.tau_H * c2, size)
+    return sample_gamma(rng, route.tau_H, manual_shape(route), route.tau_H * route.c2_H, size)
 
 
 def sample_rework(rework: ReworkModel, rng: np.random.Generator, size: int) -> np.ndarray:

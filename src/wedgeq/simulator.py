@@ -3,14 +3,18 @@
 Tasks arrive by a renewal process whose gaps come from the package's one
 sampler, ``service_model.sample_gamma``, matched to mean 1/lambda and
 squared CV c2_a (exponential at the default c2_a = 1, constant at
-c2_a = 0).  They are routed to the manual
-or AI route by an independent coin, and occupy the server for their
-attention requirement divided by capacity.  Rework is either folded into
-the originating task's service time (matching the analytic model) or, in
-the exploratory feedback mode, re-enters the tail of the queue as a
-separate job, in which case reported waits are first-pass only.  A task's
-sojourn, to the end of its chain, is its waits plus its services: a rework
-enters exactly when its parent departs.
+c2_a = 0).  They take the AI route with probability x by an independent
+coin (no coin is drawn at x = 1 or x = 0), and occupy the server for their
+attention requirement divided by capacity.  An AI draft is reviewed in the
+workflow's review mode: at the fixed effort, or under the review policy at
+the equilibrium price.  ``route_moments`` gives the analytic route moments
+in either mode, for the CLI reports and for a run's stability verdict, and
+``_draw_ai_first_pass`` draws the review times and escape flags.  Rework
+is either folded into the originating task's service time (matching the
+analytic model) or, in the exploratory feedback mode, re-enters the tail
+of the queue as a separate job, in which case reported waits are
+first-pass only.  A task's sojourn, to the end of its chain, is its waits
+plus its services: a rework enters exactly when its parent departs.
 
 Randomness is split into six independent substreams (interarrivals, route
 choice, manual service, escape flags, rework draws, signals) so changing
@@ -23,7 +27,9 @@ through the queue and folded into running sums before the next is drawn,
 and only the post-warm-up waits are kept, for the batch means and the exact
 quantiles.  A run therefore holds 8 bytes per post-warm-up arrival (6.4 per
 arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded) to
-3 MB (feedback) for the chunk in hand.
+3 MB (feedback) for the chunk in hand.  A chunk's escapes are kept as
+indices, split into warm-up and measured ones at the chunk's first
+post-warm-up arrival.
 
 This module owns the chunk size.  The queue kernel walks each chunk's drawn
 interarrival gaps as one walk, continued from the queue state the chunk
@@ -49,6 +55,7 @@ from .queueing import is_stable
 from .service_model import (
     ai_route_moments,
     fixed_first_pass,
+    manual_shape,
     mixed_moments,
     sample_gamma,
     sample_manual,
@@ -71,7 +78,9 @@ class SimConfig(SimSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        # The gap sampler's mean, shape and scale, checked before anything is drawn.
+        # The manual sampler's shape, and the gap sampler's mean, shape and
+        # scale, checked before anything is drawn.
+        manual_shape(self.workflow.manual)
         lam, c2 = self.workflow.lam, self.workflow.c2_a
         for field, value, what in (
             ("lambda", 1.0 / lam, "lambda is too small: the mean gap 1 / lambda"),
@@ -132,13 +141,17 @@ def _draw_interarrivals(workflow: WorkflowSpec, rng: np.random.Generator, n: int
     return sample_gamma(rng, mean_gap, 1.0 / c2 if c2 else None, mean_gap * c2, n)
 
 
-def _analytic_stable(workflow: WorkflowSpec, theta: float | None) -> bool:
+def route_moments(workflow: WorkflowSpec, theta: float | None = None):
+    """The AI and mixed route moments: at the fixed effort, or under the review policy at theta.
+
+    The one source of route moments for the reports and for a run's
+    analytic stability verdict.
+    """
     if workflow.mode == "fixed":
         ai = ai_route_moments(workflow.curve, workflow.rework, workflow.review_r)
     else:
         ai = policy_route_moments(workflow.env, theta, workflow.rework)
-    mix = mixed_moments(workflow.manual, ai, workflow.x)
-    return is_stable(workflow.lam, mix.mean, workflow.capacity)
+    return ai, mixed_moments(workflow.manual, ai, workflow.x)
 
 
 def _resolve_theta(config: SimConfig) -> float | None:
@@ -160,11 +173,9 @@ _SUMMED = ("n_arrivals", "n_rework_jobs", "warmup_skipped")
 _AVERAGED = ("wq_p50", "wq_p90", "wq_p99", "rho_hat", "busy_fraction", "service_mean",
              "service_m2", "sojourn_mean")
 
-# The kernel's "no job spawns rework" arguments, used by folded runs and by
-# feedback runs with no AI route.
+# The kernel's "no job spawns rework" arguments, used by folded runs.
 _NO_SPAWN = np.zeros(0, dtype=bool)
 _NO_REWORK = np.zeros(0)
-_NO_INDEX = np.zeros(0, dtype=np.intp)
 
 
 def _t_half_width(means) -> float:
@@ -206,7 +217,6 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
     n = config.n_arrivals
     capacity = workflow.capacity
     folded = config.rework_mode == "folded"
-    mixed = 0.0 < workflow.x < 1.0
 
     seed_seq = np.random.SeedSequence(entropy=config.seed, spawn_key=(rep,))
     (rng_arrival, rng_route, rng_manual, rng_escape, rng_rework, rng_signal) = (
@@ -233,23 +243,18 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         gaps = _draw_interarrivals(workflow, rng_arrival, m)
         window += float(gaps[p:].sum())
 
-        # Routing.  is_ai is None when every task takes the same route, so
-        # the common x = 1 and x = 0 cases skip the mask scatters.
-        if mixed:
+        # First-pass attention of every task, and the escape flags of AI
+        # drafts: x = 1 and x = 0 send every task one way, with no coin.
+        if workflow.x >= 1.0:
+            attention, escaped = _draw_ai_first_pass(workflow, theta, m, rng_escape, rng_signal)
+            n_ai_post += m - p
+        elif workflow.x <= 0.0:
+            attention = sample_manual(workflow.manual, rng_manual, size=m)
+            escaped = np.zeros(m, dtype=bool)
+        else:
             is_ai = rng_route.random(m) < workflow.x
             n_ai = int(np.count_nonzero(is_ai))
             n_ai_post += int(np.count_nonzero(is_ai[p:]))
-        else:
-            is_ai, n_ai = None, m if workflow.x >= 1.0 else 0
-            n_ai_post += m - p if n_ai else 0
-
-        # First-pass attention of every task, and the escape flags of AI drafts.
-        escaped = None
-        if n_ai == m:
-            attention, escaped = _draw_ai_first_pass(workflow, theta, m, rng_escape, rng_signal)
-        elif n_ai == 0:
-            attention = sample_manual(workflow.manual, rng_manual, size=m)
-        else:
             attention = np.zeros(m)
             attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=m - n_ai)
             review_times, escape_draws = _draw_ai_first_pass(
@@ -258,20 +263,17 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
             attention[is_ai] = review_times
             escaped = np.zeros(m, dtype=bool)
             escaped[is_ai] = escape_draws
-        if escaped is None:
-            escaped_at = _NO_INDEX
-        else:
-            # Indices rather than a boolean mask: the escapes are a small minority.
-            escaped_at = np.flatnonzero(escaped)
-            n_escaped_post += int(np.count_nonzero(escaped[p:]))
-            warm_spawns += int(np.count_nonzero(escaped[:p]))
+        # Indices rather than a boolean mask: the escapes are a small minority.
+        escaped_at = np.flatnonzero(escaped)
+        warm = int(np.searchsorted(escaped_at, p))  # escapes of warm-up arrivals
+        warm_spawns += warm
+        n_escaped_post += escaped_at.size - warm
         rework_draws = sample_rework(workflow.rework, rng_rework, size=escaped_at.size)
 
         if not folded:
             services = attention / capacity  # the first pass; rework re-enters on its own
-            spawn_mask = _NO_SPAWN if escaped is None else escaped
             # In spawn order: the escapes are flagged in arrival order.
-            rework_services = rework_draws / capacity
+            spawn_mask, rework_services = escaped, rework_draws / capacity
         # Total attention of each task's chain (first pass + any rework), in place.
         chain_attention = attention
         chain_attention[escaped_at] += rework_draws
@@ -338,8 +340,10 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
 
 def _runs(config: SimConfig, reps: int) -> list[SimStats]:
     """The first reps replications, sharing one price and one analytic stability verdict."""
+    workflow = config.workflow
     theta = _resolve_theta(config)
-    unstable = not _analytic_stable(config.workflow, theta)
+    _, mixed = route_moments(workflow, theta)
+    unstable = not is_stable(workflow.lam, mixed.mean, workflow.capacity)
     return [_run_single(config, rep, theta, unstable) for rep in range(reps)]
 
 

@@ -614,6 +614,15 @@ class TestErrorContract:
                     ],
                 )
             ],
+            # A Kingman wait that overflows (rho = 0.935), and a manual
+            # gamma shape 1 / c2_H that overflows.
+            pytest.param(["moments"], ("fig2", "c2_a", "1e308", "lambda", "1.1"), 2,
+                         id="moments-kingman-overflows"),
+            *[
+                pytest.param([command], ("fig2", "x", "0.5", "manual.c2_H", "5e-324"), 2,
+                             id=f"{command}-subnormal-c2_H")
+                for command in ("dist", "simulate")
+            ],
             pytest.param(
                 ["equilibrium"], ("fig5-beta22", "signal_env.signal.beta", "0.9"), 2,
                 id="beta-below-1",
@@ -670,6 +679,17 @@ class TestErrorContract:
     ])
     def test_degenerate_arrivals_name_their_field(self, capsys, tmp_path, edits, field):
         code, _, err = _run(capsys, "simulate", "--config", _edited(tmp_path, "fig2", *edits))
+        assert code == 2
+        assert json.loads(err)["field"] == field
+
+    @pytest.mark.parametrize("command, edits, field", [
+        ("moments", ("c2_a", "1e308", "lambda", "1.1"), "c2_a"),
+        ("dist", ("x", "0.5", "manual.c2_H", "5e-324"), "manual.c2_H"),
+        ("simulate", ("x", "0.5", "manual.c2_H", "5e-324"), "manual.c2_H"),
+    ])
+    def test_overflowing_derived_inputs_name_their_field(self, capsys, tmp_path, command,
+                                                        edits, field):
+        code, _, err = _run(capsys, command, "--config", _edited(tmp_path, "fig2", *edits))
         assert code == 2
         assert json.loads(err)["field"] == field
 

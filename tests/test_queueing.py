@@ -97,6 +97,20 @@ class TestKingman:
         got = wq_kingman(_inputs(lam, mean, c2, capacity=capacity, c2_a=c2_a)).wq
         assert got == pytest.approx(expected, rel=1e-12)
 
+    @pytest.mark.parametrize("c2_a", [1e308, 1.7976931348623157e308])
+    def test_overflowing_wait_names_c2_a(self, c2_a):
+        # rho = 0.935, where the exact wait is 13.7552884615: only the
+        # factor (c2_a + c2_s) / (1 + c2_s) overflows.
+        inputs = _inputs(1.1, 0.85, 1.25, c2_a=c2_a)
+        assert wq_pk(inputs).wq == pytest.approx(13.7552884615, rel=1e-10)
+        with pytest.raises(ValidationError, match="c2_a") as err:
+            wq_kingman(inputs)
+        assert err.value.field == "c2_a"
+
+    def test_large_finite_wait_is_kept(self):
+        inputs = _inputs(1.1, 0.85, 1.25, c2_a=1e300)
+        assert wq_kingman(inputs).wq == pytest.approx(13.7552884615 * 1e300 / 2.25, rel=1e-10)
+
     def test_flagged_approximate(self):
         inputs = _inputs(0.5, 0.85, 1.25, c2_a=0.7)
         assert wq_kingman(inputs).approximate is True

@@ -33,7 +33,7 @@ def _oracle_json(payload) -> str:
 
 
 def _oracle_csv(header, rows, comments=()) -> str:
-    lines = [f"# {comment}" for comment in comments]
+    lines = [f"# {key}={format_cell(value)}" for key, value in comments]
     lines.append(",".join(header))
     lines.extend(",".join(format_cell(cell) for cell in row) for row in rows)
     return "\n".join(lines) + "\n"
@@ -124,7 +124,7 @@ def _both_renderers_match(header, rows):
     payload = {"command": "t"}
     expected = {**payload, "rows": [dict(zip(header, row)) for row in rows]}
     assert render_json(payload, table=(header, rows)) == _oracle_json(expected)
-    assert render_csv(header, rows, ("c",)) == _oracle_csv(header, rows, ("c",))
+    assert render_csv(header, rows, (("c", 1),)) == _oracle_csv(header, rows, (("c", 1),))
 
 
 class TestColumnTables:
@@ -199,5 +199,11 @@ class TestRenderCsv:
     @given(_tables())
     def test_matches_format_cell(self, table):
         _, header, rows = table
-        comments = ("c2_H=0.1",)
+        comments = (("c2_H", 0.1), ("n", 3))
         assert render_csv(header, rows, comments) == _oracle_csv(header, rows, comments)
+
+    def test_comment_lines_format_their_values_as_cells(self):
+        comments = (("c2_H", 0.1), ("n_samples", 100000), ("escape_rate", 1 / 3), ("K", 1e-300))
+        assert render_csv(["a"], [[1.0]], comments) == (
+            "# c2_H=0.1\n# n_samples=100000\n# escape_rate=0.333333333333\n# K=1e-300\na\n1\n"
+        )

@@ -171,6 +171,23 @@ class TestSampling:
         route = ManualRoute(tau_H=1.0, c2_H=0.0)
         assert np.all(sample_manual(route, rng, size=17) == 1.0)
 
+    @pytest.mark.parametrize("c2_H", [5e-324, 1e-310, 5.5e-309])
+    def test_manual_shape_that_overflows_is_refused_before_a_draw(self, c2_H):
+        # The route itself is valid: its moments are finite.  Only the
+        # sampler's gamma shape 1 / c2_H overflows.
+        route = ManualRoute(tau_H=1.0, c2_H=c2_H)
+        assert route.moments.m2 == 1.0
+        rng = np.random.default_rng(5)
+        with pytest.raises(ValidationError, match="c2_H is too small") as err:
+            sample_manual(route, rng, size=10)
+        assert err.value.field == "manual.c2_H"
+        assert rng.random() == np.random.default_rng(5).random()
+
+    def test_smallest_c2_H_with_a_finite_shape_is_sampled(self, rng):
+        draws = sample_manual(ManualRoute(tau_H=1.0, c2_H=5.6e-309), rng, size=1000)
+        assert np.isfinite(draws).all()
+        assert draws == pytest.approx(1.0, rel=1e-12)
+
     def test_manual_moment_match(self, rng):
         route = ManualRoute(tau_H=2.0, c2_H=0.7)
         draws = sample_manual(route, rng, size=300_000)

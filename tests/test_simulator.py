@@ -166,6 +166,32 @@ class TestEstimatorInternals:
         se = math.sqrt(0.15 * 0.85 / n_ai)
         assert stats.escape_rate == pytest.approx(0.15, abs=4 * se)
 
+    @pytest.mark.parametrize("mode", ["folded", "feedback"])
+    @pytest.mark.parametrize("x", [1.0, 0.5, 0.0])
+    def test_escape_counts_split_exactly_at_the_warmup(self, mode, x):
+        # The route coins and escape flags, regenerated from the run's
+        # substreams (route choice is the second of six, escape flags the
+        # fourth): the k-th AI task takes the k-th escape draw.  The warm-up
+        # ends inside the second chunk, on an escaped arrival.
+        n, seed = 40_000, 11
+        workflow = _fixed_workflow(x=x)
+        streams = np.random.SeedSequence(entropy=seed, spawn_key=(0,)).spawn(6)
+        rng_route, rng_escape = (np.random.default_rng(streams[i]) for i in (1, 3))
+        is_ai = rng_route.random(n) < x if 0.0 < x < 1.0 else np.full(n, x >= 1.0)
+        escaped = np.zeros(n, dtype=bool)
+        escaped[is_ai] = rng_escape.random(int(is_ai.sum())) < 0.15
+        k0 = int(np.flatnonzero(escaped[_CHUNK + 100 :])[0]) + _CHUNK + 100 if x else 18_000
+        assert _CHUNK < k0 < 2 * _CHUNK
+        stats = run(_config(workflow, n=n, seed=seed, rework_mode=mode,
+                            warmup_fraction=(k0 + 0.5) / n))
+        assert stats.warmup_skipped == k0
+        if x:
+            assert escaped[k0]
+            assert stats.escape_rate == escaped[k0:].sum() / is_ai[k0:].sum()
+        else:
+            assert stats.escape_rate is None
+        assert stats.n_rework_jobs == (escaped.sum() if mode == "feedback" else 0)
+
     def test_no_ai_traffic_no_escape_estimate(self):
         stats = run(_config(_fixed_workflow(x=0.0)))
         assert stats.escape_rate is None
