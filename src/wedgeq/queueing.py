@@ -108,12 +108,17 @@ def wq_kingman(inputs: QueueInputs) -> WaitResult:
 
     Computed as the exact Poisson-arrival delay rescaled by
     (c2_a + c2_s) / (1 + c2_s), so c2_a == 1 reproduces ``wq_pk`` bit for
-    bit and c2_a == c2_s == 0 gives exactly zero delay.  The factor is at
-    most max(1, c2_a), so only a large c2_a can make the wait overflow.
+    bit and c2_a == c2_s == 0 gives exactly zero delay.  The product
+    wq_pk * (c2_a + c2_s) can overflow where the wait does not (a huge c2_s),
+    so an overflowing product is redone as wq_pk times the factor, written
+    1 + (c2_a - 1) / (1 + c2_s).  The factor is at most max(1, c2_a), so
+    only a large c2_a can make the wait itself overflow.
     """
     base = wq_pk(inputs)
     c2_s = inputs.service.c2
     wq = base.wq * (inputs.c2_a + c2_s) / (1.0 + c2_s)
+    if not math.isfinite(wq):
+        wq = base.wq * (1.0 + (inputs.c2_a - 1.0) / (1.0 + c2_s))
     total_sojourn = wq + inputs.service.mean / inputs.capacity
     if not math.isfinite(total_sojourn):
         raise ValidationError(

@@ -225,28 +225,28 @@ def sample_gamma(
     return rng.gamma(shape, scale, size)
 
 
-def manual_shape(route: ManualRoute) -> float | None:
-    """The gamma shape 1 / c2_H of the manual times (None, the point mass, at c2_H = 0).
+def gamma_shape(c2: float, field: str) -> float | None:
+    """The gamma shape 1 / c2 of times with squared CV ``c2`` (None, the point mass, at c2 = 0).
 
-    Raises ValidationError on ``manual.c2_H`` when the shape overflows (a
-    positive c2_H below about 5.6e-309), whose gamma would draw inf.  The
+    Raises ValidationError on ``field`` when the shape overflows (a
+    positive c2 below about 5.6e-309), whose gamma would draw inf.  The
     analytic moments need no shape, so only the samplers check it.
     """
-    c2 = route.c2_H
     if not c2:
         return None
-    if not math.isfinite(1.0 / c2):
+    shape = 1.0 / c2
+    if not math.isfinite(shape):
         raise ValidationError(
-            f"c2_H is too small to sample: the gamma shape 1 / c2_H of the manual "
-            f"times overflows (c2_H = {c2:.6g})",
-            field="manual.c2_H",
+            f"{field} = {c2:.6g} is too small to sample: the gamma shape 1 / {field} overflows",
+            field=field,
         )
-    return 1.0 / c2
+    return shape
 
 
 def sample_manual(route: ManualRoute, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` manual completion times (gamma matched to tau_H, c2_H)."""
-    return sample_gamma(rng, route.tau_H, manual_shape(route), route.tau_H * route.c2_H, size)
+    shape = gamma_shape(route.c2_H, "manual.c2_H")
+    return sample_gamma(rng, route.tau_H, shape, route.tau_H * route.c2_H, size)
 
 
 def sample_rework(rework: ReworkModel, rng: np.random.Generator, size: int) -> np.ndarray:

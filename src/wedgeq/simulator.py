@@ -55,7 +55,7 @@ from .queueing import is_stable
 from .service_model import (
     ai_route_moments,
     fixed_first_pass,
-    manual_shape,
+    gamma_shape,
     mixed_moments,
     sample_gamma,
     sample_manual,
@@ -78,9 +78,7 @@ class SimConfig(SimSettings):
 
     def __post_init__(self):
         super().__post_init__()
-        # The manual sampler's shape, and the gap sampler's mean, shape and
-        # scale, checked before anything is drawn.
-        manual_shape(self.workflow.manual)
+        # The gap sampler's mean, shape and scale, checked before anything is drawn.
         lam, c2 = self.workflow.lam, self.workflow.c2_a
         for field, value, what in (
             ("lambda", 1.0 / lam, "lambda is too small: the mean gap 1 / lambda"),
@@ -138,7 +136,7 @@ class SimStats:
 
 def _draw_interarrivals(workflow: WorkflowSpec, rng: np.random.Generator, n: int):
     mean_gap, c2 = 1.0 / workflow.lam, workflow.c2_a
-    return sample_gamma(rng, mean_gap, 1.0 / c2 if c2 else None, mean_gap * c2, n)
+    return sample_gamma(rng, mean_gap, gamma_shape(c2, "c2_a"), mean_gap * c2, n)
 
 
 def route_moments(workflow: WorkflowSpec, theta: float | None = None):

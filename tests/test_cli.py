@@ -623,6 +623,17 @@ class TestErrorContract:
                              id=f"{command}-subnormal-c2_H")
                 for command in ("dist", "simulate")
             ],
+            # A finite Kingman wait whose product wq_pk * (c2_a + c2_s)
+            # overflows, and a subnormal c2_H where no manual time is drawn.
+            pytest.param(["moments"], ("fig2", "c2_a", "2e307", "lambda", "1.1"), 0,
+                         id="moments-kingman-finite"),
+            *[
+                pytest.param([command], ("fig2", "x", x, "manual.c2_H", "1e200"), 0,
+                             id=f"{command}-x{x}-huge-c2_H")
+                for command, x in (("wait", "1"), ("moments", "0"), ("simulate", "0"))
+            ],
+            pytest.param(["simulate"], ("fig2", "manual.c2_H", "5e-324"), 0,
+                         id="simulate-x1-subnormal-c2_H"),
             pytest.param(
                 ["equilibrium"], ("fig5-beta22", "signal_env.signal.beta", "0.9"), 2,
                 id="beta-below-1",
@@ -681,6 +692,14 @@ class TestErrorContract:
         code, _, err = _run(capsys, "simulate", "--config", _edited(tmp_path, "fig2", *edits))
         assert code == 2
         assert json.loads(err)["field"] == field
+
+    @pytest.mark.parametrize("command, x", [("wait", "1"), ("moments", "0")])
+    def test_huge_service_cv_keeps_the_poisson_kingman_wait(self, capsys, tmp_path, command, x):
+        # At c2_a = 1 the Kingman factor is 1, so the wait is wq_pk's 5e199.
+        doc = _run_json(capsys, command, "--config",
+                        _edited(tmp_path, "fig2", "x", x, "manual.c2_H", "1e200"))
+        queue = doc["queue"] if command == "moments" else doc["waits"]["manual"]
+        assert queue["wq_kingman"] == queue["wq_pk"] == pytest.approx(5e199, rel=1e-10)
 
     @pytest.mark.parametrize("command, edits, field", [
         ("moments", ("c2_a", "1e308", "lambda", "1.1"), "c2_a"),

@@ -99,17 +99,31 @@ class TestKingman:
 
     @pytest.mark.parametrize("c2_a", [1e308, 1.7976931348623157e308])
     def test_overflowing_wait_names_c2_a(self, c2_a):
-        # rho = 0.935, where the exact wait is 13.7552884615: only the
-        # factor (c2_a + c2_s) / (1 + c2_s) overflows.
+        # rho = 0.935, where the exact wait is 13.7552884615: the Kingman
+        # wait, about 13.755 c2_a / 2.25, overflows.
         inputs = _inputs(1.1, 0.85, 1.25, c2_a=c2_a)
         assert wq_pk(inputs).wq == pytest.approx(13.7552884615, rel=1e-10)
         with pytest.raises(ValidationError, match="c2_a") as err:
             wq_kingman(inputs)
         assert err.value.field == "c2_a"
 
-    def test_large_finite_wait_is_kept(self):
-        inputs = _inputs(1.1, 0.85, 1.25, c2_a=1e300)
-        assert wq_kingman(inputs).wq == pytest.approx(13.7552884615 * 1e300 / 2.25, rel=1e-10)
+    @pytest.mark.parametrize("c2_a", [1e300, 2e307])
+    def test_large_finite_wait_is_kept(self, c2_a):
+        # At 2e307 the product 13.755 (c2_a + c2_s) overflows but the wait,
+        # about 1.22e308, does not.
+        inputs = _inputs(1.1, 0.85, 1.25, c2_a=c2_a)
+        assert wq_kingman(inputs).wq == pytest.approx(13.7552884615 * (c2_a / 2.25), rel=1e-10)
+
+    def test_huge_service_cv_at_poisson_arrivals_keeps_the_exact_wait(self):
+        # wq_pk is 5e199 and the factor is 1: only the product
+        # wq_pk * (c2_a + c2_s) overflows.
+        inputs = _inputs(0.5, 1.0, 1e200, c2_a=1.0)
+        assert wq_pk(inputs).wq == pytest.approx(5e199, rel=1e-12)
+        assert wq_kingman(inputs).wq == wq_pk(inputs).wq  # bit-for-bit
+
+    def test_huge_service_cv_keeps_a_finite_wait(self):
+        inputs = _inputs(0.5, 1.0, 1e200, c2_a=0.5)
+        assert wq_kingman(inputs).wq == pytest.approx(5e199, rel=1e-12)
 
     def test_flagged_approximate(self):
         inputs = _inputs(0.5, 0.85, 1.25, c2_a=0.7)
