@@ -23,7 +23,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import diagnostics, queueing
-from ._report import render_csv, render_json, round_sig
+from ._report import render_csv, render_json
 from .config import MAX_SEED, WorkflowSpec, load_config, require_count
 from .errors import StabilityError, ValidationError, WedgeqError
 from .service_model import (
@@ -360,7 +360,7 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
         require_count(args.seed, "--seed", 0, MAX_SEED)
     config = SimConfig.from_workflow(spec, seed=args.seed)
     stats = replicate(config)
-    ai, mixed = route_moments(spec, stats.theta_star)
+    mixed = config.mixed
     analytic = _queue_block(spec, mixed)
     deltas = {}
     if analytic["stable"]:
@@ -523,9 +523,7 @@ def main(argv=None) -> int:
         payload = {"error": exc.code, "message": str(exc)}
         for extra in ("rho", "error_estimate", "field"):
             value = getattr(exc, extra, None)
-            if isinstance(value, float):
-                payload[extra] = round_sig(value)
-            elif isinstance(value, str):
+            if isinstance(value, (float, str)):
                 payload[extra] = value
         sys.stderr.write(render_json(payload))
         return exc.exit_code

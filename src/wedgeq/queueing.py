@@ -54,13 +54,18 @@ class WaitResult:
     approximate: bool
 
 
+def stability_margin(rho):
+    """(1 - EPS_RHO) - rho: positive exactly when rho < 1 - EPS_RHO (so never at NaN)."""
+    return (1.0 - EPS_RHO) - rho
+
+
 def is_stable(lam: float, mean: float, capacity: float) -> bool:
     """The load rule: rho = lam * mean / capacity stays below 1 - EPS_RHO.
 
     Every stability decision in the package, analytic or simulated, is
     this one comparison.
     """
-    return lam * mean / capacity < 1.0 - EPS_RHO
+    return stability_margin(lam * mean / capacity) > 0.0
 
 
 def require_stable(lam: float, mean: float, capacity: float, label: str = "the queue") -> float:

@@ -9,7 +9,8 @@ attention requirement divided by capacity.  An AI draft is reviewed in the
 workflow's review mode: at the fixed effort, or under the review policy at
 the equilibrium price.  ``route_moments`` gives the analytic route moments
 in either mode, for the CLI reports and for a run's stability verdict, and
-``_draw_ai_first_pass`` draws the review times and escape flags.  Rework
+``_draw_ai_first_pass`` draws the review times and escape flags.  A
+``SimConfig`` resolves what all its runs share once, when built.  Rework
 is either folded into the originating task's service time (matching the
 analytic model) or, in the exploratory feedback mode, re-enters the tail
 of the queue as a separate job, in which case reported waits are
@@ -41,9 +42,8 @@ post-warm-up arrivals, for rho_hat, is a running sum of their gaps.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -53,6 +53,7 @@ from .config import SimSettings, WorkflowSpec
 from .errors import InfeasibleError, ValidationError
 from .queueing import is_stable
 from .service_model import (
+    RouteMoments,
     ai_route_moments,
     fixed_first_pass,
     gamma_shape,
@@ -72,23 +73,45 @@ _CHUNK = 1 << 14
 
 @dataclass(frozen=True, kw_only=True)
 class SimConfig(SimSettings):
-    """One simulation: a workflow and its SimSettings."""
+    """One simulation: a workflow and its SimSettings, resolved once when built.
+
+    ``gap`` is the interarrival sampler's (mean, shape, scale), ``theta_star``
+    the equilibrium price in policy mode (None at a fixed effort) and ``mixed``
+    the analytic mixed route moments at it.  ``replace`` resolves a new config.
+    """
 
     workflow: WorkflowSpec
+    gap: tuple[float, float | None, float] = field(init=False, repr=False, compare=False)
+    theta_star: float | None = field(init=False, repr=False, compare=False)
+    mixed: RouteMoments = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         super().__post_init__()
         # The gap sampler's mean, shape and scale, checked before anything is drawn.
-        lam, c2 = self.workflow.lam, self.workflow.c2_a
-        for field, value, what in (
-            ("lambda", 1.0 / lam, "lambda is too small: the mean gap 1 / lambda"),
-            ("c2_a", 1.0 / c2 if c2 else 0.0, "c2_a is too small: the gap shape 1 / c2_a"),
-            ("c2_a", 1.0 / lam * c2, "c2_a is too large: the gap scale c2_a / lambda"),
+        workflow = self.workflow
+        lam, c2 = workflow.lam, workflow.c2_a
+        mean_gap = 1.0 / lam
+        for name, value, what in (
+            ("lambda", mean_gap, "lambda is too small: the mean gap 1 / lambda"),
+            ("c2_a", mean_gap * c2, "c2_a is too large: the gap scale c2_a / lambda"),
         ):
             if not math.isfinite(value):
                 raise ValidationError(
-                    f"{what} overflows (lambda = {lam:.6g}, c2_a = {c2:.6g})", field=field
+                    f"{what} overflows (lambda = {lam:.6g}, c2_a = {c2:.6g})", field=name
                 )
+        gap = (mean_gap, gamma_shape(c2, "c2_a"), mean_gap * c2)
+        theta = None
+        if workflow.mode == "policy":
+            solution = solve_equilibrium(workflow.env, workflow.rework, lam, workflow.capacity)
+            if solution.primary.degenerate:
+                raise InfeasibleError(
+                    "policy simulation needs a positive equilibrium review price; "
+                    "the equilibrium is degenerate (theta* = 0)"
+                )
+            theta = solution.primary.theta_star
+        _, mixed = route_moments(workflow, theta)
+        for name, value in (("gap", gap), ("theta_star", theta), ("mixed", mixed)):
+            object.__setattr__(self, name, value)
 
     @classmethod
     def from_workflow(cls, workflow: WorkflowSpec, seed: int | None = None) -> "SimConfig":
@@ -134,11 +157,6 @@ class SimStats:
     theta_star: float | None = None
 
 
-def _draw_interarrivals(workflow: WorkflowSpec, rng: np.random.Generator, n: int):
-    mean_gap, c2 = 1.0 / workflow.lam, workflow.c2_a
-    return sample_gamma(rng, mean_gap, gamma_shape(c2, "c2_a"), mean_gap * c2, n)
-
-
 def route_moments(workflow: WorkflowSpec, theta: float | None = None):
     """The AI and mixed route moments: at the fixed effort, or under the review policy at theta.
 
@@ -150,20 +168,6 @@ def route_moments(workflow: WorkflowSpec, theta: float | None = None):
     else:
         ai = policy_route_moments(workflow.env, theta, workflow.rework)
     return ai, mixed_moments(workflow.manual, ai, workflow.x)
-
-
-def _resolve_theta(config: SimConfig) -> float | None:
-    """Equilibrium price used for policy-mode service draws (None if fixed)."""
-    workflow = config.workflow
-    if workflow.mode != "policy":
-        return None
-    solution = solve_equilibrium(workflow.env, workflow.rework, workflow.lam, workflow.capacity)
-    if solution.primary.degenerate:
-        raise InfeasibleError(
-            "policy simulation needs a positive equilibrium review price; "
-            "the equilibrium is degenerate (theta* = 0)"
-        )
-    return solution.primary.theta_star
 
 
 # SimStats fields that replicate sums, and those it averages, across replications.
@@ -210,8 +214,8 @@ def _sorted_quantiles(values, qs) -> list[float]:
     return out
 
 
-def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool) -> SimStats:
-    workflow = config.workflow
+def _run_single(config: SimConfig, rep: int) -> SimStats:
+    workflow, theta = config.workflow, config.theta_star
     n = config.n_arrivals
     capacity = workflow.capacity
     folded = config.rework_mode == "folded"
@@ -238,7 +242,7 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         m = hi - lo
         p = min(max(k0 - lo, 0), m)  # the chunk's first post-warm-up arrival
 
-        gaps = _draw_interarrivals(workflow, rng_arrival, m)
+        gaps = sample_gamma(rng_arrival, *config.gap, m)
         window += float(gaps[p:].sum())
 
         # First-pass attention of every task, and the escape flags of AI
@@ -331,23 +335,14 @@ def _run_single(config: SimConfig, rep: int, theta: float | None, unstable: bool
         escape_rate=n_escaped_post / n_ai_post if n_ai_post else None,
         sojourn_mean=sojourn_sum / n_post,
         batch_means=tuple(float(b) for b in batch_means),
-        unstable=unstable,
+        unstable=not is_stable(workflow.lam, config.mixed.mean, capacity),
         theta_star=theta,
     )
 
 
-def _runs(config: SimConfig, reps: int) -> list[SimStats]:
-    """The first reps replications, sharing one price and one analytic stability verdict."""
-    workflow = config.workflow
-    theta = _resolve_theta(config)
-    _, mixed = route_moments(workflow, theta)
-    unstable = not is_stable(workflow.lam, mixed.mean, workflow.capacity)
-    return [_run_single(config, rep, theta, unstable) for rep in range(reps)]
-
-
 def run(config: SimConfig) -> SimStats:
     """The first replication (what ``replicate`` returns when ``config.reps == 1``)."""
-    return _runs(config, 1)[0]
+    return _run_single(config, 0)
 
 
 def replicate(config: SimConfig) -> SimStats:
@@ -358,12 +353,12 @@ def replicate(config: SimConfig) -> SimStats:
     means.  Counts are summed, and rates and quantiles are averaged across
     replications.
     """
-    runs = _runs(config, config.reps)
+    runs = [_run_single(config, rep) for rep in range(config.reps)]
     if config.reps == 1:
         return runs[0]
     rep_means = np.array([r.wq_mean for r in runs])
     escapes = [r.escape_rate for r in runs if r.escape_rate is not None]
-    return dataclasses.replace(
+    return replace(
         runs[0],
         **{name: sum(getattr(r, name) for r in runs) for name in _SUMMED},
         **{name: float(np.mean([getattr(r, name) for r in runs])) for name in _AVERAGED},

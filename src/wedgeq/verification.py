@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
     WedgeqError,
 )
-from .queueing import EPS_RHO, QueueInputs, is_stable, require_stable, wq_pk
+from .queueing import QueueInputs, is_stable, require_stable, stability_margin, wq_pk
 from .service_model import ReworkModel, RouteMoments, require_finite, require_no_overflow
 
 # Gauss-Legendre nodes per panel of the certifier's rule, and prices in the
@@ -616,8 +616,8 @@ def solve_equilibrium(
         return lam * moments_at(thetas)[0] / capacity
 
     def margin(rho: np.ndarray) -> np.ndarray:
-        """(1 - EPS_RHO) - rho, positive exactly where is_stable holds; -inf for a NaN load."""
-        return np.fmax((1.0 - EPS_RHO) - rho, -math.inf)
+        """The load rule's stability_margin, with -inf for a NaN load so it brackets."""
+        return np.fmax(stability_margin(rho), -math.inf)
 
     def g_at(thetas: np.ndarray) -> np.ndarray:
         """g = theta - Phi(theta) at each price; NaN where the queue is unstable."""

@@ -22,6 +22,8 @@ from wedgeq.config import load_config
 from wedgeq.errors import ValidationError
 from wedgeq.service_model import sample_ai, sample_manual
 
+from test_simulator import _count_calls
+
 FIG2 = str(fixture_path("fig2.json"))
 FIG4 = str(fixture_path("fig4.json"))
 FIG5A = str(fixture_path("fig5-beta22.json"))
@@ -489,6 +491,14 @@ class TestSimulate:
         assert other["settings"]["seed"] == 9
         assert other["sim"]["wq_mean"] != base["sim"]["wq_mean"]
 
+
+    def test_policy_run_solves_and_certifies_once(self, capsys, tmp_path, monkeypatch):
+        # The config's price and mixed moments serve the run and the
+        # analytic block alike.
+        calls = _count_calls(monkeypatch, "solve_equilibrium", "policy_route_moments")
+        doc = _run_json(capsys, "simulate", "--config", _edited(tmp_path, "fig5-beta22"))
+        assert calls == {"solve_equilibrium": 1, "policy_route_moments": 1}
+        assert doc["analytic"]["stable"] is True
 
     def test_oversized_run_exits_2(self, capsys, tmp_path):
         doc = json.loads(fixture_path("fig2.json").read_text())

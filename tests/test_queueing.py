@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,7 +11,7 @@ from wedgeq import (
     wq_kingman,
     wq_pk,
 )
-from wedgeq.queueing import is_stable, require_stable
+from wedgeq.queueing import is_stable, require_stable, stability_margin
 
 
 def _inputs(lam, mean, c2, capacity=1.0, c2_a=1.0):
@@ -152,6 +153,22 @@ class TestStability:
         with pytest.raises(StabilityError, match="ai route") as err:
             require_stable(2.0, 1.0, 1.0, "ai route")
         assert err.value.rho == 2.0
+
+    def test_is_stable_is_a_positive_margin(self):
+        # At the doubles next to 1 - EPS_RHO, at +-inf and at NaN, as
+        # scalars and as one array, is_stable reads the margin's sign.
+        edge = 1.0 - EPS_RHO
+        loads = [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 2.0),
+                 -np.inf, np.inf, np.nan]
+        want = [True, False, False, True, False, False]
+        for rho, stable in zip(loads, want):
+            assert (stability_margin(rho) > 0.0) == stable, rho
+            assert is_stable(rho, 1.0, 1.0) == stable, rho
+        loads = np.array(loads)
+        assert is_stable(loads, 1.0, 1.0).tolist() == want
+        assert (stability_margin(loads) > 0.0).tolist() == want
+        assert stability_margin(edge) == 0.0
+        assert stability_margin(np.nextafter(edge, 2.0)) < 0.0
 
     def test_validation(self):
         with pytest.raises(ValidationError):

@@ -22,6 +22,7 @@ from wedgeq import (
     fixture_path,
     load_config,
     mixed_moments,
+    policy_route_moments,
     replicate,
     residual_risk,
     run,
@@ -31,7 +32,8 @@ from wedgeq import (
 )
 from wedgeq._kernels import QueueState, simulate_fifo
 from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
-from wedgeq.simulator import _CHUNK, _draw_interarrivals, _sorted_quantiles
+from wedgeq.service_model import sample_gamma
+from wedgeq.simulator import _CHUNK, _sorted_quantiles
 
 from test_kernels import _heap_oracle
 
@@ -63,6 +65,17 @@ def _policy_workflow(lam=0.75):
         rework=ReworkModel(mu_R=1.5, mu_R2=4.0),
         env=ENV,
     )
+
+
+def _count_calls(monkeypatch, *names):
+    """Count the calls made through each of the simulator's bindings of names."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(simulator, name), **kwargs):
+            calls[_name] += 1
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(simulator, name, counted)
+    return calls
 
 
 def _config(workflow, n=16_000, seed=11, **kw):
@@ -204,7 +217,7 @@ class TestEstimatorInternals:
     def test_interarrival_families(self):
         rng = np.random.default_rng(0)
         workflow = _fixed_workflow(lam=0.5, c2_a=0.4)
-        gaps = _draw_interarrivals(workflow, rng, 400_000)
+        gaps = sample_gamma(rng, *_config(workflow).gap, 400_000)
         assert gaps.mean() == pytest.approx(2.0, rel=0.02)
         c2 = gaps.var() / gaps.mean() ** 2
         assert c2 == pytest.approx(0.4, rel=0.03)
@@ -347,8 +360,7 @@ class TestPrecision:
         stats = run(config)
         # The arrival substream is the first of replication 0's six.
         arrival_seed = np.random.SeedSequence(entropy=config.seed, spawn_key=(0,)).spawn(6)[0]
-        gaps = _draw_interarrivals(config.workflow, np.random.default_rng(arrival_seed),
-                                   config.n_arrivals)
+        gaps = sample_gamma(np.random.default_rng(arrival_seed), *config.gap, config.n_arrivals)
         want = _longdouble_lindley(gaps, np.concatenate(services))
         k0 = stats.warmup_skipped
         assert np.max(np.abs(np.concatenate(waits)[k0:] - want[k0:])) <= 2.5e-11
@@ -418,6 +430,33 @@ class TestPolicyMode:
         n_ai = stats.n_arrivals - stats.warmup_skipped
         se = math.sqrt(expected * (1.0 - expected) / n_ai)
         assert stats.escape_rate == pytest.approx(expected, abs=4 * se)
+
+    def test_config_resolves_once(self, monkeypatch):
+        # A config solves the equilibrium and certifies its route moments
+        # when it is built; its runs and replications only read them.
+        calls = _count_calls(monkeypatch, "solve_equilibrium", "policy_route_moments")
+        config = _config(_policy_workflow(), n=3_200, reps=2)
+        first, second = run(config), run(config)
+        replicate(config)
+        assert calls == {"solve_equilibrium": 1, "policy_route_moments": 1}
+        assert first == second
+        assert first.theta_star == config.theta_star
+        workflow = config.workflow
+        ai = policy_route_moments(ENV, config.theta_star, workflow.rework)
+        assert config.mixed == mixed_moments(workflow.manual, ai, workflow.x)
+
+    def test_replace_resolves_again(self, monkeypatch):
+        calls = _count_calls(monkeypatch, "solve_equilibrium", "policy_route_moments")
+        config = _config(_policy_workflow(), n=3_200)
+        resized = dataclasses.replace(config, n_arrivals=6_400)
+        assert calls == {"solve_equilibrium": 2, "policy_route_moments": 2}
+        assert resized.n_arrivals == 6_400
+        assert (resized.gap, resized.theta_star, resized.mixed) == (
+            config.gap, config.theta_star, config.mixed)
+        faster = dataclasses.replace(config, workflow=_policy_workflow(lam=0.8))
+        assert faster.gap[0] == 1.0 / 0.8
+        assert faster.theta_star != config.theta_star
+        assert faster.mixed.mean != config.mixed.mean
 
     def test_degenerate_equilibrium_refused(self):
         env = SignalEnvironment(
