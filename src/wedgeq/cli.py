@@ -18,13 +18,13 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
 from . import diagnostics, queueing
 from ._report import render_csv, render_json
-from .config import MAX_SEED, WorkflowSpec, load_config, require_count
+from .config import MAX_SEED, SimSettings, WorkflowSpec, load_config, require_count
 from .errors import StabilityError, ValidationError, WedgeqError
 from .service_model import (
     mixed_moments,
@@ -157,7 +157,7 @@ def _queue_block(spec: WorkflowSpec, mixed) -> dict:
 # command handlers
 
 def _handle_moments(spec: WorkflowSpec, args) -> str:
-    ai, mixed = route_moments(spec)
+    _, ai, mixed = route_moments(spec)
     queue = _queue_block(spec, mixed)
     queue.setdefault("wq_pk", None)
     queue.setdefault("wq_kingman", None)
@@ -165,7 +165,7 @@ def _handle_moments(spec: WorkflowSpec, args) -> str:
 
 
 def _handle_wait(spec: WorkflowSpec, args) -> str:
-    ai, mixed = route_moments(spec)
+    _, ai, mixed = route_moments(spec)
     payload = _header("wait", spec, ai, mixed)
     waits = payload["waits"] = {}
     for name, moments in (("manual", spec.manual.moments), ("ai", ai), ("mixed", mixed)):
@@ -185,13 +185,13 @@ def _handle_wait(spec: WorkflowSpec, args) -> str:
 
 
 def _handle_wedge(spec: WorkflowSpec, args) -> str:
-    ai, _ = route_moments(spec)
+    _, ai, _ = route_moments(spec)
     report = diagnostics.wedge_test(spec.manual, ai, spec.lam, spec.capacity)
     return render_json({**_header("wedge", spec, ai), "wedge": asdict(report)})
 
 
 def _handle_stabilize(spec: WorkflowSpec, args) -> str:
-    ai, _ = route_moments(spec)
+    _, ai, _ = route_moments(spec)
     result = diagnostics.stabilization(spec.manual, ai, spec.lam, spec.capacity)
     payload = _header("stabilize", spec, ai, p_r=False)
     payload.update(
@@ -209,7 +209,7 @@ def _handle_stabilize(spec: WorkflowSpec, args) -> str:
 
 def _handle_sweep(spec: WorkflowSpec, args) -> str:
     grid = _parse_grid(args.grid, "--grid", "> 0")
-    ai, _ = route_moments(spec)
+    _, ai, _ = route_moments(spec)
     header = ["lambda", "w_manual", "w_ai", "rho_H", "rho_A", "stable_H", "stable_A"]
     routes = (spec.manual.moments, ai)
     rows = []
@@ -376,12 +376,7 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
         "command": "simulate",
         "inputs": _inputs_block(spec),
         "settings": {
-            "seed": config.seed,
-            "n_arrivals": config.n_arrivals,
-            "warmup_fraction": config.warmup_fraction,
-            "n_batches": config.n_batches,
-            "reps": config.reps,
-            "rework_mode": config.rework_mode,
+            **{setting.name: getattr(config, setting.name) for setting in fields(SimSettings)},
             "arrival_family": config.arrival_family,
         },
         "sim": asdict(stats),

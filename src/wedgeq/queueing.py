@@ -50,7 +50,6 @@ class WaitResult:
     rho: float
     wq: float
     total_sojourn: float
-    method: str
     approximate: bool
 
 
@@ -103,7 +102,6 @@ def wq_pk(inputs: QueueInputs) -> WaitResult:
         rho=rho,
         wq=wq,
         total_sojourn=total_sojourn,
-        method="pollaczek-khinchine",
         approximate=False,
     )
 
@@ -134,6 +132,5 @@ def wq_kingman(inputs: QueueInputs) -> WaitResult:
         rho=base.rho,
         wq=wq,
         total_sojourn=total_sojourn,
-        method="kingman",
         approximate=True,
     )

@@ -7,9 +7,9 @@ c2_a = 0).  They take the AI route with probability x by an independent
 coin (no coin is drawn at x = 1 or x = 0), and occupy the server for their
 attention requirement divided by capacity.  An AI draft is reviewed in the
 workflow's review mode: at the fixed effort, or under the review policy at
-the equilibrium price.  ``route_moments`` gives the analytic route moments
-in either mode, for the CLI reports and for a run's stability verdict, and
-``_draw_ai_first_pass`` draws the review times and escape flags.  A
+the equilibrium price.  ``route_moments`` resolves the price and the
+analytic route moments at it, for the CLI reports and a run's stability
+verdict; ``_draw_ai_first_pass`` draws review times and escape flags.  A
 ``SimConfig`` resolves what all its runs share once, when built.  Rework
 is either folded into the originating task's service time (matching the
 analytic model) or, in the exploratory feedback mode, re-enters the tail
@@ -62,6 +62,7 @@ from .service_model import (
     sample_manual,
     sample_rework,
 )
+# policy_route_moments is not called here: the benchmark's tracer wraps this binding.
 from .verification import pi_star, policy_route_moments, review_policy, solve_equilibrium
 
 # Two-sided confidence level of every reported wait interval.
@@ -100,16 +101,7 @@ class SimConfig(SimSettings):
                     f"{what} overflows (lambda = {lam:.6g}, c2_a = {c2:.6g})", field=name
                 )
         gap = (mean_gap, gamma_shape(c2, "c2_a"), mean_gap * c2)
-        theta = None
-        if workflow.mode == "policy":
-            solution = solve_equilibrium(workflow.env, workflow.rework, lam, workflow.capacity)
-            if solution.primary.degenerate:
-                raise InfeasibleError(
-                    "policy simulation needs a positive equilibrium review price; "
-                    "the equilibrium is degenerate (theta* = 0)"
-                )
-            theta = solution.primary.theta_star
-        _, mixed = route_moments(workflow, theta)
+        theta, _, mixed = route_moments(workflow)
         for name, value in (("gap", gap), ("theta_star", theta), ("mixed", mixed)):
             object.__setattr__(self, name, value)
 
@@ -157,17 +149,27 @@ class SimStats:
     theta_star: float | None = None
 
 
-def route_moments(workflow: WorkflowSpec, theta: float | None = None):
-    """The AI and mixed route moments: at the fixed effort, or under the review policy at theta.
+def route_moments(workflow: WorkflowSpec):
+    """The workflow's operating point: (theta, ai, mixed).
 
+    At the fixed effort theta is None.  Under the review policy theta is the
+    primary equilibrium price and ai the route moments its solve certified.
     The one source of route moments for the reports and for a run's
     analytic stability verdict.
     """
     if workflow.mode == "fixed":
-        ai = ai_route_moments(workflow.curve, workflow.rework, workflow.review_r)
+        theta, ai = None, ai_route_moments(workflow.curve, workflow.rework, workflow.review_r)
     else:
-        ai = policy_route_moments(workflow.env, theta, workflow.rework)
-    return ai, mixed_moments(workflow.manual, ai, workflow.x)
+        primary = solve_equilibrium(
+            workflow.env, workflow.rework, workflow.lam, workflow.capacity
+        ).primary
+        if primary.degenerate:
+            raise InfeasibleError(
+                "policy simulation needs a positive equilibrium review price; "
+                "the equilibrium is degenerate (theta* = 0)"
+            )
+        theta, ai = primary.theta_star, RouteMoments(mean=primary.tau_A, m2=primary.q_A)
+    return theta, ai, mixed_moments(workflow.manual, ai, workflow.x)
 
 
 # SimStats fields that replicate sums, and those it averages, across replications.

@@ -16,11 +16,13 @@ theta = Phi(theta).
 Every integral over the signal density uses one set of panel edges, which
 the environment computes when it is validated: 16 uniform panels, graded
 toward an end whose Beta shape is not an integer, around a steep risk
-map's midpoint and around a narrow density's mean.  The equilibrium
-search prices each candidate theta from a table built once per solve:
-the cumulative integrals of pdf, log(pi) * pdf, log(pi)^2 * pdf and
-pi * pdf over those panels, to which each price adds two short partial
-rules at its threshold signal.  Every reported root is certified by
+map's midpoint and around a narrow density's mean.  It keeps pi and the
+weighted pdf at 24 nodes per panel for its normalisation check, the
+irreducible escape rate and the moment table.  The equilibrium search
+prices each candidate theta from a table built once per solve: the
+cumulative integrals of pdf, log(pi) * pdf, log(pi)^2 * pdf and pi * pdf
+over those panels, to which each price adds two short partial rules at
+its threshold signal.  Every reported root is certified by
 policy_route_moments, a direct quadrature over the same panels split at
 the threshold, with a doubling check.
 """
@@ -152,10 +154,11 @@ class SignalEnvironment:
     kappa: float
     c_w: float
     p_inf: float = 0.0
-    # log B(alpha, beta), the signal density's log-normaliser, and the panel
-    # edges of every signal integral (_signal_edges), set once below.
+    # Set once below: log B(alpha, beta), the density's log-normaliser, the
+    # edges of every signal integral and their read-only _TABLE_NODES _panels.
     _log_norm: float = field(init=False, repr=False, compare=False)
     _edges: np.ndarray = field(init=False, repr=False, compare=False)
+    _panel_values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # Below 1 the density is infinite at its end of [0, 1], where a
@@ -205,7 +208,10 @@ class SignalEnvironment:
         # Extreme shapes overflow the log-density to -inf: a density of 0,
         # which the check below rejects.
         with np.errstate(over="ignore"):
-            total = float(_panels(self, self._edges, _TABLE_NODES)[1].sum())
+            risk, weight = _panels(self, self._edges, _TABLE_NODES)
+            total = float(weight.sum())
+        risk.flags.writeable = weight.flags.writeable = False
+        object.__setattr__(self, "_panel_values", (risk, weight))
         if abs(total - 1.0) > 1e-10:
             raise ValidationError(
                 "signal density does not integrate to 1 within 1e-10 "
@@ -380,7 +386,7 @@ def _moment_table(env: SignalEnvironment):
     upper[j] holds the integrals of pdf, l * pdf and l^2 * pdf over [b_j, 1],
     and lower[j] the integral of pi * pdf over [0, b_j], for every edge.
     """
-    risk, weight = _panels(env, env._edges, _TABLE_NODES)
+    risk, weight = env._panel_values
     log_risk = np.log(risk)
     panel = _row_dots(
         weight[:, None, :], np.stack((np.ones_like(risk), log_risk, log_risk**2, risk), axis=1)
@@ -475,7 +481,7 @@ def irreducible_escape_rate(env: SignalEnvironment) -> float:
     This share of errors is uncatchable by review and is reported
     separately; it does not enter the policy route moments.
     """
-    risk, weight = _panels(env, env._edges, _TABLE_NODES)
+    risk, weight = env._panel_values
     return env.p_inf * float(_row_dots(weight, risk).sum())
 
 

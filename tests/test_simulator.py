@@ -28,6 +28,7 @@ from wedgeq import (
     run,
     simulator,
     solve_equilibrium,
+    verification,
     wq_pk,
 )
 from wedgeq._kernels import QueueState, simulate_fifo
@@ -68,13 +69,14 @@ def _policy_workflow(lam=0.75):
 
 
 def _count_calls(monkeypatch, *names):
-    """Count the calls made through each of the simulator's bindings of names."""
+    """Count the calls of each of names, through the simulator's binding and verification's."""
     calls = dict.fromkeys(names, 0)
-    for name in names:
-        def counted(*args, _name=name, _func=getattr(simulator, name), **kwargs):
-            calls[_name] += 1
-            return _func(*args, **kwargs)
-        monkeypatch.setattr(simulator, name, counted)
+    for module in (simulator, verification):
+        for name in names:
+            def counted(*args, _name=name, _func=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -432,8 +434,9 @@ class TestPolicyMode:
         assert stats.escape_rate == pytest.approx(expected, abs=4 * se)
 
     def test_config_resolves_once(self, monkeypatch):
-        # A config solves the equilibrium and certifies its route moments
-        # when it is built; its runs and replications only read them.
+        # A config solves the equilibrium when it is built, and takes its
+        # route moments from the solve's one certification of its root; its
+        # runs and replications only read them.
         calls = _count_calls(monkeypatch, "solve_equilibrium", "policy_route_moments")
         config = _config(_policy_workflow(), n=3_200, reps=2)
         first, second = run(config), run(config)
@@ -457,6 +460,18 @@ class TestPolicyMode:
         assert faster.gap[0] == 1.0 / 0.8
         assert faster.theta_star != config.theta_star
         assert faster.mixed.mean != config.mixed.mean
+
+    @pytest.mark.parametrize("name, roots", [("fig5-beta22", 1), ("fig5-beta52", 3), ("fig6", 1)])
+    def test_policy_config_certifies_each_root_once(self, monkeypatch, name, roots):
+        # One certification per root: its quadrature at 12 and at 24 nodes.
+        kernel = verification._policy_moments
+        calls = []
+        monkeypatch.setattr(
+            verification, "_policy_moments", lambda *args: calls.append(args[1]) or kernel(*args)
+        )
+        config = SimConfig.from_workflow(load_config(fixture_path(f"{name}.json")))
+        assert len(calls) == 2 * roots
+        assert config.theta_star == calls[0] == calls[1]
 
     def test_degenerate_equilibrium_refused(self):
         env = SignalEnvironment(

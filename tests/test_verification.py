@@ -369,6 +369,25 @@ class TestSignalEdges:
         )
 
 
+class TestPanelValues:
+    def test_density_evaluated_once_at_validation(self, monkeypatch, make_env):
+        env = make_env(p_inf=0.3)
+        risk, weight = env._panel_values
+        fresh_risk, fresh_weight = ver._panels(env, env._edges, ver._TABLE_NODES)
+        assert (risk.tobytes(), weight.tobytes()) == (fresh_risk.tobytes(), fresh_weight.tobytes())
+        assert not (risk.flags.writeable or weight.flags.writeable)
+        pdf = SignalEnvironment.signal_pdf
+        calls = []
+        monkeypatch.setattr(
+            SignalEnvironment, "signal_pdf", lambda self, s: calls.append(s) or pdf(self, s)
+        )
+        rate = irreducible_escape_rate(env)
+        ver._moment_table(env)
+        assert not calls
+        # The formula that evaluated the panels on every call.
+        assert rate == 0.3 * float(ver._row_dots(fresh_weight, fresh_risk).sum())
+
+
 class TestIrreducibleStream:
     def test_zero_without_irreducible_share(self):
         assert irreducible_escape_rate(ENV) == 0.0
