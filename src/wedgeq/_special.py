@@ -83,10 +83,11 @@ def _beta_fraction(a: float, b: float, x: float, y: float) -> float:
     c, d = f, 0.0
     for m in range(1, _CF_MAX_TERMS + 1):
         a2m = a + 2.0 * m
-        num = (a + m - 1.0) * (a + b + m - 1.0) * m * (b - m) * x * x / (a2m - 1.0) ** 2
+        odd = a2m - 1.0
+        num = (a + m - 1.0) * (a + b + m - 1.0) * m * (b - m) * x * x / (odd * odd)
         den = (
             m
-            + m * (b - m) * x / (a2m - 1.0)
+            + m * (b - m) * x / odd
             + (a + m) * (a * y - b * x + 1.0 + m * (2.0 - x)) / (a2m + 1.0)
         )
         d = den + num * d

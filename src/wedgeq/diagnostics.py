@@ -77,7 +77,7 @@ def variance_budget(c2_H: float, s: float, rho_H: float) -> float:
         )
     if s == 1.0:
         return c2_H
-    square = s**2
+    square = s * s
     if square == 0.0:
         # s below about 1e-162: s^2 underflows and the budget is unbounded,
         # as it already is once the quotient overflows.
@@ -163,8 +163,7 @@ def wedge_test(manual: ManualRoute, ai: RouteMoments, lam: float, capacity: floa
     w_ai = wq_pk(ai_inputs).wq
 
     # (1 + c2) == m2 / mean^2, which keeps identical routes at exactly 1.  Each
-    # square is two factors: mean**2 underflows below about 1e-162, and a
-    # float ** raises OverflowError where * gives inf.
+    # square is two divisions: mean * mean underflows below about 1e-162.
     lhs = (ai.m2 / ai.mean / ai.mean) / (manual.q_H / manual.tau_H / manual.tau_H)
     speedup = manual.tau_H / ai.mean
     rhs = speedup * speedup * (capacity - lam * ai.mean) / (capacity - lam * manual.tau_H)

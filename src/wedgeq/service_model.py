@@ -2,7 +2,7 @@
 
 Times are hours of human attention.  Each route is summarized by its first
 two raw moments (``mean`` = E[T], ``m2`` = E[T^2]); the squared coefficient
-of variation follows as ``m2 / mean**2 - 1``.  The AI route spends a fixed
+of variation follows as ``m2 / mean^2 - 1``.  The AI route spends a fixed
 review effort ``r`` up front and, with the residual error probability left
 after that review, pays an independent random rework cost on top.
 
@@ -11,6 +11,9 @@ from one sampler, ``sample_gamma``: the gamma matched to the time's mean
 and squared CV c2 (shape 1/c2), so simulated moments agree with the
 analytic ones by construction.  At c2 = 0 it is the point mass at the
 mean, and at c2 = 1 the exponential.
+
+Powers of floats are written as products throughout the package, so an
+overflow is inf, never an OverflowError, and the finiteness checks reject it.
 """
 
 from __future__ import annotations
@@ -43,17 +46,8 @@ def require_finite(value, field: str, sign: str | None = None):
         raise ValidationError(f"{field} must be {sign}, got {value}", field=field)
 
 
-def require_no_overflow(derived, field: str, expression: str):
-    """Raise, naming ``field``, unless ``derived()`` is a finite float.
-
-    For quantities a dataclass derives from its finite inputs: float ``**``
-    raises OverflowError where ``*`` returns inf, and both mean an input is
-    too large.
-    """
-    try:
-        value = derived()
-    except OverflowError:
-        value = math.inf
+def require_no_overflow(value: float, field: str, expression: str):
+    """Raise, naming ``field``, unless ``value``, derived from finite inputs, is finite."""
     if not math.isfinite(value):
         raise ValidationError(f"{field} is too large: {expression} overflows", field=field)
 
@@ -68,9 +62,9 @@ class RouteMoments:
     def __post_init__(self):
         require_finite(self.mean, "mean", ">= 0")
         require_finite(self.m2, "m2")
-        if self.m2 < self.mean**2 * (1.0 - _JENSEN_RTOL):
+        if self.m2 < self.mean * self.mean * (1.0 - _JENSEN_RTOL):
             raise ValidationError(
-                f"m2 ={self.m2} is below mean^2 ={self.mean**2}; "
+                f"m2 ={self.m2} is below mean^2 ={self.mean * self.mean}; "
                 "no distribution has that moment pair",
                 field="m2",
             )
@@ -86,7 +80,7 @@ class RouteMoments:
         """Squared coefficient of variation (0 for a degenerate time)."""
         if self.mean == 0.0:
             return 0.0
-        # Two divisions: mean**2 underflows to 0 for a mean below about 1e-162.
+        # Two divisions: mean * mean underflows to 0 for a mean below about 1e-162.
         return max(0.0, self.m2 / self.mean / self.mean - 1.0)
 
 
@@ -100,7 +94,7 @@ class ManualRoute:
     def __post_init__(self):
         require_finite(self.tau_H, "tau_H", "> 0")
         require_finite(self.c2_H, "c2_H", ">= 0")
-        require_no_overflow(lambda: self.q_H, "tau_H", "tau_H^2 * (1 + c2_H)")
+        require_no_overflow(self.q_H, "tau_H", "tau_H^2 * (1 + c2_H)")
         if self.q_H == 0.0:
             raise ValidationError(
                 "tau_H is too small: tau_H^2 * (1 + c2_H) underflows to 0", field="tau_H"
@@ -109,7 +103,7 @@ class ManualRoute:
     @property
     def q_H(self) -> float:
         """Second raw moment tau_H^2 * (1 + c2_H)."""
-        return self.tau_H**2 * (1.0 + self.c2_H)
+        return self.tau_H * self.tau_H * (1.0 + self.c2_H)
 
     @property
     def moments(self) -> RouteMoments:
@@ -155,10 +149,11 @@ class ReworkModel:
     def __post_init__(self):
         require_finite(self.mu_R, "mu_R", "> 0")
         require_finite(self.mu_R2, "mu_R2")
-        require_no_overflow(lambda: self.mu_R**2, "mu_R", "mu_R^2")
-        if self.mu_R2 < self.mu_R**2 * (1.0 - _JENSEN_RTOL):
+        square = self.mu_R * self.mu_R
+        require_no_overflow(square, "mu_R", "mu_R^2")
+        if self.mu_R2 < square * (1.0 - _JENSEN_RTOL):
             raise ValidationError(
-                f"mu_R2 ={self.mu_R2} is below mu_R^2 ={self.mu_R**2}",
+                f"mu_R2 ={self.mu_R2} is below mu_R^2 ={square}",
                 field="mu_R2",
             )
         if self.family != "gamma":
@@ -252,8 +247,8 @@ def sample_manual(route: ManualRoute, rng: np.random.Generator, size: int) -> np
 def sample_rework(rework: ReworkModel, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw ``size`` rework costs from the gamma matched to mu_R and mu_R2."""
     mu = rework.mu_R
-    var = max(0.0, rework.mu_R2 - mu**2)
-    return sample_gamma(rng, mu, mu**2 / var if var else None, var / mu, size)
+    var = max(0.0, rework.mu_R2 - mu * mu)
+    return sample_gamma(rng, mu, mu * mu / var if var else None, var / mu, size)
 
 
 def fixed_first_pass(curve: ErrorCurve, r: float, rng: np.random.Generator, size: int):

@@ -102,6 +102,12 @@ class SimConfig(SimSettings):
                 )
         gap = (mean_gap, gamma_shape(c2, "c2_a"), mean_gap * c2)
         theta, _, mixed = route_moments(workflow)
+        if not math.isfinite(mixed.mean / workflow.capacity):
+            raise ValidationError(
+                f"capacity_C = {workflow.capacity:.6g} is too small: the mean service time "
+                "overflows",
+                field="capacity_C",
+            )
         for name, value in (("gap", gap), ("theta_star", theta), ("mixed", mixed)):
             object.__setattr__(self, name, value)
 

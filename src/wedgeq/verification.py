@@ -187,27 +187,32 @@ class SignalEnvironment:
         require_finite(self.c_w, "c_w", ">= 0")
         if not 0.0 <= self.p_inf < 1.0:
             raise ValidationError(f"p_inf must lie in [0, 1), got {self.p_inf}", field="p_inf")
-        require_no_overflow(lambda: self.review_scale, "K", "kappa * K * (1 - p_inf)")
+        require_no_overflow(self.review_scale, "K", "kappa * K * (1 - p_inf)")
+        # Every price is divided by it, even where pi(1) = 0.
+        if self.review_scale == 0.0:
+            raise ValidationError(
+                "K is too small: kappa * K * (1 - p_inf) underflows to 0", field="K"
+            )
         # The scan starts 12 decades below theta_hi, the price above which
-        # nothing is reviewed, and a nonzero theta_hi must keep that start
+        # nothing is reviewed, and unless pi(1) is 0 that start must stay
         # above 0.
-        theta_hi = self.review_scale * self.risk_map.value(1.0)
-        if theta_hi > 0.0 and theta_hi * 1e-12 == 0.0:
+        top_risk = self.risk_map.value(1.0)
+        theta_hi = self.review_scale * top_risk
+        if top_risk > 0.0 and theta_hi * 1e-12 == 0.0:
             raise ValidationError(
                 "K is too small: the equilibrium scan starts at 1e-12 * kappa * K * "
                 f"(1 - p_inf) * pi(1) = 1e-12 * {theta_hi!r}, which underflows to 0",
                 field="K",
             )
         object.__setattr__(self, "_log_norm", log_beta(self.signal_alpha, self.signal_beta))
-        require_no_overflow(
-            lambda: self._log_norm, "signal_alpha", "log B(signal_alpha, signal_beta)"
-        )
+        require_no_overflow(self._log_norm, "signal_alpha", "log B(signal_alpha, signal_beta)")
         object.__setattr__(
             self, "_edges", _signal_edges(self.signal_alpha, self.signal_beta, self.risk_map)
         )
         # Extreme shapes overflow the log-density to -inf: a density of 0,
-        # which the check below rejects.
-        with np.errstate(over="ignore"):
+        # which the check below rejects.  A panel narrower than the float
+        # spacing puts nodes on s = 0 or 1, where the log is -inf.
+        with np.errstate(over="ignore", divide="ignore"):
             risk, weight = _panels(self, self._edges, _TABLE_NODES)
             total = float(weight.sum())
         risk.flags.writeable = weight.flags.writeable = False
@@ -289,13 +294,29 @@ def _require_unit_interval(values, name: str, field: str) -> np.ndarray:
     return arr
 
 
+def _normal_pi_star(env: SignalEnvironment, theta: float) -> float:
+    """pi_star at theta, refused below the smallest normal float as kappa is.
+
+    review_policy divides risks by it, which overflows past a subnormal
+    threshold.
+    """
+    star = pi_star(env, theta)
+    if star < sys.float_info.min:
+        raise ValidationError(
+            f"theta is too small: the review threshold theta / (kappa * K * (1 - p_inf)) = "
+            f"{star!r} is below the smallest normal float {sys.float_info.min!r}",
+            field="theta",
+        )
+    return star
+
+
 def effort_for_risk(env: SignalEnvironment, theta: float, pi):
     """Optimal review effort for a draft of perceived risk pi.
 
     r* = max(0, log(pi / pi_star)) / kappa; zero at or below threshold.
     Accepts scalar or array pi.
     """
-    star = pi_star(env, theta)
+    star = _normal_pi_star(env, theta)
     pi_arr = _require_unit_interval(pi, "risk pi", "pi")
     effort, _ = review_policy(env, star, pi_arr)
     return float(effort) if np.ndim(pi) == 0 else effort
@@ -303,7 +324,7 @@ def effort_for_risk(env: SignalEnvironment, theta: float, pi):
 
 def _signal_policy(env: SignalEnvironment, theta: float, s):
     """review_policy at price theta for signal(s) s in [0, 1]; floats for a scalar s."""
-    star = pi_star(env, theta)
+    star = _normal_pi_star(env, theta)
     s_arr = _require_unit_interval(s, "signal s", "s")
     policy = review_policy(env, star, env.risk_map.value(s_arr))
     return tuple(map(float, policy)) if np.ndim(s) == 0 else policy
@@ -499,7 +520,8 @@ def phi(
 
 
 def _phi_value(c_w: float, lam: float, capacity: float, tau: float, q: float) -> float:
-    return c_w * lam**3 * q / (2.0 * capacity * (capacity - lam * tau) ** 2)
+    gap = capacity - lam * tau
+    return c_w * lam * lam * lam * q / (2.0 * capacity * (gap * gap))
 
 
 def _degenerate_equilibrium(theta_hi: float, zero_demand: bool) -> EquilibriumSolution:
@@ -676,8 +698,11 @@ def solve_equilibrium(
             candidates.append(float(grid[-1]))
         elif g_values[-1] < 0.0:
             # Above theta_hi the policy reviews nothing, so Phi is constant
-            # at Phi(theta_hi) and the remaining root is exact.
-            candidates.append(float(grid[-1] - g_values[-1]))
+            # at Phi(theta_hi) and the remaining root is exact.  An infinite
+            # Phi leaves no representable root.
+            tail = float(grid[-1] - g_values[-1])
+            if math.isfinite(tail):
+                candidates.append(tail)
 
     if not candidates:
         raise NoRootError(

@@ -672,6 +672,41 @@ class TestErrorContract:
                 )
                 for command in ("equilibrium", "review-curve", "simulate")
             ],
+            # Overflow is inf, never an exception: a savings ratio whose square
+            # overflows has the budget's limit -1, and an infinite Phi no root.
+            pytest.param(["wedge"], ("fig2", "lambda", "1e-200", "review_r", "1e100",
+                                     "manual.tau_H", "1e-100"), 0, id="wedge-square-overflows"),
+            pytest.param(["design", "--grid", "1e200", "--rho-h", "0"], ("fig2",), 0,
+                         id="design-square-overflows"),
+            pytest.param(["equilibrium"], ("fig5-beta52", "lambda", "1e150", "rework.mu_R",
+                                           "1e-310"), 4, id="equilibrium-phi-overflows"),
+            # A review scale that underflows to 0, with pi(1) > 0 and with pi(1) = 0.
+            *[
+                pytest.param(argv, ("fig5-beta52", *edits), 2, id=f"{argv[0]}-{name}")
+                for name, edits in (
+                    ("scale-underflows", ("signal_env.K", "1e-310", "signal_env.kappa", "1e-100")),
+                    ("zero-risk-scale-underflows",
+                     ("signal_env.K", "1e-310", "signal_env.kappa", "1e-100",
+                      "signal_env.risk_map", '{"a": 0, "b": 0, "g": 10, "s0": 0.5}')),
+                )
+                for argv in (["review-curve", "--theta-list", "1", "--grid", "0.5"],
+                             ["equilibrium"])
+            ],
+            # A review threshold below the smallest normal float.
+            *[
+                pytest.param(["review-curve", "--theta-list", theta, "--grid", grid], ("fig6",),
+                             2, id=f"review-curve-theta-{theta}")
+                for theta, grid in (("1e-320", "0.5"), ("5e-324", "0:1:0.5"))
+            ],
+            # A mean service time attention / C that overflows.
+            pytest.param(["simulate"], ("fig2", "capacity_C", "1e-300", "review_r", "1e100"), 2,
+                         id="simulate-folded-service-overflows"),
+            pytest.param(["simulate"], ("fig3", "capacity_C", "1e-310", "sim.rework_mode",
+                                        '"feedback"'), 2, id="simulate-feedback-service-overflows"),
+            # Panel nodes on s = 0, where the density takes log(0).
+            pytest.param(["equilibrium"], ("fig5-beta52", "signal_env.risk_map.g", "1e200",
+                                           "signal_env.risk_map.s0", "5e-324"), 4,
+                         id="equilibrium-nodes-on-zero"),
         ],
     )
     def test_exit_code_and_stderr(self, capsys, tmp_path, argv, edit, code):
@@ -960,9 +995,12 @@ _FLAGS = st.fixed_dictionaries({
     "bin_width": st.sampled_from(["0.05", "1e-300", "1e300", "-1"]),
     "seed": st.sampled_from([None, "0", "7", "-1", str(2**64)]),
     "rework_mode": st.sampled_from(["folded", "feedback"]),
+    "theta_list": st.sampled_from([None, "1e-320", "5e-324"]),
+    "rho_h": st.sampled_from([None, "0", "0.2,0.4"]),
 })
 _DEFAULT_FLAGS = {
     "grid": None, "format": "json", "bin_width": "0.05", "seed": None, "rework_mode": "folded",
+    "theta_list": None, "rho_h": None,
 }
 
 
@@ -986,6 +1024,10 @@ def _argv(command: str, config: str, flags: dict) -> list[str]:
         argv += ["--n-samples", "2000", "--bin-width", flags["bin_width"]]
     if command in ("dist", "simulate") and flags["seed"] is not None:
         argv += ["--seed", flags["seed"]]
+    if command == "design" and flags["rho_h"] is not None:
+        argv += ["--rho-h", flags["rho_h"]]
+    if command == "review-curve" and flags["theta_list"] is not None:
+        argv += ["--theta-list", flags["theta_list"]]
     return argv
 
 
@@ -1051,6 +1093,30 @@ class TestContractProperty:
     # -kappa * r overflows in residual_error: no warning may precede the JSON error.
     @example(fixture="fig2", command="dist", edits=[(("review_r",), 1.7976931348623157e308)],
              flags=_DEFAULT_FLAGS)
+    # A float ** raised OverflowError where * gives inf: the savings ratio's
+    # square in the variance budget, from the wedge and design commands.
+    @example(fixture="fig2", command="wedge",
+             edits=[(("lambda",), 1e-200), (("review_r",), 1e100), (("manual", "tau_H"), 1e-100)],
+             flags=_DEFAULT_FLAGS)
+    @example(fixture="fig2", command="design", edits=[],
+             flags={**_DEFAULT_FLAGS, "grid": "1e200", "rho_h": "0"})
+    # lambda^3 in Phi raised OverflowError; an infinite Phi has no root.
+    @example(fixture="fig5-beta52", command="equilibrium",
+             edits=[(("lambda",), 1e150), (("rework", "mu_R"), 1e-310)], flags=_DEFAULT_FLAGS)
+    # kappa * K * (1 - p_inf) underflowed to 0, a ZeroDivisionError in pi_star.
+    @example(fixture="fig5-beta52", command="review-curve",
+             edits=[(("signal_env", "K"), 1e-310), (("signal_env", "kappa"), 1e-100)],
+             flags=_DEFAULT_FLAGS)
+    # A subnormal review threshold overflowed pi / pi_star.
+    @example(fixture="fig6", command="review-curve", edits=[],
+             flags={**_DEFAULT_FLAGS, "grid": "0.5", "theta_list": "1e-320"})
+    # A mean service time attention / C that overflows made every estimate NaN.
+    @example(fixture="fig3", command="simulate", edits=[(("capacity_C",), 1e-310)],
+             flags={**_DEFAULT_FLAGS, "rework_mode": "feedback"})
+    # Nodes on s = 0 took log(0) in the density's normalisation check.
+    @example(fixture="fig5-beta52", command="equilibrium",
+             edits=[(("signal_env", "risk_map", "g"), 1e200),
+                    (("signal_env", "risk_map", "s0"), 5e-324)], flags=_DEFAULT_FLAGS)
     def test_main_keeps_its_contract(self, fixture, command, edits, flags):
         with tempfile.TemporaryDirectory() as directory:
             config = Path(directory) / "mutated.json"

@@ -82,6 +82,10 @@ class TestVarianceBudget:
         assert variance_budget(0.5, 1e-160, 0.5) == math.inf
         assert variance_budget(0.5, 1e-170, 0.5) == math.inf
 
+    def test_savings_ratio_whose_square_overflows(self):
+        # s * s is inf, and the budget is its s -> inf limit.
+        assert variance_budget(0.1, 1e200, 0.0) == -1.0
+
     def test_validation(self):
         from wedgeq import ValidationError
 

@@ -71,6 +71,10 @@ class TestValidation:
             RouteMoments(mean=1.0, m2=0.9)
         # Within float slack of the boundary is accepted.
         RouteMoments(mean=1.0, m2=1.0)
+        # mean * mean overflows to inf, which no finite m2 reaches.
+        with pytest.raises(ValidationError) as err:
+            RouteMoments(mean=1e160, m2=1.0)
+        assert err.value.field == "m2"
 
     def test_route_moments_zero_mean(self):
         assert RouteMoments(mean=0.0, m2=0.0).c2 == 0.0

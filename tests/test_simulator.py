@@ -533,6 +533,15 @@ class TestConfigValidation:
         with pytest.raises(ValidationError):
             SimConfig(workflow=workflow, n_batches=MAX_BATCHES + 1)
 
+    @pytest.mark.parametrize("mode", ["folded", "feedback"])
+    @pytest.mark.parametrize("capacity, review_r", [(1e-310, 0.5), (1e-300, 1e100)])
+    def test_service_time_that_overflows_rejected(self, mode, capacity, review_r):
+        # The mean attention over C overflows, at a tiny C or a huge effort.
+        workflow = _fixed_workflow(capacity=capacity, review_r=review_r, x=1.0)
+        with pytest.raises(ValidationError, match="too small") as err:
+            _config(workflow, rework_mode=mode)
+        assert err.value.field == "capacity_C"
+
     def test_replicate_count_validated(self):
         with pytest.raises(ValidationError):
             _config(_fixed_workflow(), reps=0)

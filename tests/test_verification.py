@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -153,6 +154,17 @@ class TestThresholdPolicy:
             review_effort(ENV, 0.5, 1.0 + 1e-9)
         with pytest.raises(ValidationError):
             residual_risk(ENV, 0.5, -1e-9)
+
+    @pytest.mark.parametrize("function", [effort_for_risk, review_effort, residual_risk])
+    def test_subnormal_threshold_rejected(self, function):
+        # pi / pi_star overflows past a subnormal threshold; the smallest
+        # normal one is priced.
+        smallest = sys.float_info.min * ENV.review_scale
+        assert np.all(np.isfinite(function(ENV, smallest, np.array([0.0, 0.5, 1.0]))))
+        for theta in (smallest / 2.0, 1e-320, 5e-324):
+            with pytest.raises(ValidationError) as err:
+                function(ENV, theta, 0.5)
+            assert err.value.field == "theta"
 
     @pytest.mark.parametrize("value", [math.nan, np.array([0.2, math.nan, 0.7])])
     @pytest.mark.parametrize(
@@ -428,6 +440,10 @@ class TestPhi:
         with pytest.raises(StabilityError):
             phi(ENV, 0.5, REWORK, 5.0, 1.0)
 
+    def test_overflow_is_inf(self):
+        # lam^3 overflows; the load lam * tau is 1e-160.
+        assert ver._phi_value(0.5, 1e150, 1.0, 1e-310, 1.0) == math.inf
+
 
 class TestSolveEquilibrium:
     def test_reference_fixed_point(self):
@@ -548,6 +564,13 @@ class TestSolveEquilibrium:
         assert eq.theta_star == 0.0
         assert math.isnan(eq.tau_A)
         assert math.isnan(eq.wq)
+
+    def test_infinite_phi_has_no_root(self):
+        # Phi is inf at every price, and so is the tail root theta - g.
+        spec = load_config(fixture_path("fig5-beta52.json"))
+        rework = ReworkModel(mu_R=1e-310, mu_R2=4.0)
+        with pytest.raises(NoRootError):
+            solve_equilibrium(spec.env, rework, 1e150, spec.capacity)
 
     def test_infeasible_demand(self):
         with pytest.raises(InfeasibleError) as err:
@@ -803,11 +826,14 @@ class TestEnvironmentValidation:
 
     def test_price_scale_that_underflows_the_scan_rejected(self, make_env):
         # kappa * K * pi(1) is nonzero but 1e-12 of it, where the equilibrium
-        # scan starts, underflows to 0.
+        # scan starts, underflows to 0; or kappa * K itself underflows to 0,
+        # by which every price would be divided, also where pi(1) = 0.
         assert make_env(K=1e-300).review_scale > 0.0
-        for overrides in (dict(kappa=1e-300, K=1e-20), dict(K=5e-324)):
+        for overrides in (dict(kappa=1e-300, K=1e-20), dict(K=5e-324),
+                          dict(kappa=1e-100, K=1e-310),
+                          dict(kappa=1e-100, K=1e-310, risk_map=RiskMap(0.0, 0.0, 10.0, 0.5))):
             with pytest.raises(ValidationError) as err:
-                make_env(**overrides)
+                dataclasses.replace(make_env(), **overrides)
             assert err.value.field == "K"
 
     def test_shapes_whose_normaliser_overflows_rejected(self, make_env):
