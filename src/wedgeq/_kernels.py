@@ -17,26 +17,35 @@ the reworks among its arrivals timed from the previous job's arrival, so
 its rework entries round at the scale of the call.  A run can be played
 in consecutive calls that pass a ``QueueState`` from one to the next; the
 simulator owns the chunk size and streams its runs that way, one chunk
-per call.  A direct whole-array call is one walk of the run.
+per call.  A direct whole-array call is one walk of the run.  A call can
+walk its external jobs' waits into an array the caller owns (``out``),
+which is how the simulator fills a run's post-warm-up waits without a
+per-chunk copy.
 """
 
 import numpy as np
 
 IMPL = "python"
 
+# An empty array that no call writes to: no rework to carry or to report.
+_EMPTY = np.zeros(0)
+_EMPTY.flags.writeable = False
 
-def _fifo_reflect(gaps, services, carry):
+
+def _fifo_reflect(gaps, services, carry, out=None):
     """One pass of the reflected random walk, continued from ``carry``.
 
     The FIFO wait recursion w[i] = max(0, w[i-1] + s[i-1] - gap[i]) has the
     closed form w[i] = path[i] - min(0, path[1..i]) for the cumulative drift
     path, which starts at the first job's wait.  ``carry`` is (service,
     wait) of the job before, and the walk returns its own last job's.  An
-    empty walk leaves ``carry`` as it was.
+    empty walk leaves ``carry`` as it was.  The waits are walked into
+    ``out`` when given.
     """
     s_prev, w_prev = carry
     n = gaps.shape[0]
-    waits, path = np.empty(n), np.empty(n)
+    waits = np.empty(n) if out is None else out
+    path = np.empty(n)
     if not n:
         return waits, carry
     path[0] = max(w_prev + (s_prev - gaps[0]), 0.0)
@@ -60,15 +69,17 @@ class QueueState:
     entries   entry times of the reworks still to be walked (their parents'
               departures), in spawn order, as offsets from the carry's arrival
     services  their services
+    gap_sum   the sum of the last call's gaps, float(gaps.sum())
     """
 
     def __init__(self):
         self.carry = (0.0, 0.0)  # the queue starts empty at time 0
-        self.arrival = 0.0
-        self.entries = self.services = np.zeros(0)
+        self.arrival = self.gap_sum = 0.0
+        self.entries = self.services = _EMPTY
 
 
-def simulate_fifo(gaps, services, spawn_mask, rework_services, state=None, last=True):
+def simulate_fifo(gaps, services, spawn_mask, rework_services, state=None, last=True, *,
+                  out=None):
     """Run the queue; returns (waits, rework_waits, end, busy).
 
     gaps[i]            time from the external arrival before job i to job i
@@ -92,6 +103,10 @@ def simulate_fifo(gaps, services, spawn_mask, rework_services, state=None, last=
     starts where the state was left and is left there again.  Unless
     ``last``, a rework that enters at or after the last of these arrivals
     stays pending in the state, and the call that walks it reports its wait.
+    The state keeps the sum of the call's gaps (``gap_sum``) for the caller.
+
+    ``out``, a float64 array of the gaps' length, receives the waits and is
+    returned as ``waits``; without it the call allocates them.
 
     A call is one walk of the gaps, whose drift path starts from the first
     job's wait, so the waits round at the scale of that path over the call.
@@ -103,14 +118,18 @@ def simulate_fifo(gaps, services, spawn_mask, rework_services, state=None, last=
     """
     n = gaps.shape[0]
     queue = QueueState() if state is None else state
-    parents = np.flatnonzero(spawn_mask)
+    queue.gap_sum = float(gaps.sum())
     carried = queue.entries.size
-    busy = float(services.sum()) + float(rework_services.sum())
-    if not (parents.size or carried):
-        waits, queue.carry = _fifo_reflect(gaps, services, queue.carry)
-        queue.arrival += float(gaps.sum())
-        rework_waits = np.zeros(0)
+    busy = float(services.sum())
+    if rework_services.size:
+        busy += float(rework_services.sum())
+    # Folded runs pass empty spawn masks, and so skip even the test for a flag.
+    if not (carried or (spawn_mask.size and spawn_mask.any())):
+        waits, queue.carry = _fifo_reflect(gaps, services, queue.carry, out)
+        queue.arrival += queue.gap_sum
+        rework_waits = _EMPTY
     else:
+        parents = np.flatnonzero(spawn_mask)
         arrivals = np.cumsum(gaps)  # from the carry's arrival
         # Reworks in spawn order: those carried in from earlier calls, then
         # this call's, the j-th of which belongs to its j-th flagged arrival.
@@ -144,7 +163,8 @@ def simulate_fifo(gaps, services, spawn_mask, rework_services, state=None, last=
             if np.array_equal(departed, pending[carried:]):
                 break
             pending[carried:] = departed
-        waits, rework_waits = w[slots], w[at]
+        # The slots are in range, and "clip" lets take write out directly.
+        waits, rework_waits = np.take(w, slots, out=out, mode="clip"), w[at]
         shift = float(times[-1])  # the new carry's arrival
         queue.carry, queue.arrival = walked, queue.arrival + shift
         queue.entries, queue.services = pending[take:] - shift, works[take:]

@@ -285,7 +285,8 @@ def _handle_dist(spec: WorkflowSpec, args) -> str:
         if not mean > 0:
             return mean, 0.0, 0.0
         # Scaled first: the square of a sample below about 1e-162 underflows.
-        scaled = samples / mean
+        # In place: the samples are not read again once binned.
+        scaled = np.divide(samples, mean, out=samples)
         r2 = float(np.square(scaled, out=scaled).mean())
         return mean, r2 * mean * mean, r2 - 1.0
 

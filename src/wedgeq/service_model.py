@@ -253,7 +253,11 @@ def sample_rework(rework: ReworkModel, rng: np.random.Generator, size: int) -> n
 
 def fixed_first_pass(curve: ErrorCurve, r: float, rng: np.random.Generator, size: int):
     """Review times and escape flags of ``size`` AI drafts reviewed for ``r`` hours each."""
-    return np.full(size, float(r)), rng.random(size) < residual_error(curve, float(r))
+    r = float(r)
+    draws = rng.random(size)
+    escaped = draws < residual_error(curve, r)
+    draws.fill(r)  # the uniforms are spent: they become the review times
+    return draws, escaped
 
 
 def sample_ai(

@@ -26,9 +26,10 @@ bit-reproducible for a given config.
 A run streams through chunks of 2^14 arrivals: each chunk is drawn, walked
 through the queue and folded into running sums before the next is drawn,
 and only the post-warm-up waits are kept, for the batch means and the exact
-quantiles.  A run therefore holds 8 bytes per post-warm-up arrival (6.4 per
-arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded) to
-3 MB (feedback) for the chunk in hand.  A chunk's escapes are kept as
+quantiles.  A chunk past the warm-up is walked straight into its slice of
+those waits.  A run therefore holds 8 bytes per post-warm-up arrival (6.4
+per arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded)
+to 3 MB (feedback) for the chunk in hand.  A chunk's escapes are kept as
 indices, split into warm-up and measured ones at the chunk's first
 post-warm-up arrival.
 
@@ -37,7 +38,8 @@ interarrival gaps as one walk, continued from the queue state the chunk
 before left, and places a feedback chunk's reworks in time relative to the
 job before the chunk, so the waits and the rework entries round at the
 scale of a chunk.  No calendar time is formed for the walk; the span of the
-post-warm-up arrivals, for rho_hat, is a running sum of their gaps.
+post-warm-up arrivals, for rho_hat, is a running sum of their gaps, which
+takes a post-warm-up chunk's gap sum from the kernel's queue state.
 """
 
 from __future__ import annotations
@@ -251,7 +253,6 @@ def _run_single(config: SimConfig, rep: int) -> SimStats:
         p = min(max(k0 - lo, 0), m)  # the chunk's first post-warm-up arrival
 
         gaps = sample_gamma(rng_arrival, *config.gap, m)
-        window += float(gaps[p:].sum())
 
         # First-pass attention of every task, and the escape flags of AI
         # drafts: x = 1 and x = 0 send every task one way, with no coin.
@@ -295,15 +296,25 @@ def _run_single(config: SimConfig, rep: int) -> SimStats:
             services = np.divide(chain_attention, capacity, out=chain_attention)
             spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
 
+        # A chunk past the warm-up is walked straight into its slice of the
+        # run's waits; the chunk holding k0, and those before it, are walked
+        # apart and their post-warm-up waits copied.
+        post = waits_post[max(lo - k0, 0) : max(hi - k0, 0)]
         waits, rework_waits, end_time, chunk_busy = simulate_fifo(
-            gaps, services, spawn_mask, rework_services, state=queue, last=hi == n
+            gaps, services, spawn_mask, rework_services, state=queue, last=hi == n,
+            out=None if p else post,
         )
         busy += chunk_busy
-        waits_post[max(lo - k0, 0) : max(hi - k0, 0)] = waits[p:]
-        # Reworks are walked in spawn order, and the first warm_spawns of
-        # them belong to warm-up tasks.
-        rework_wait_sum += float(rework_waits[max(warm_spawns - walked, 0) :].sum())
-        walked += rework_waits.size
+        if p:
+            post[:] = waits[p:]
+        # The kernel has summed the chunk's gaps; a chunk with warm-up
+        # arrivals in it adds only its post-warm-up ones.
+        window += queue.gap_sum if not p else float(gaps[p:].sum())
+        if rework_waits.size:
+            # Reworks are walked in spawn order, and the first warm_spawns of
+            # them belong to warm-up tasks.
+            rework_wait_sum += float(rework_waits[max(warm_spawns - walked, 0) :].sum())
+            walked += rework_waits.size
 
     if window == 0.0:
         raise ValidationError(

@@ -112,10 +112,11 @@ class TestAgainstHeapOracle:
         assert a[3] == pytest.approx(b[3], rel=1e-12)
 
 
-def _play(args, sizes):
+def _play(args, sizes, out=None):
     """simulate_fifo over consecutive calls of ``sizes`` arrivals (cycled)
     that carry one QueueState, as the simulator streams a run; the calls'
-    outputs joined into one run's."""
+    outputs joined into one run's.  With ``out`` each call walks its waits
+    into its slice of it."""
     gaps, services, spawn_mask, rework_services = args
     n = gaps.size
     spawned = np.concatenate(([0], np.cumsum(spawn_mask, dtype=np.intp)))
@@ -126,7 +127,10 @@ def _play(args, sizes):
         waits, rework_waits, end, call_busy = simulate_fifo(
             gaps[lo:hi], services[lo:hi], spawn_mask[lo:hi],
             rework_services[spawned[lo] : spawned[hi]], state=state, last=hi == n,
+            out=None if out is None else out[lo:hi],
         )
+        if out is not None and hi > lo:
+            assert np.shares_memory(waits, out[lo:hi])
         calls.append((waits, rework_waits))
         busy, lo = busy + call_busy, hi
         if hi == n:
@@ -248,6 +252,51 @@ class TestChunkBoundaries:
         assert rework_waits.shape == (0,)
         assert end == 5.5
         assert busy == 5.5
+
+
+def _branches(case):
+    """A heap-oracle case as given, through the kernel's rework branch when
+    any arrival spawns, and with no rework, through the folded runs' branch."""
+    return case, case[:2] + (np.zeros_like(case[2]), np.zeros(0))
+
+
+class TestWalkInPlace:
+    """``out`` receives a call's waits; the walk is the allocating call's."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_returns_the_given_array(self, seed):
+        case = _as_kernel_args(_random_case(seed, n_max=200))
+        for args in _branches(case):
+            gapped = _gapped(args)
+            out = np.full(gapped[0].size, np.nan)
+            waits = simulate_fifo(*gapped, out=out)[0]
+            assert waits is out
+            np.testing.assert_array_equal(out, simulate_fifo(*gapped)[0])
+
+    @pytest.mark.parametrize("piece", [None, 1, 2, 3, 7])
+    @pytest.mark.parametrize("seed", range(30))
+    def test_equals_the_allocating_call(self, piece, seed):
+        # Whole (piece None) and in calls of piece arrivals, bit for bit.
+        case = _as_kernel_args(_random_case(seed))
+        for args in _branches(case):
+            gapped = _gapped(args)
+            sizes = (max(gapped[0].size, 1) if piece is None else piece,)
+            out = np.full(gapped[0].size, np.nan)
+            got = _play(gapped, sizes, out=out)
+            want = _play(gapped, sizes)
+            np.testing.assert_array_equal(out, want[0])
+            _assert_bitwise(got, want)
+            assert got[3] == want[3]
+            _assert_bitwise(got, _heap_oracle(*args))
+
+    def test_state_keeps_the_gap_sum(self):
+        # The simulator adds a call's gap sum to its post-warm-up span.
+        case = _as_kernel_args(_random_case(5, n_max=200))
+        for args in _branches(case):
+            gapped = _gapped(args)
+            state = _kernels.QueueState()
+            simulate_fifo(*gapped, state=state)
+            assert state.gap_sum == float(gapped[0].sum())
 
 
 def _feedback_calls(monkeypatch, name):
