@@ -19,19 +19,27 @@ plus its services: a rework enters exactly when its parent departs.
 
 Randomness is split into six independent substreams (interarrivals, route
 choice, manual service, escape flags, rework draws, signals) so changing
-one distribution never perturbs the others' draws.  Replication seeds are
-spawned from the base seed by a fixed rule, so every statistic is
-bit-reproducible for a given config.
+one distribution never perturbs the others' draws.  Each substream is
+drawn by one thread, in chunk order: a run's helper thread draws the
+interarrivals, route coins, escape flags and signals, and the calling
+thread the manual services and reworks, so no draw depends on how the two
+threads are scheduled.  Replication seeds are spawned from the base seed
+by a fixed rule, so every statistic is bit-reproducible for a given config.
 
-A run streams through chunks of 2^14 arrivals: each chunk is drawn, walked
-through the queue and folded into running sums before the next is drawn,
-and only the post-warm-up waits are kept, for the batch means and the exact
-quantiles.  A chunk past the warm-up is walked straight into its slice of
-those waits.  A run therefore holds 8 bytes per post-warm-up arrival (6.4
-per arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded)
-to 3 MB (feedback) for the chunk in hand.  A chunk's escapes are kept as
-indices, split into warm-up and measured ones at the chunk's first
-post-warm-up arrival.
+A run streams through chunks of 2^14 arrivals, in two stages.  The helper
+thread draws chunk i + 1 (its gaps, its AI first passes and its escape
+indices) while the calling thread draws chunk i's manual services and
+reworks, walks it through the queue and folds it into running sums.
+Exactly one chunk is drawn ahead, and the helper is joined before the run
+returns or raises.  The overlap needs a free second core: pinned to one
+core, the stages take turns and a run is about 5% slower.  Only the
+post-warm-up waits are kept, for the batch means and the exact quantiles,
+and a chunk past the warm-up is walked straight into its slice of those
+waits.  A run therefore holds 8 bytes per post-warm-up arrival (6.4 per
+arrival at the default warm-up fraction 0.2) plus a fixed 1 MB (folded)
+to 3 MB (feedback) for the chunk in hand and the one drawn ahead of it.
+A chunk's escapes are kept as indices, split into warm-up and measured
+ones at the chunk's first post-warm-up arrival.
 
 This module owns the chunk size.  The queue kernel walks each chunk's drawn
 interarrival gaps as one walk, continued from the queue state the chunk
@@ -44,7 +52,9 @@ takes a post-warm-up chunk's gap sum from the kernel's queue state.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -206,8 +216,11 @@ def _draw_ai_first_pass(workflow: WorkflowSpec, theta, n_ai: int, rng_escape, rn
     if workflow.mode == "fixed":
         return fixed_first_pass(workflow.curve, workflow.review_r, rng_escape, n_ai)
     env = workflow.env
-    signals = rng_signal.beta(env.signal_alpha, env.signal_beta, n_ai)
-    review_times, p_escape = review_policy(env, pi_star(env, theta), env.risk_map.value(signals))
+    # No name holds the signals or their risks, so each is freed once used.
+    review_times, p_escape = review_policy(
+        env, pi_star(env, theta),
+        env.risk_map.value(rng_signal.beta(env.signal_alpha, env.signal_beta, n_ai)),
+    )
     return review_times, rng_escape.random(n_ai) < p_escape
 
 
@@ -225,6 +238,10 @@ def _sorted_quantiles(values, qs) -> list[float]:
 
 
 def _run_single(config: SimConfig, rep: int) -> SimStats:
+    # Imported here, not with the module: the import costs a millisecond or
+    # more that a process which never simulates should not pay.
+    from queue import SimpleQueue
+
     workflow, theta = config.workflow, config.theta_star
     n = config.n_arrivals
     capacity = workflow.capacity
@@ -235,86 +252,135 @@ def _run_single(config: SimConfig, rep: int) -> SimStats:
         np.random.default_rng(child) for child in seed_seq.spawn(6)
     )
 
-    # The run streams through chunks of _CHUNK arrivals.  Each is drawn (a
-    # Generator continues its stream across calls, so the draws are those of
-    # one whole-run call), walked from the queue state the chunk before left,
-    # and folded into running sums; only the post-warm-up waits are kept.
+    # The run streams through chunks of _CHUNK arrivals, (lo, hi, p) with p
+    # the chunk's first post-warm-up arrival (k0 < n, so p <= hi - lo).  Only
+    # the post-warm-up waits are kept.
     k0 = int(config.warmup_fraction * n)
     n_post = n - k0
+    chunks = [(lo, min(lo + _CHUNK, n), min(max(k0 - lo, 0), _CHUNK))
+              for lo in range(0, n, _CHUNK)]
+
+    def draw(lo, hi, p):
+        """The draw stage of a chunk, run on the helper thread.
+
+        Uses the arrival, route, escape and signal Generators, and nothing
+        else touches them; a Generator continues its stream across calls, so
+        the draws are those of one whole-run call.  Returns the gaps, the
+        first-pass attention (None at x = 0; at 0 < x < 1 filled at the AI
+        drafts only), the manual tasks' indices (None unless 0 < x < 1), the
+        escape flags and their indices, and the counts of warm-up escapes
+        and of post-warm-up AI drafts.  x = 1 and x = 0 send every task one
+        way, with no coin.
+        """
+        m = hi - lo
+        attention = manual = None
+        if workflow.x >= 1.0:
+            attention, escaped = _draw_ai_first_pass(workflow, theta, m, rng_escape, rng_signal)
+            ai_post = m - p
+        elif workflow.x <= 0.0:
+            escaped, ai_post = np.zeros(m, dtype=bool), 0
+        else:
+            # Indices, which place values faster than a boolean mask does.
+            is_ai = rng_route.random(m) < workflow.x
+            ai, manual = np.flatnonzero(is_ai), np.flatnonzero(~is_ai)
+            ai_post = ai.size - int(np.searchsorted(ai, p))
+            review_times, escape_draws = _draw_ai_first_pass(
+                workflow, theta, ai.size, rng_escape, rng_signal
+            )
+            attention = np.zeros(m)
+            attention[ai] = review_times
+            escaped = np.zeros(m, dtype=bool)
+            escaped[ai] = escape_draws
+        # Indices rather than a boolean mask: the escapes are a small minority.
+        escaped_at = np.flatnonzero(escaped)
+        warm = int(np.searchsorted(escaped_at, p))  # escapes of warm-up arrivals
+        # Drawn last, when the first pass's temporaries have been freed.
+        gaps = sample_gamma(rng_arrival, *config.gap, m)
+        return gaps, attention, manual, escaped, escaped_at, warm, ai_post
+
     waits_post = np.empty(n_post)
     queue = QueueState()
     window = 0.0  # the post-warm-up arrivals' span, for rho_hat
     chain_sum = chain_m2 = rework_wait_sum = busy = 0.0
     n_ai_post = n_escaped_post = 0
     warm_spawns = walked = 0  # reworks spawned by warm-up arrivals; reworks walked
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
-        m = hi - lo
-        p = min(max(k0 - lo, 0), m)  # the chunk's first post-warm-up arrival
+    # The helper thread draws chunk i + 1 while this one folds chunk i into
+    # the running sums and walks it, from the queue state the chunk before
+    # left.  Plain queues hand the chunks over: a future per chunk, whose
+    # waiters the C heap holds, fragmented that heap so that a process
+    # running many runs came to keep a second run's waits resident.
+    todo, done = SimpleQueue(), SimpleQueue()
 
-        gaps = sample_gamma(rng_arrival, *config.gap, m)
+    def helper():
+        """Draw the chunks put in todo, in order, until None or a raise."""
+        for bounds in iter(todo.get, None):
+            try:
+                done.put(draw(*bounds))
+            except BaseException as exc:  # handed over: this thread re-raises it
+                done.put(exc)
+                return
 
-        # First-pass attention of every task, and the escape flags of AI
-        # drafts: x = 1 and x = 0 send every task one way, with no coin.
-        if workflow.x >= 1.0:
-            attention, escaped = _draw_ai_first_pass(workflow, theta, m, rng_escape, rng_signal)
-            n_ai_post += m - p
-        elif workflow.x <= 0.0:
-            attention = sample_manual(workflow.manual, rng_manual, size=m)
-            escaped = np.zeros(m, dtype=bool)
-        else:
-            is_ai = rng_route.random(m) < workflow.x
-            n_ai = int(np.count_nonzero(is_ai))
-            n_ai_post += int(np.count_nonzero(is_ai[p:]))
-            attention = np.zeros(m)
-            attention[~is_ai] = sample_manual(workflow.manual, rng_manual, size=m - n_ai)
-            review_times, escape_draws = _draw_ai_first_pass(
-                workflow, theta, n_ai, rng_escape, rng_signal
+    # In this thread's context, so under its numpy error state.
+    thread = threading.Thread(target=contextvars.copy_context().run, args=(helper,))
+    thread.start()
+    try:
+        todo.put(chunks[0])
+        for i, (lo, hi, p) in enumerate(chunks):
+            drawn = done.get()
+            if isinstance(drawn, BaseException):
+                raise drawn
+            if i + 1 < len(chunks):
+                todo.put(chunks[i + 1])
+            gaps, attention, manual, escaped, escaped_at, warm, ai_post = drawn
+
+            if workflow.x <= 0.0:
+                attention = sample_manual(workflow.manual, rng_manual, size=hi - lo)
+            elif workflow.x < 1.0:
+                attention[manual] = sample_manual(workflow.manual, rng_manual, size=manual.size)
+            n_ai_post += ai_post
+            warm_spawns += warm
+            n_escaped_post += escaped_at.size - warm
+            rework_draws = sample_rework(workflow.rework, rng_rework, size=escaped_at.size)
+
+            if not folded:
+                services = attention / capacity  # the first pass; rework re-enters on its own
+                # In spawn order: the escapes are flagged in arrival order.
+                spawn_mask, rework_services = escaped, rework_draws / capacity
+            # Total attention of each task's chain (first pass + any rework), in place.
+            chain_attention = attention
+            chain_attention[escaped_at] += rework_draws
+            chain_post = chain_attention[p:]
+            chain_sum += float(chain_post.sum())
+            chain_m2 += float(np.square(chain_post).sum())
+            if folded:
+                # No rework job re-enters the queue: it lengthens its task's service.
+                services = np.divide(chain_attention, capacity, out=chain_attention)
+                spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
+
+            # A chunk past the warm-up is walked straight into its slice of the
+            # run's waits; the chunk holding k0, and those before it, are walked
+            # apart and their post-warm-up waits copied.
+            post = waits_post[max(lo - k0, 0) : max(hi - k0, 0)]
+            waits, rework_waits, end_time, chunk_busy = simulate_fifo(
+                gaps, services, spawn_mask, rework_services, state=queue, last=hi == n,
+                out=None if p else post,
             )
-            attention[is_ai] = review_times
-            escaped = np.zeros(m, dtype=bool)
-            escaped[is_ai] = escape_draws
-        # Indices rather than a boolean mask: the escapes are a small minority.
-        escaped_at = np.flatnonzero(escaped)
-        warm = int(np.searchsorted(escaped_at, p))  # escapes of warm-up arrivals
-        warm_spawns += warm
-        n_escaped_post += escaped_at.size - warm
-        rework_draws = sample_rework(workflow.rework, rng_rework, size=escaped_at.size)
-
-        if not folded:
-            services = attention / capacity  # the first pass; rework re-enters on its own
-            # In spawn order: the escapes are flagged in arrival order.
-            spawn_mask, rework_services = escaped, rework_draws / capacity
-        # Total attention of each task's chain (first pass + any rework), in place.
-        chain_attention = attention
-        chain_attention[escaped_at] += rework_draws
-        chain_post = chain_attention[p:]
-        chain_sum += float(chain_post.sum())
-        chain_m2 += float(np.square(chain_post).sum())
-        if folded:
-            # No rework job re-enters the queue: it lengthens its task's service.
-            services = np.divide(chain_attention, capacity, out=chain_attention)
-            spawn_mask, rework_services = _NO_SPAWN, _NO_REWORK
-
-        # A chunk past the warm-up is walked straight into its slice of the
-        # run's waits; the chunk holding k0, and those before it, are walked
-        # apart and their post-warm-up waits copied.
-        post = waits_post[max(lo - k0, 0) : max(hi - k0, 0)]
-        waits, rework_waits, end_time, chunk_busy = simulate_fifo(
-            gaps, services, spawn_mask, rework_services, state=queue, last=hi == n,
-            out=None if p else post,
-        )
-        busy += chunk_busy
-        if p:
-            post[:] = waits[p:]
-        # The kernel has summed the chunk's gaps; a chunk with warm-up
-        # arrivals in it adds only its post-warm-up ones.
-        window += queue.gap_sum if not p else float(gaps[p:].sum())
-        if rework_waits.size:
-            # Reworks are walked in spawn order, and the first warm_spawns of
-            # them belong to warm-up tasks.
-            rework_wait_sum += float(rework_waits[max(warm_spawns - walked, 0) :].sum())
-            walked += rework_waits.size
+            busy += chunk_busy
+            if p:
+                post[:] = waits[p:]
+            # The kernel has summed the chunk's gaps; a chunk with warm-up
+            # arrivals in it adds only its post-warm-up ones.
+            window += queue.gap_sum if not p else float(gaps[p:].sum())
+            if rework_waits.size:
+                # Reworks are walked in spawn order, and the first warm_spawns of
+                # them belong to warm-up tasks.
+                rework_wait_sum += float(rework_waits[max(warm_spawns - walked, 0) :].sum())
+                walked += rework_waits.size
+            # Free this chunk's arrays before the chunk after next is drawn.
+            del drawn, gaps, attention, manual, chain_attention, chain_post, services, waits
+    finally:
+        todo.put(None)
+        thread.join()
 
     if window == 0.0:
         raise ValidationError(

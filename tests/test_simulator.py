@@ -1,7 +1,11 @@
 import dataclasses
 import hashlib
 import importlib.util
+import itertools
+import json
 import math
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from wedgeq import (
     RiskMap,
     SignalEnvironment,
     SimConfig,
+    SimStats,
     ValidationError,
     WorkflowSpec,
     ai_route_moments,
@@ -35,6 +40,7 @@ from wedgeq import (
     wq_pk,
 )
 from wedgeq._kernels import QueueState, simulate_fifo
+from wedgeq.cli import main
 from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
 from wedgeq.service_model import sample_gamma
 from wedgeq.simulator import _CHUNK, _sorted_quantiles
@@ -85,6 +91,27 @@ def _count_calls(monkeypatch, *names):
 
 def _config(workflow, n=16_000, seed=11, **kw):
     return SimConfig(workflow=workflow, n_arrivals=n, seed=seed, **kw)
+
+
+def _digest(stats) -> str:
+    """The first 16 hex digits of the sha256 of repr(astuple(stats))."""
+    return hashlib.sha256(repr(dataclasses.astuple(stats)).encode()).hexdigest()[:16]
+
+
+def _pinned_workflow(kind, x):
+    """The fixed-effort or policy workflow of TestStreaming.PINS at route share x."""
+    if kind == "fixed":
+        return _fixed_workflow(lam=0.6, x=x)
+    return dataclasses.replace(_policy_workflow(), x=x)
+
+
+def _perfbench_tracing():
+    """perfbench's tracing module, loaded from its file."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
 
 
 def _analytic_wq(workflow):
@@ -312,10 +339,12 @@ class TestStreaming:
     @pytest.mark.parametrize("name", ["fig2", "fig5-beta52"])
     def test_memory_is_the_post_warmup_waits(self, mode, name):
         # A run keeps 8 bytes per post-warm-up arrival (its waits); the rest
-        # is a fixed allowance of chunk-sized float arrays, whatever n is.
-        # Over the six fixtures at 2e5 and 1e6 arrivals a folded run peaks
-        # at 5.5-8.0 of them and a feedback run at 12.8-18.4; the allowance
-        # is that maximum plus about two (folded) and five (feedback).
+        # is a fixed allowance of chunk-sized float arrays, whatever n is:
+        # the chunk being walked and the one drawn ahead of it.  Over the
+        # six fixtures at 2e5 and 1e6 arrivals a folded run peaks at 4.3-6.8
+        # of them and a feedback run at 14.0-20.8, on two cores or pinned to
+        # one; the allowance was set before the chunks were drawn ahead, at
+        # the maxima then (8.0 and 18.4) plus about two and five.
         config = dataclasses.replace(
             SimConfig.from_workflow(load_config(fixture_path(f"{name}.json"))),
             n_arrivals=200_000, rework_mode=mode,
@@ -401,22 +430,14 @@ class TestStreaming:
 
     @pytest.mark.parametrize("kind, mode, n, x", list(PINS))
     def test_stats_are_pinned(self, kind, mode, n, x):
-        workflow = (
-            _fixed_workflow(lam=0.6, x=x) if kind == "fixed"
-            else dataclasses.replace(_policy_workflow(), x=x)
-        )
-        stats = run(_config(workflow, n=n, seed=9, rework_mode=mode))
-        digest = hashlib.sha256(repr(dataclasses.astuple(stats)).encode()).hexdigest()
-        assert digest[:16] == self.PINS[kind, mode, n, x]
+        stats = run(_config(_pinned_workflow(kind, x), n=n, seed=9, rework_mode=mode))
+        assert _digest(stats) == self.PINS[kind, mode, n, x]
 
     def test_tracer_sees_one_kernel_call_per_chunk(self):
         # perfbench's tracer wraps the simulator's simulate_fifo binding; a
         # run of five chunks, whose warm-up is the first, is five kernel
         # spans that count every arrival once.
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
-        spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
-        tracing = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(tracing)
+        tracing = _perfbench_tracing()
         config = dataclasses.replace(
             SimConfig.from_workflow(load_config(fixture_path("fig2.json"))),
             n_arrivals=5 * _CHUNK,
@@ -435,6 +456,152 @@ class TestStreaming:
         assert all(span[3] == run_span for span in tracer.spans
                    if span[0] == "kernels.simulate_fifo")
         assert tracer.counters["kernels.jobs"] == config.n_arrivals
+
+    @pytest.mark.parametrize("mode", ["folded", "feedback"])
+    def test_tracer_sees_the_calling_thread_only(self, monkeypatch, mode):
+        # The tracer keeps one stack of spans, so only the calling thread may
+        # reach a name it wraps.  The two samplers and the kernel it wraps in
+        # the simulator stay there, once per chunk, under simulator.run, and
+        # count the draws and jobs of an untraced run.
+        tracing = _perfbench_tracing()
+        config = _config(_pinned_workflow("fixed", 0.5), n=5 * _CHUNK, seed=9,
+                         rework_mode=mode)
+        drawn = []
+        with monkeypatch.context() as patch:
+            for name in ("sample_manual", "sample_rework"):
+                def counted(*args, _func=getattr(simulator, name), **kwargs):
+                    draws = _func(*args, **kwargs)
+                    drawn.append(draws.size)
+                    return draws
+                patch.setattr(simulator, name, counted)
+            stats = run(config)
+        tracer = tracing.Tracer().install()
+        try:
+            assert tracer.missing == []
+            with tracer.op(0):
+                assert simulator.run(config) == stats
+        finally:
+            tracer.uninstall()
+        names = [span[0] for span in tracer.spans]
+        run_span = names.index("simulator.run")
+        inner = ("service_model.sample_manual", "service_model.sample_rework",
+                 "kernels.simulate_fifo")
+        assert [names.count(name) for name in inner] == [5, 5, 5]
+        assert all(span[3] == run_span for span in tracer.spans if span[0] in inner)
+        assert all(span[2] is not None for span in tracer.spans)
+        # A feedback run's kernel calls count its reworks as jobs too.
+        reworks = stats.n_rework_jobs if mode == "feedback" else 0
+        assert tracer.counters["kernels.jobs"] == config.n_arrivals + reworks
+        assert tracer.counters["service_model.draws"] == sum(drawn) > 0
+
+
+class TestDrawAhead:
+    """A run's helper thread draws each chunk while the one before is walked."""
+
+    @staticmethod
+    def _before_each_call(monkeypatch, name, hook):
+        """Call hook(k) before the k-th call, from 0, of the simulator's binding of name."""
+        calls = itertools.count()
+
+        def hooked(*args, _func=getattr(simulator, name), **kwargs):
+            hook(next(calls))
+            return _func(*args, **kwargs)
+
+        monkeypatch.setattr(simulator, name, hooked)
+
+    @staticmethod
+    def _within(func, *args, seconds=60.0):
+        """func(*args) on a thread of its own, joined with a timeout: (result,
+        None) or (None, the exception).  A lost hand-over fails, not hangs."""
+        out = []
+
+        def target():
+            try:
+                out.append((func(*args), None))
+            except Exception as exc:
+                out.append((None, exc))
+
+        thread = threading.Thread(target=target, daemon=True)
+        thread.start()
+        thread.join(seconds)
+        assert not thread.is_alive(), f"{func.__name__} did not return in {seconds} s"
+        return out[0]
+
+    @classmethod
+    def _fail_third_call(cls, monkeypatch, name, error):
+        def fail(k):
+            if k == 2:
+                raise error
+
+        cls._before_each_call(monkeypatch, name, fail)
+
+    def test_a_run_joins_its_helper(self):
+        before = threading.active_count()
+        stats, error = self._within(
+            run, _config(_pinned_workflow("fixed", 0.5), n=5 * _CHUNK, seed=9)
+        )
+        assert error is None and stats.n_arrivals == 5 * _CHUNK
+        assert threading.active_count() == before
+
+    def test_draws_run_under_the_callers_error_state(self, monkeypatch):
+        seen = []
+        self._before_each_call(
+            monkeypatch, "sample_gamma",
+            lambda k: seen.append((threading.get_ident(), np.geterr())),
+        )
+        with np.errstate(over="raise", under="warn"):
+            want = np.geterr()
+            run(_config(_pinned_workflow("fixed", 0.5), n=3 * _CHUNK, seed=9))
+        assert len(seen) == 3
+        assert threading.get_ident() not in {ident for ident, _ in seen}
+        assert all(state == want for _, state in seen)
+
+    # The gaps are drawn on the helper thread, the manual times on this one;
+    # when these fail, the helper is still drawing the chunk after.
+    @pytest.mark.parametrize("name", ["sample_gamma", "sample_manual"])
+    def test_a_raise_in_either_stage_joins_the_helper(self, monkeypatch, name):
+        error = ValidationError("drawn to fail", field="lambda")
+        self._fail_third_call(monkeypatch, name, error)
+        if name == "sample_manual":
+            self._before_each_call(monkeypatch, "sample_gamma",
+                                   lambda k: time.sleep(0.02 if k == 3 else 0.0))
+        before = threading.active_count()
+        _, raised = self._within(
+            run, _config(_pinned_workflow("fixed", 0.5), n=5 * _CHUNK, seed=9)
+        )
+        assert raised is error
+        assert threading.active_count() == before
+
+    def test_cli_reports_a_draw_stage_error(self, monkeypatch, capsys, tmp_path):
+        doc = json.loads(fixture_path("fig2.json").read_text())
+        doc["sim"] = {"seed": 3, "n_arrivals": 5 * _CHUNK}
+        path = tmp_path / "five-chunks.json"
+        path.write_text(json.dumps(doc))
+        self._fail_third_call(
+            monkeypatch, "sample_gamma", ValidationError("drawn to fail", field="lambda")
+        )
+        before = threading.active_count()
+        code, _ = self._within(main, ["simulate", "--config", str(path)])
+        out, err = capsys.readouterr()
+        assert (code, out) == (2, "")
+        assert json.loads(err) == {"error": "validation", "message": "drawn to fail",
+                                   "field": "lambda"}
+        assert threading.active_count() == before
+
+    @pytest.mark.parametrize("kind", ["fixed", "policy"])
+    @pytest.mark.parametrize("mode", ["folded", "feedback"])
+    def test_stats_do_not_depend_on_which_thread_runs_ahead(self, monkeypatch, kind, mode):
+        # The draw stage sleeps on odd chunks and this thread's manual draws
+        # on even ones, so each thread in turn waits for the other.
+        config = _config(_pinned_workflow(kind, 0.5), n=5 * _CHUNK, seed=9, rework_mode=mode)
+        undelayed = run(config)
+        for name, parity in (("sample_gamma", 1), ("sample_manual", 0)):
+            self._before_each_call(monkeypatch, name,
+                                   lambda k, parity=parity: time.sleep(1e-3 * (k % 2 == parity)))
+        stats = run(config)
+        for field in dataclasses.fields(SimStats):
+            assert getattr(stats, field.name) == getattr(undelayed, field.name), field.name
+        assert _digest(stats) == TestStreaming.PINS[kind, mode, 5 * _CHUNK, 0.5]
 
 
 def _longdouble_lindley(gaps, services):
