@@ -25,7 +25,7 @@ per-chunk copy.
 
 import numpy as np
 
-IMPL = "python"
+IMPL = "python"  # read by perfbench/worker.py, which records it as provenance
 
 # An empty array that no call writes to: no rework to carry or to report.
 _EMPTY = np.zeros(0)

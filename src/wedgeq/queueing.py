@@ -50,7 +50,6 @@ class WaitResult:
     rho: float
     wq: float
     total_sojourn: float
-    approximate: bool
 
 
 def stability_margin(rho):
@@ -102,7 +101,6 @@ def wq_pk(inputs: QueueInputs) -> WaitResult:
         rho=rho,
         wq=wq,
         total_sojourn=total_sojourn,
-        approximate=False,
     )
 
 
@@ -132,5 +130,4 @@ def wq_kingman(inputs: QueueInputs) -> WaitResult:
         rho=base.rho,
         wq=wq,
         total_sojourn=total_sojourn,
-        approximate=True,
     )

@@ -59,7 +59,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._kernels import IMPL, QueueState, simulate_fifo
+from ._kernels import QueueState, simulate_fifo
 from ._special import t_quantile
 from .config import SimSettings, WorkflowSpec
 from .errors import InfeasibleError, ValidationError
@@ -145,8 +145,6 @@ class SimConfig(SimSettings):
 class SimStats:
     """Point estimates from one run (or an aggregate over replications)."""
 
-    mode: str
-    backend: str
     n_arrivals: int
     n_rework_jobs: int
     warmup_skipped: int
@@ -402,8 +400,6 @@ def _run_single(config: SimConfig, rep: int) -> SimStats:
     p50, p90, p99 = _sorted_quantiles(waits_post, (0.5, 0.9, 0.99))
 
     return SimStats(
-        mode=config.rework_mode,
-        backend=IMPL,
         n_arrivals=n,
         n_rework_jobs=walked,
         warmup_skipped=k0,

@@ -722,6 +722,18 @@ class TestErrorContract:
             assert out == ""
             assert isinstance(json.loads(err), dict)
 
+    @pytest.mark.parametrize("command", ["equilibrium", "simulate"])
+    def test_root_between_adjacent_doubles_fails_its_certificate(self, capsys, tmp_path,
+                                                                 command):
+        # theta_hi = 3.956e-300: the certifier's g = theta - Phi is +3.6e-300
+        # there and -6.6e-63 one ulp below, so no double meets the residual
+        # guarantee of 1e-8 * theta, and exit 1 is the certifier's verdict.
+        config = _edited(tmp_path, "fig5-beta52", "signal_env.risk_map.a", "0",
+                         "signal_env.risk_map.b", "1e-300")
+        code, out, err = _run(capsys, command, "--config", config)
+        assert (code, out) == (1, "")
+        assert "fixed-point residual" in json.loads(err)["message"]
+
     def test_tiny_capacity_wait_is_the_unit_wait_over_c(self, capsys, tmp_path):
         tiny = _run_json(capsys, "moments", "--config", _edited(
             tmp_path, "fig2", "capacity_C", "1e-300", "lambda", "1e-301"))

@@ -126,11 +126,6 @@ class TestKingman:
         inputs = _inputs(0.5, 1.0, 1e200, c2_a=0.5)
         assert wq_kingman(inputs).wq == pytest.approx(5e199, rel=1e-12)
 
-    def test_flagged_approximate(self):
-        inputs = _inputs(0.5, 0.85, 1.25, c2_a=0.7)
-        assert wq_kingman(inputs).approximate is True
-        assert wq_pk(inputs).approximate is False
-
 
 class TestStability:
     def test_overload_raises_with_rho(self):
