@@ -33,7 +33,7 @@ from .service_model import (
     sample_ai,
     sample_manual,
 )
-from .simulator import SimConfig, replicate, route_moments
+from .simulator import CI_LEVEL, SimConfig, replicate, route_moments
 from .verification import effort_for_risk, irreducible_escape_rate, solve_equilibrium
 
 
@@ -367,18 +367,22 @@ def _handle_simulate(spec: WorkflowSpec, args) -> str:
     if analytic["stable"]:
         analytic["service_mean"] = mixed.mean
         analytic["service_m2"] = mixed.m2
-        if stats.wq_ci_half_width > 0.0:
+        # P-K and Kingman model the folded queue; a feedback run is another queue.
+        if config.rework_mode == "folded" and stats.wq_ci_half_width > 0.0:
             deltas = {
                 "wq_pk": (stats.wq_mean - analytic["wq_pk"]) / stats.wq_ci_half_width,
                 "wq_kingman": (stats.wq_mean - analytic["wq_kingman"])
                 / stats.wq_ci_half_width,
             }
+    if config.theta_star is not None:
+        analytic["theta_star"] = config.theta_star
     payload = {
         "command": "simulate",
         "inputs": _inputs_block(spec),
         "settings": {
             **{setting.name: getattr(config, setting.name) for setting in fields(SimSettings)},
             "arrival_family": config.arrival_family,
+            "ci_level": CI_LEVEL,
         },
         "sim": asdict(stats),
         "analytic": analytic,

@@ -8,8 +8,8 @@ coin (no coin is drawn at x = 1 or x = 0), and occupy the server for their
 attention requirement divided by capacity.  An AI draft is reviewed in the
 workflow's review mode: at the fixed effort, or under the review policy at
 the equilibrium price.  ``route_moments`` resolves the price and the
-analytic route moments at it, for the CLI reports and a run's stability
-verdict; ``_draw_ai_first_pass`` draws review times and escape flags.  A
+analytic route moments at it, for the CLI reports;
+``_draw_ai_first_pass`` draws review times and escape flags.  A
 ``SimConfig`` resolves what all its runs share once, when built.  Rework
 is either folded into the originating task's service time (matching the
 analytic model) or, in the exploratory feedback mode, re-enters the tail
@@ -63,7 +63,6 @@ from ._kernels import QueueState, simulate_fifo
 from ._special import t_quantile
 from .config import SimSettings, WorkflowSpec
 from .errors import InfeasibleError, ValidationError
-from .queueing import is_stable
 from .service_model import (
     RouteMoments,
     ai_route_moments,
@@ -150,7 +149,6 @@ class SimStats:
     warmup_skipped: int
     wq_mean: float
     wq_ci_half_width: float
-    ci_level: float
     wq_p50: float
     wq_p90: float
     wq_p99: float
@@ -161,8 +159,6 @@ class SimStats:
     escape_rate: float | None
     sojourn_mean: float
     batch_means: tuple[float, ...]
-    unstable: bool
-    theta_star: float | None = None
 
 
 def route_moments(workflow: WorkflowSpec):
@@ -170,8 +166,7 @@ def route_moments(workflow: WorkflowSpec):
 
     At the fixed effort theta is None.  Under the review policy theta is the
     primary equilibrium price and ai the route moments its solve certified.
-    The one source of route moments for the reports and for a run's
-    analytic stability verdict.
+    The one source of route moments for the reports.
     """
     if workflow.mode == "fixed":
         theta, ai = None, ai_route_moments(workflow.curve, workflow.rework, workflow.review_r)
@@ -405,7 +400,6 @@ def _run_single(config: SimConfig, rep: int) -> SimStats:
         warmup_skipped=k0,
         wq_mean=wq_mean,
         wq_ci_half_width=half_width,
-        ci_level=CI_LEVEL,
         wq_p50=p50,
         wq_p90=p90,
         wq_p99=p99,
@@ -416,8 +410,6 @@ def _run_single(config: SimConfig, rep: int) -> SimStats:
         escape_rate=n_escaped_post / n_ai_post if n_ai_post else None,
         sojourn_mean=sojourn_sum / n_post,
         batch_means=tuple(float(b) for b in batch_means),
-        unstable=not is_stable(workflow.lam, config.mixed.mean, capacity),
-        theta_star=theta,
     )
 
 

@@ -477,13 +477,28 @@ class TestReviewCurve:
 
 
 class TestSimulate:
-    def test_fixed_mode_report(self, capsys, small_sim_config):
-        doc = _run_json(capsys, "simulate", "--config", small_sim_config)
+    @pytest.mark.parametrize(
+        "rework_mode, deltas", [("folded", ["wq_pk", "wq_kingman"]), ("feedback", [])],
+        ids=["folded", "feedback"],
+    )
+    def test_fixed_mode_report(self, capsys, small_sim_config, rework_mode, deltas):
+        # The P-K and Kingman waits model the folded queue, so a feedback
+        # run is compared with neither.  The sim block holds only what the
+        # run measured.
+        path = Path(small_sim_config)
+        config = json.loads(path.read_text())
+        config["sim"]["rework_mode"] = rework_mode
+        path.write_text(json.dumps(config))
+        doc = _run_json(capsys, "simulate", "--config", str(path))
         assert doc["settings"]["seed"] == 3
         assert doc["settings"]["n_arrivals"] == 12_800
+        assert doc["settings"]["rework_mode"] == rework_mode
+        assert doc["settings"]["ci_level"] == 0.99
         assert doc["analytic"]["stable"] is True
+        assert "theta_star" not in doc["analytic"]
         assert doc["sim"]["wq_mean"] > 0.0
-        assert "wq_pk" in doc["delta_ci_units"]
+        assert not {"ci_level", "unstable", "theta_star"} & doc["sim"].keys()
+        assert list(doc["delta_ci_units"]) == deltas
 
     def test_seed_override(self, capsys, small_sim_config):
         base = _run_json(capsys, "simulate", "--config", small_sim_config)
@@ -496,9 +511,25 @@ class TestSimulate:
         # The config's price and mixed moments serve the run and the
         # analytic block alike.
         calls = _count_calls(monkeypatch, "solve_equilibrium", "policy_route_moments")
-        doc = _run_json(capsys, "simulate", "--config", _edited(tmp_path, "fig5-beta22"))
+        config = _edited(tmp_path, "fig5-beta22")
+        doc = _run_json(capsys, "simulate", "--config", config)
         assert calls == {"solve_equilibrium": 1, "policy_route_moments": 1}
         assert doc["analytic"]["stable"] is True
+        solution = _run_json(capsys, "equilibrium", "--config", config)
+        assert doc["analytic"]["theta_star"] == solution["primary"]["theta_star"]
+
+    def test_unstable_queue_is_simulated_and_compared_with_nothing(self, capsys, tmp_path):
+        doc = json.loads(fixture_path("fig2.json").read_text())
+        doc["lambda"] = 1.5
+        doc["sim"]["n_arrivals"] = 20_000
+        path = tmp_path / "overloaded.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = _run(capsys, "simulate", "--config", str(path))
+        assert (code, err) == (0, "")
+        report = json.loads(out)
+        assert report["analytic"]["stable"] is False
+        assert "wq_pk" not in report["analytic"]
+        assert report["delta_ci_units"] == {}
 
     def test_oversized_run_exits_2(self, capsys, tmp_path):
         doc = json.loads(fixture_path("fig2.json").read_text())

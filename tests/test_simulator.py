@@ -151,7 +151,6 @@ class TestAgainstClosedForms:
         # lam=0.5 against an exponential unit-mean manual route: wq = 1.
         workflow = _fixed_workflow(lam=0.5, c2_H=1.0, x=0.0)
         stats = run(_config(workflow, n=200_000, seed=5))
-        assert not stats.unstable
         assert abs(stats.wq_mean - 1.0) <= stats.wq_ci_half_width
 
     def test_poisson_deterministic_service(self):
@@ -239,10 +238,6 @@ class TestEstimatorInternals:
         stats = run(_config(_fixed_workflow(x=0.0)))
         assert stats.escape_rate is None
         assert stats.n_rework_jobs == 0
-
-    def test_unstable_flag(self):
-        stats = run(_config(_fixed_workflow(lam=1.2, x=0.0), n=20_000))
-        assert stats.unstable
 
     def test_interarrival_families(self):
         rng = np.random.default_rng(0)
@@ -357,75 +352,75 @@ class TestStreaming:
         allowance = {"folded": 10, "feedback": 24}[mode]
         assert peak <= 8 * (stats.n_arrivals - stats.warmup_skipped) + allowance * 8 * _CHUNK
 
-    # Pins of whole runs, taken before post-warm-up chunks were walked in
-    # place: the first 16 hex digits of the sha256 of repr(astuple(stats)),
-    # at seed 9, so any moved bit of any statistic shows.  The runs are part
-    # of a chunk, one chunk, one chunk and one arrival (a last chunk of one,
-    # walked in place), five chunks (the warm-up ends on a chunk edge) and a
-    # run ending in part of a chunk; x = 1 and x = 0 draw no routing coin.
+    # Pins of whole runs: the first 16 hex digits of the sha256 of
+    # repr(astuple(stats)), at seed 9, so any moved bit of any statistic
+    # shows.  The runs are part of a chunk, one chunk, one chunk and one
+    # arrival (a last chunk of one, walked in place), five chunks (the
+    # warm-up ends on a chunk edge) and a run ending in part of a chunk;
+    # x = 1 and x = 0 draw no routing coin.
     # At x = 0 no draft reworks, so a folded and a feedback run are the same
     # run and share a pin.
     PINS = {
-        ("fixed", "folded", 3200, 1.0): "fe7b99813611f1a2",
-        ("fixed", "folded", 3200, 0.5): "2e0696d80e1be97f",
-        ("fixed", "folded", 3200, 0.0): "ccc2f8d9429630a3",
-        ("fixed", "folded", 16384, 1.0): "6013410e45ff8bea",
-        ("fixed", "folded", 16384, 0.5): "e591a193fae2641c",
-        ("fixed", "folded", 16384, 0.0): "3c7b299d37c4eda4",
-        ("fixed", "folded", 16385, 1.0): "509c1fb20441b2dc",
-        ("fixed", "folded", 16385, 0.5): "986fba1f6b9bf98e",
-        ("fixed", "folded", 16385, 0.0): "6c93e33b535d7f3f",
-        ("fixed", "folded", 81920, 1.0): "82d1fc3587903a50",
-        ("fixed", "folded", 81920, 0.5): "0cb8120bd98b3b5f",
-        ("fixed", "folded", 81920, 0.0): "84966f2a407dbc34",
-        ("fixed", "folded", 70001, 1.0): "78acb2d9fab95714",
-        ("fixed", "folded", 70001, 0.5): "b20b750e971e2aa8",
-        ("fixed", "folded", 70001, 0.0): "f5b2bea8db83b562",
-        ("fixed", "feedback", 3200, 1.0): "7930c074a9920b98",
-        ("fixed", "feedback", 3200, 0.5): "1d7dfa74c19ebbb2",
-        ("fixed", "feedback", 3200, 0.0): "ccc2f8d9429630a3",
-        ("fixed", "feedback", 16384, 1.0): "4867f44257587971",
-        ("fixed", "feedback", 16384, 0.5): "44258ef16cdb45a3",
-        ("fixed", "feedback", 16384, 0.0): "3c7b299d37c4eda4",
-        ("fixed", "feedback", 16385, 1.0): "63dc2690ce0af060",
-        ("fixed", "feedback", 16385, 0.5): "7c05b444fb87158a",
-        ("fixed", "feedback", 16385, 0.0): "6c93e33b535d7f3f",
-        ("fixed", "feedback", 81920, 1.0): "1c0db084e0fbef15",
-        ("fixed", "feedback", 81920, 0.5): "6d4aba1f5d161790",
-        ("fixed", "feedback", 81920, 0.0): "84966f2a407dbc34",
-        ("fixed", "feedback", 70001, 1.0): "e5cc5b77542ffe06",
-        ("fixed", "feedback", 70001, 0.5): "642303a8f433db6f",
-        ("fixed", "feedback", 70001, 0.0): "f5b2bea8db83b562",
-        ("policy", "folded", 3200, 1.0): "8feb95f5824e8798",
-        ("policy", "folded", 3200, 0.5): "0d48938c815be808",
-        ("policy", "folded", 3200, 0.0): "e7c514233550d5ed",
-        ("policy", "folded", 16384, 1.0): "91c88be79f4c86c1",
-        ("policy", "folded", 16384, 0.5): "eabcb177bab86cf0",
-        ("policy", "folded", 16384, 0.0): "f76e7018387ee928",
-        ("policy", "folded", 16385, 1.0): "cd50478781c837c6",
-        ("policy", "folded", 16385, 0.5): "f57c1efc648abe5f",
-        ("policy", "folded", 16385, 0.0): "bcd654f09daf9342",
-        ("policy", "folded", 81920, 1.0): "1551ceb6cdfab4fd",
-        ("policy", "folded", 81920, 0.5): "b62c68b11e745f88",
-        ("policy", "folded", 81920, 0.0): "10d3080a986286a1",
-        ("policy", "folded", 70001, 1.0): "c30574f2b7062a51",
-        ("policy", "folded", 70001, 0.5): "91d3cd118d3b4e6a",
-        ("policy", "folded", 70001, 0.0): "8a100e73a7a218e4",
-        ("policy", "feedback", 3200, 1.0): "65c74be816720c41",
-        ("policy", "feedback", 3200, 0.5): "c9b1e3b7693feea5",
-        ("policy", "feedback", 3200, 0.0): "e7c514233550d5ed",
-        ("policy", "feedback", 16384, 1.0): "34e05d0ffdd8a55b",
-        ("policy", "feedback", 16384, 0.5): "fcd44866d93a500f",
-        ("policy", "feedback", 16384, 0.0): "f76e7018387ee928",
-        ("policy", "feedback", 16385, 1.0): "8cb6ba1565327120",
-        ("policy", "feedback", 16385, 0.5): "ded3d417fa4a06e7",
-        ("policy", "feedback", 16385, 0.0): "bcd654f09daf9342",
-        ("policy", "feedback", 81920, 1.0): "f8b7726cdacf5264",
-        ("policy", "feedback", 81920, 0.5): "b8e9c4af4ca05e56",
-        ("policy", "feedback", 81920, 0.0): "10d3080a986286a1",
-        ("policy", "feedback", 70001, 1.0): "18b6ebdec9a66ac3",
-        ("policy", "feedback", 70001, 0.5): "629292f772130080",
-        ("policy", "feedback", 70001, 0.0): "8a100e73a7a218e4",
+        ("fixed", "folded", 3200, 1.0): "d8d250e3eac595f3",
+        ("fixed", "folded", 3200, 0.5): "acb53200d6cc6af0",
+        ("fixed", "folded", 3200, 0.0): "18418c1aa04d4d5e",
+        ("fixed", "folded", 16384, 1.0): "1397262d84f86eab",
+        ("fixed", "folded", 16384, 0.5): "ead41d083256bc02",
+        ("fixed", "folded", 16384, 0.0): "6a9738f302cd0ac1",
+        ("fixed", "folded", 16385, 1.0): "6942d187251452fe",
+        ("fixed", "folded", 16385, 0.5): "755703b4633f1c3c",
+        ("fixed", "folded", 16385, 0.0): "8afc3e0bfd6e492b",
+        ("fixed", "folded", 81920, 1.0): "f52ae076a305d685",
+        ("fixed", "folded", 81920, 0.5): "bc289aeb0abb7753",
+        ("fixed", "folded", 81920, 0.0): "fb9d70b3d68ddafa",
+        ("fixed", "folded", 70001, 1.0): "6172bc42de91eeb8",
+        ("fixed", "folded", 70001, 0.5): "fe9240ab960fbfae",
+        ("fixed", "folded", 70001, 0.0): "d26f99a35e1a24b2",
+        ("fixed", "feedback", 3200, 1.0): "6c71ccadfeb3afed",
+        ("fixed", "feedback", 3200, 0.5): "007e4e16babb256b",
+        ("fixed", "feedback", 3200, 0.0): "18418c1aa04d4d5e",
+        ("fixed", "feedback", 16384, 1.0): "f7e5804b03cb1cb5",
+        ("fixed", "feedback", 16384, 0.5): "86c193f480803b29",
+        ("fixed", "feedback", 16384, 0.0): "6a9738f302cd0ac1",
+        ("fixed", "feedback", 16385, 1.0): "392e3a7ce86038dc",
+        ("fixed", "feedback", 16385, 0.5): "7e56e843b0acbe17",
+        ("fixed", "feedback", 16385, 0.0): "8afc3e0bfd6e492b",
+        ("fixed", "feedback", 81920, 1.0): "165abac0c76db4b2",
+        ("fixed", "feedback", 81920, 0.5): "7460a01ca70a81fe",
+        ("fixed", "feedback", 81920, 0.0): "fb9d70b3d68ddafa",
+        ("fixed", "feedback", 70001, 1.0): "82c6446545b22ad9",
+        ("fixed", "feedback", 70001, 0.5): "5cb31050fd5b5c44",
+        ("fixed", "feedback", 70001, 0.0): "d26f99a35e1a24b2",
+        ("policy", "folded", 3200, 1.0): "deb7162721401611",
+        ("policy", "folded", 3200, 0.5): "25ef6bf42ec4ab4f",
+        ("policy", "folded", 3200, 0.0): "01b84ed4d241e8e8",
+        ("policy", "folded", 16384, 1.0): "3a763a226a5f3afe",
+        ("policy", "folded", 16384, 0.5): "d19d3692079fec44",
+        ("policy", "folded", 16384, 0.0): "3c90531316315da0",
+        ("policy", "folded", 16385, 1.0): "1ee6fd72d24944ca",
+        ("policy", "folded", 16385, 0.5): "42aede7b063a6e15",
+        ("policy", "folded", 16385, 0.0): "d18a8b258bf28bf8",
+        ("policy", "folded", 81920, 1.0): "26fff84ef9623e8b",
+        ("policy", "folded", 81920, 0.5): "6545d2032499bb87",
+        ("policy", "folded", 81920, 0.0): "4a2485a032af97d9",
+        ("policy", "folded", 70001, 1.0): "2b9e2239dd91cf28",
+        ("policy", "folded", 70001, 0.5): "c1c3aac813cfac2f",
+        ("policy", "folded", 70001, 0.0): "3530c7f2615ad09a",
+        ("policy", "feedback", 3200, 1.0): "fef4239a58a1f4bd",
+        ("policy", "feedback", 3200, 0.5): "324b9d960ab0dc66",
+        ("policy", "feedback", 3200, 0.0): "01b84ed4d241e8e8",
+        ("policy", "feedback", 16384, 1.0): "6197bc0860bade34",
+        ("policy", "feedback", 16384, 0.5): "2bad8ddce6c5df56",
+        ("policy", "feedback", 16384, 0.0): "3c90531316315da0",
+        ("policy", "feedback", 16385, 1.0): "c2dd246c0a1bf361",
+        ("policy", "feedback", 16385, 0.5): "e30c5d8cab27ae4b",
+        ("policy", "feedback", 16385, 0.0): "d18a8b258bf28bf8",
+        ("policy", "feedback", 81920, 1.0): "75c49b7c2f75b1c6",
+        ("policy", "feedback", 81920, 0.5): "8aca73d7d09bcd92",
+        ("policy", "feedback", 81920, 0.0): "4a2485a032af97d9",
+        ("policy", "feedback", 70001, 1.0): "fa93169370ae92c9",
+        ("policy", "feedback", 70001, 0.5): "fb9a1663c854774d",
+        ("policy", "feedback", 70001, 0.0): "3530c7f2615ad09a",
     }
 
     @pytest.mark.parametrize("kind, mode, n, x", list(PINS))
@@ -693,9 +688,9 @@ class TestReworkModes:
 class TestPolicyMode:
     def test_resolves_equilibrium_price(self):
         workflow = _policy_workflow()
-        stats = run(_config(workflow, n=50_000))
+        config = _config(workflow, n=50_000)
         solution = solve_equilibrium(ENV, workflow.rework, 0.75, 1.0)
-        assert stats.theta_star == solution.primary.theta_star
+        assert config.theta_star == solution.primary.theta_star
 
     def test_covers_equilibrium_wait(self):
         workflow = _policy_workflow()
@@ -705,8 +700,9 @@ class TestPolicyMode:
 
     def test_escape_rate_matches_clipped_risk(self):
         workflow = _policy_workflow()
-        stats = run(_config(workflow, n=100_000, seed=5))
-        theta = stats.theta_star
+        config = _config(workflow, n=100_000, seed=5)
+        stats = run(config)
+        theta = config.theta_star
         dist = beta_dist(2.0, 2.0)
         expected = quad(
             lambda s: residual_risk(ENV, theta, s) * dist.pdf(s), 0.0, 1.0,
@@ -726,7 +722,6 @@ class TestPolicyMode:
         replicate(config)
         assert calls == {"solve_equilibrium": 1, "policy_route_moments": 1}
         assert first == second
-        assert first.theta_star == config.theta_star
         workflow = config.workflow
         ai = policy_route_moments(ENV, config.theta_star, workflow.rework)
         assert config.mixed == mixed_moments(workflow.manual, ai, workflow.x)
