@@ -66,7 +66,9 @@ class SimSettings:
     def __post_init__(self):
         require_count(self.seed, "seed", 0, MAX_SEED)
         require_count(self.n_batches, "n_batches", 2, MAX_BATCHES)
-        # Every batch mean averages at least 100 waits.
+        # At least 100 arrivals per batch, of which a fraction warmup_fraction
+        # is skipped: every batch mean averages at least
+        # floor(100 * (1 - warmup_fraction)) >= 50 post-warm-up waits.
         require_count(self.n_arrivals, "n_arrivals", 100 * self.n_batches, MAX_ARRIVALS)
         if not 0.0 <= self.warmup_fraction <= 0.5:
             raise ValidationError(

@@ -43,7 +43,7 @@ from wedgeq._kernels import QueueState, simulate_fifo
 from wedgeq.cli import main
 from wedgeq.config import MAX_ARRIVALS, MAX_BATCHES, MAX_REPS, SimSettings
 from wedgeq.service_model import sample_gamma
-from wedgeq.simulator import _CHUNK, _sorted_quantiles
+from wedgeq.simulator import _CHUNK, _kth, _sorted_quantiles
 
 from test_kernels import _heap_oracle
 
@@ -567,6 +567,27 @@ class TestDrawAhead:
         assert raised is error
         assert threading.active_count() == before
 
+    def test_a_raise_in_the_helpers_sort_joins_the_helper(self, monkeypatch):
+        # The thread that draws the manual services is the calling thread.
+        error = ValidationError("sorted to fail", field="lambda")
+        caller, raised_on = set(), []
+        self._before_each_call(monkeypatch, "sample_manual",
+                               lambda k: caller.add(threading.get_ident()))
+
+        def fail_off_the_caller(k):
+            if threading.get_ident() not in caller:
+                raised_on.append(threading.get_ident())
+                raise error
+
+        self._before_each_call(monkeypatch, "_sort", fail_off_the_caller)
+        before = threading.active_count()
+        _, raised = self._within(
+            run, _config(_pinned_workflow("fixed", 0.5), n=5 * _CHUNK, seed=9)
+        )
+        assert raised is error
+        assert len(caller) == 1 and len(raised_on) == 1
+        assert threading.active_count() == before
+
     def test_cli_reports_a_draw_stage_error(self, monkeypatch, capsys, tmp_path):
         doc = json.loads(fixture_path("fig2.json").read_text())
         doc["sim"] = {"seed": 3, "n_arrivals": 5 * _CHUNK}
@@ -594,10 +615,24 @@ class TestDrawAhead:
         for name, parity in (("sample_gamma", 1), ("sample_manual", 0)):
             self._before_each_call(monkeypatch, name,
                                    lambda k, parity=parity: time.sleep(1e-3 * (k % 2 == parity)))
-        stats = run(config)
-        for field in dataclasses.fields(SimStats):
-            assert getattr(stats, field.name) == getattr(undelayed, field.name), field.name
-        assert _digest(stats) == TestStreaming.PINS[kind, mode, 5 * _CHUNK, x]
+        runs = [run(config)]
+        # Then the helper's half of the waits is sorted last in one run, and
+        # this thread's in the other.
+        caller = threading.get_ident()
+        for late in (False, True):
+            sorted_on = []
+            with monkeypatch.context() as patch:
+                def hook(k, late=late, sorted_on=sorted_on):
+                    sorted_on.append(threading.get_ident() == caller)
+                    time.sleep(0.02 * (sorted_on[-1] == late))
+
+                self._before_each_call(patch, "_sort", hook)
+                runs.append(run(config))
+            assert sorted(sorted_on) == [False, True]
+        for stats in runs:
+            for field in dataclasses.fields(SimStats):
+                assert getattr(stats, field.name) == getattr(undelayed, field.name), field.name
+            assert _digest(stats) == TestStreaming.PINS[kind, mode, 5 * _CHUNK, x]
 
 
 def _longdouble_lindley(gaps, services):
@@ -648,9 +683,11 @@ class TestPrecision:
 
 class TestSortedQuantiles:
     def test_matches_numpy_quantile(self):
-        # np.quantile's linear method, bit for bit, on sorted waits: mostly
-        # exact zeros, ties, all zeros, and the small n = 1 and n = 2.
-        rng = np.random.default_rng(0)
+        # np.quantile's linear method, bit for bit, on waits split in two and
+        # each part sorted: mostly exact zeros, ties, all zeros, and the small
+        # n = 1 and n = 2, split at either end, next to either end, in the
+        # middle and at a random point.
+        rng, cuts = np.random.default_rng(0), np.random.default_rng(1)
         qs = [0.0, 0.25, 0.5, 0.9, 0.99, 1.0 - 2.0**-53]
         for case in range(3000):
             n = case + 1 if case < 3 else int(rng.integers(1, 3000))
@@ -659,8 +696,22 @@ class TestSortedQuantiles:
                 values = np.round(values, 1)
             if case % 50 == 2:
                 values[:] = 0.0
-            values.sort()
-            assert _sorted_quantiles(values, qs) == list(np.quantile(values, qs)), case
+            want = list(np.quantile(values, qs))
+            for cut in {0, 1, n // 2, n - 1, n, int(cuts.integers(0, n + 1))}:
+                low, high = np.sort(values[:cut]), np.sort(values[cut:])
+                assert _sorted_quantiles(low, high, qs) == want, (case, cut)
+
+    def test_kth_reads_every_order_statistic(self):
+        # Every k on every split of small arrays of three distinct values,
+        # so that most order statistics are tied within and across the runs.
+        rng = np.random.default_rng(2)
+        for n in range(1, 13):
+            for _ in range(20):
+                values = rng.integers(0, 3, n) / 2.0
+                want = list(np.sort(values))
+                for cut in range(n + 1):
+                    low, high = np.sort(values[:cut]), np.sort(values[cut:])
+                    assert [_kth(low, high, k) for k in range(n)] == want, (values, cut)
 
 
 class TestReworkModes:
@@ -819,6 +870,36 @@ class TestConfigValidation:
         with pytest.raises(ValidationError, match="too small") as err:
             _config(workflow, rework_mode=mode)
         assert err.value.field == "capacity_C"
+
+    @pytest.mark.parametrize("n_batches, warmup_fraction, per_batch", [
+        (2, 0.5, 50), (2, 0.0, 100), (32, 0.2, 80), (6, 0.332, 66),
+    ])
+    def test_a_batch_mean_averages_at_least_the_floor(
+        self, monkeypatch, n_batches, warmup_fraction, per_batch
+    ):
+        # The least n_arrivals admitted, 100 per batch, leaves each batch
+        # floor(100 * (1 - warmup_fraction)) >= 50 waits at the fewest: 50 at
+        # the largest warm-up, and 66 at 0.332, where 66.8 is not reached.
+        workflow = _fixed_workflow(x=0.5)
+        n = 100 * n_batches
+        with pytest.raises(ValidationError) as err:
+            _config(workflow, n=n - 1, n_batches=n_batches, warmup_fraction=warmup_fraction)
+        assert err.value.field == "n_arrivals"
+        waits = []
+
+        def capture(*args, **kwargs):
+            result = simulate_fifo(*args, **kwargs)
+            waits.append(np.copy(result[0]))  # before the run sorts its waits
+            return result
+
+        monkeypatch.setattr(simulator, "simulate_fifo", capture)
+        stats = run(_config(workflow, n=n, n_batches=n_batches,
+                            warmup_fraction=warmup_fraction))
+        assert per_batch == (n - stats.warmup_skipped) // n_batches
+        assert per_batch >= math.floor(100 * (1 - warmup_fraction)) >= 50
+        post = np.concatenate(waits)[stats.warmup_skipped :]
+        batches = post[: per_batch * n_batches].reshape(n_batches, per_batch)
+        assert stats.batch_means == tuple(batches.mean(axis=1))
 
     def test_replicate_count_validated(self):
         with pytest.raises(ValidationError):
